@@ -23,7 +23,7 @@
 //!   (TDMA, WRR, fixed-priority bus; mesh NoC links);
 //! * [`cache`] — optional data-cache configuration + LRU set model (used
 //!   for the cache-vs-scratchpad predictability ablation);
-//! * [`parser`] — the textual ADL format.
+//! * [`mem`] — memory spaces and the array → memory placement map.
 //!
 //! # Examples
 //!
@@ -41,7 +41,6 @@
 pub mod cache;
 pub mod interference;
 pub mod mem;
-pub mod parser;
 pub mod timing;
 
 pub use cache::CacheConfig;
@@ -393,11 +392,6 @@ impl Platform {
                     )
             }
         }
-    }
-
-    /// Uncontended shared-access cost (single requestor) for `core`.
-    pub fn uncontended_shared_access(&self, core: CoreId) -> u64 {
-        self.worst_case_shared_access(core, 1)
     }
 
     /// Worst-case cost of communicating `bytes` from `from` to `to`

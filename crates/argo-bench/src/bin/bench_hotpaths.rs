@@ -5,8 +5,9 @@
 //! full post-backend verification pass, one persistent-store round
 //! trip of a `BackendResult`, one hot `argo-serve` request/response
 //! roundtrip over a local socket) plus the end-to-end e1/e2
-//! experiment wall time, and writes one JSON file
-//! with `median_ns` and a derived throughput per bench. When a baseline
+//! experiment wall time, and merges one row per bench, with
+//! `median_ns` and a derived throughput, into a JSON file whose other
+//! rows (those of `e10_serve` and `e13_chaos`) it keeps. When a baseline
 //! file is given (`--baseline PATH`, a previous output of this harness),
 //! each bench also records `before_median_ns` and the resulting
 //! `speedup`, so the perf trajectory of the repo is recorded as data
@@ -21,23 +22,13 @@
 //! Defaults: `--out BENCH_hotpaths.json`, no baseline, 15 samples for
 //! the micro benches (5 for the end-to-end drivers).
 
+use argo_bench::hotpaths::{merge_rows, BenchRow};
 use argo_ir::interp::{CountingHook, Interp, NullHook};
 use argo_sched::list::ListScheduler;
 use argo_sched::random::{random_task_graph, RandomGraphParams};
 use argo_sched::{SchedCtx, Scheduler};
 use argo_wcet::value::{loop_bounds, ValueCtx};
-use std::fmt::Write as _;
 use std::time::Instant;
-
-/// One measured bench: median wall time and items processed per run.
-struct BenchRow {
-    name: &'static str,
-    median_ns: u64,
-    /// Work items per run (statements, loops, tasks, …).
-    items: u64,
-    /// Unit of `items` for the throughput field.
-    unit: &'static str,
-}
 
 fn median_ns(samples: &mut [u64]) -> u64 {
     samples.sort_unstable();
@@ -72,12 +63,7 @@ fn bench_interp_egpws(samples: usize) -> BenchRow {
             .expect("egpws runs");
         std::hint::black_box(out.ret);
     });
-    BenchRow {
-        name: "interp_egpws",
-        median_ns: median,
-        items: counter.stmts,
-        unit: "stmts",
-    }
+    BenchRow::timed("interp_egpws", median, counter.stmts, "stmts")
 }
 
 fn bench_value_weaa(samples: usize) -> BenchRow {
@@ -90,12 +76,7 @@ fn bench_value_weaa(samples: usize) -> BenchRow {
             .expect("weaa bounds");
         std::hint::black_box(b.len());
     });
-    BenchRow {
-        name: "value_weaa",
-        median_ns: median,
-        items: bounds.len() as u64,
-        unit: "loops",
-    }
+    BenchRow::timed("value_weaa", median, bounds.len() as u64, "loops")
 }
 
 fn bench_list_1000(samples: usize) -> BenchRow {
@@ -111,12 +92,7 @@ fn bench_list_1000(samples: usize) -> BenchRow {
         let s = ListScheduler::new().schedule(&g, &ctx);
         std::hint::black_box(s.makespan());
     });
-    BenchRow {
-        name: "sched_list_1000",
-        median_ns: median,
-        items: g.len() as u64,
-        unit: "tasks",
-    }
+    BenchRow::timed("sched_list_1000", median, g.len() as u64, "tasks")
 }
 
 fn bench_verify(samples: usize) -> BenchRow {
@@ -135,12 +111,7 @@ fn bench_verify(samples: usize) -> BenchRow {
         let report = argo_verify::verify_backend(&result, &platform, &cfg);
         std::hint::black_box(report.findings.len());
     });
-    BenchRow {
-        name: "verify_egpws",
-        median_ns: median,
-        items: tasks,
-        unit: "tasks",
-    }
+    BenchRow::timed("verify_egpws", median, tasks, "tasks")
 }
 
 fn bench_store_roundtrip(samples: usize) -> BenchRow {
@@ -169,12 +140,7 @@ fn bench_store_roundtrip(samples: usize) -> BenchRow {
         std::hint::black_box(back.system.bound);
     });
     let _ = std::fs::remove_dir_all(&dir);
-    BenchRow {
-        name: "store_roundtrip",
-        median_ns: median,
-        items: bytes,
-        unit: "bytes",
-    }
+    BenchRow::timed("store_roundtrip", median, bytes, "bytes")
 }
 
 fn bench_serve_roundtrip(samples: usize) -> BenchRow {
@@ -203,36 +169,21 @@ fn bench_serve_roundtrip(samples: usize) -> BenchRow {
     server.shutdown();
     server.join();
     let _ = std::fs::remove_dir_all(&dir);
-    BenchRow {
-        name: "serve_roundtrip",
-        median_ns: median,
-        items: 1,
-        unit: "requests",
-    }
+    BenchRow::timed("serve_roundtrip", median, 1, "requests")
 }
 
 fn bench_e1(samples: usize) -> BenchRow {
     let median = time_n(samples, || {
         std::hint::black_box(argo_bench::e1_toolflow().len());
     });
-    BenchRow {
-        name: "e1_toolflow",
-        median_ns: median,
-        items: 3,
-        unit: "use-cases",
-    }
+    BenchRow::timed("e1_toolflow", median, 3, "use-cases")
 }
 
 fn bench_e2(samples: usize) -> BenchRow {
     let median = time_n(samples, || {
         std::hint::black_box(argo_bench::e2_wcet_speedup(&[1, 2, 4]).len());
     });
-    BenchRow {
-        name: "e2_wcet_speedup",
-        median_ns: median,
-        items: 9,
-        unit: "compiles",
-    }
+    BenchRow::timed("e2_wcet_speedup", median, 9, "compiles")
 }
 
 /// Extracts `"median_ns": N` for `bench` from a previous harness output
@@ -267,7 +218,7 @@ fn main() {
     let baseline = baseline_path.map(|p| std::fs::read_to_string(&p).expect("readable baseline"));
 
     let e2e_samples = samples.div_ceil(3).max(3);
-    let rows = [
+    let mut rows = [
         bench_interp_egpws(samples),
         bench_value_weaa(samples),
         bench_list_1000(samples),
@@ -278,38 +229,28 @@ fn main() {
         bench_e2(e2e_samples),
     ];
 
-    let mut json = String::from("{\n  \"schema\": \"argo-bench/hotpaths-v1\",\n  \"benches\": {\n");
-    let mut regressions: Vec<(&str, f64)> = Vec::new();
-    for (i, row) in rows.iter().enumerate() {
-        let per_s = row.items as f64 / (row.median_ns as f64 * 1e-9);
-        let _ = write!(
-            json,
-            "    \"{}\": {{\"median_ns\": {}, \"items\": {}, \"unit\": \"{}\", \
-             \"throughput_per_s\": {:.1}",
-            row.name, row.median_ns, row.items, row.unit, per_s
+    let mut regressions: Vec<(String, f64)> = Vec::new();
+    for row in &mut rows {
+        eprintln!(
+            "{:<16} median {:>12} ns   ({:.1} {}/s)",
+            row.name, row.median_ns, row.throughput_per_s, row.unit
         );
         if let Some(before) = baseline
             .as_deref()
-            .and_then(|b| baseline_median(b, row.name))
+            .and_then(|b| baseline_median(b, &row.name))
         {
             let speedup = before as f64 / row.median_ns.max(1) as f64;
-            let _ = write!(
-                json,
-                ", \"before_median_ns\": {before}, \"speedup\": {speedup:.2}"
-            );
+            row.extra.push(("before_median_ns", before.to_string()));
+            row.extra.push(("speedup", format!("{speedup:.2}")));
             if speedup < 0.9 {
-                regressions.push((row.name, speedup));
+                regressions.push((row.name.clone(), speedup));
             }
         }
-        json.push_str(if i + 1 == rows.len() { "}\n" } else { "},\n" });
-        eprintln!(
-            "{:<16} median {:>12} ns   ({:.1} {}/s)",
-            row.name, row.median_ns, per_s, row.unit
-        );
     }
-    json.push_str("  }\n}\n");
-    std::fs::write(&out_path, json).expect("write output");
-    eprintln!("wrote {out_path}");
+    // The rows share no name prefix: this binary owns exactly the rows
+    // it writes.
+    merge_rows(&out_path, "", &rows).unwrap_or_else(|e| panic!("writing {out_path}: {e}"));
+    eprintln!("merged {} rows into {out_path}", rows.len());
     for (name, speedup) in &regressions {
         eprintln!(
             "WARNING: {name} regressed to {speedup:.2}x of the baseline \

@@ -27,24 +27,9 @@
 //! file, so replay latency lands in the same perf record as the micro
 //! benches. Exits non-zero if any invariant fails.
 
+use argo_bench::hotpaths::{merge_rows, PassReport};
 use argo_serve::{Client, Listener, ServeConfig, Server, Value};
-use std::fmt::Write as _;
 use std::time::Instant;
-
-/// The D distinct requests of the trace: one use case, four
-/// configurations (two core counts × two schedulers).
-fn distinct_requests() -> Vec<String> {
-    let mut requests = Vec::new();
-    for cores in [2usize, 4] {
-        for scheduler in ["list", "anneal"] {
-            requests.push(format!(
-                "{{\"id\": 1, \"kind\": \"compile\", \"app\": \"egpws\", \
-                 \"cores\": {cores}, \"scheduler\": \"{scheduler}\"}}"
-            ));
-        }
-    }
-    requests
-}
 
 /// Pipeline/store counters scraped from a `stats` response.
 #[derive(Debug, Clone, Copy, Default)]
@@ -96,79 +81,6 @@ fn replay_pass(addr: &str, clients: usize, requests: &[String]) -> Vec<u64> {
     all.into_iter().flatten().collect()
 }
 
-struct PassReport {
-    requests: usize,
-    wall_ns: u64,
-    p50_ns: u64,
-    p99_ns: u64,
-}
-
-impl PassReport {
-    fn of(latencies: &mut [u64], wall_ns: u64) -> PassReport {
-        latencies.sort_unstable();
-        let n = latencies.len();
-        PassReport {
-            requests: n,
-            wall_ns,
-            p50_ns: latencies[n / 2],
-            p99_ns: latencies[(n * 99 / 100).min(n - 1)],
-        }
-    }
-
-    fn throughput(&self) -> f64 {
-        self.requests as f64 / (self.wall_ns as f64 * 1e-9)
-    }
-
-    fn print(&self, label: &str, detail: &str) {
-        println!(
-            "{label}: {} requests in {:.1} ms   p50 {:.1} us   p99 {:.1} us   \
-             throughput {:.1} req/s   {detail}",
-            self.requests,
-            self.wall_ns as f64 / 1e6,
-            self.p50_ns as f64 / 1e3,
-            self.p99_ns as f64 / 1e3,
-            self.throughput(),
-        );
-    }
-}
-
-/// Inserts (or replaces) the e10 rows in a `bench_hotpaths` JSON file,
-/// preserving every other row byte-for-byte.
-fn merge_rows(path: &str, cold: &PassReport, hot: &PassReport) {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
-    let mut lines: Vec<String> = text
-        .lines()
-        .filter(|line| !line.trim_start().starts_with("\"e10_serve_"))
-        .map(str::to_string)
-        .collect();
-    let close = lines
-        .iter()
-        .position(|line| line == "  }")
-        .unwrap_or_else(|| panic!("{path} is not a bench_hotpaths output"));
-    // The (current) last row must now carry a trailing comma.
-    let last = &mut lines[close - 1];
-    if last.ends_with('}') {
-        last.push(',');
-    }
-    let row = |name: &str, pass: &PassReport, tail: &str| {
-        format!(
-            "    \"{name}\": {{\"median_ns\": {}, \"items\": {}, \"unit\": \"requests\", \
-             \"throughput_per_s\": {:.1}, \"p99_ns\": {}}}{tail}",
-            pass.p50_ns,
-            pass.requests,
-            pass.throughput(),
-            pass.p99_ns
-        )
-    };
-    let cold_row = row("e10_serve_cold", cold, ",");
-    let hot_row = row("e10_serve_hot", hot, "");
-    lines.splice(close..close, [cold_row, hot_row]);
-    let mut out = lines.join("\n");
-    out.push('\n');
-    std::fs::write(path, out).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-    eprintln!("merged e10 rows into {path}");
-}
-
 fn main() {
     let mut clients = 4usize;
     let mut connect: Option<String> = None;
@@ -208,7 +120,7 @@ fn main() {
         }
     };
 
-    let requests = distinct_requests();
+    let requests = argo_bench::replay_requests();
     let distinct = requests.len();
     println!(
         "e10_serve: {clients} clients × {distinct} distinct requests, cold+hot replay \
@@ -256,19 +168,20 @@ fn main() {
 
     let cold = PassReport::of(&mut cold_lat, cold_wall);
     let hot = PassReport::of(&mut hot_lat, hot_wall);
-    let mut cold_detail = String::new();
-    let _ = write!(
-        cold_detail,
-        "pipeline executions: {cold_runs} (one per distinct fingerprint)"
+    cold.print(
+        "cold",
+        &format!("pipeline executions: {cold_runs} (one per distinct fingerprint)"),
     );
-    cold.print("cold", &cold_detail);
     hot.print(
         "hot ",
         &format!("combined store hits on repeats: 100% ({hot_hits} archive hits, 0 misses)"),
     );
 
     if let Some(path) = merge {
-        merge_rows(&path, &cold, &hot);
+        let rows = [cold.row("e10_serve_cold"), hot.row("e10_serve_hot")];
+        merge_rows(&path, "e10_serve_", &rows)
+            .unwrap_or_else(|e| panic!("merging into {path}: {e}"));
+        eprintln!("merged e10 rows into {path}");
     }
 
     if let Some(server) = server {

@@ -29,6 +29,7 @@
 //! `--merge` appends/replaces `e13_chaos_faulty` / `e13_chaos_restart`
 //! rows in a `bench_hotpaths` output file, preserving every other row.
 
+use argo_bench::hotpaths::{merge_rows, PassReport};
 use argo_chaos::{ChaosIo, FaultPlan};
 use argo_serve::{
     Client, Listener, RetryClient, RetryPolicy, ServeConfig, Server, ServerHandle, Value,
@@ -36,20 +37,6 @@ use argo_serve::{
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// The D distinct requests of the trace (same shape as e10).
-fn distinct_requests() -> Vec<String> {
-    let mut requests = Vec::new();
-    for cores in [2usize, 4] {
-        for scheduler in ["list", "anneal"] {
-            requests.push(format!(
-                "{{\"id\": 1, \"kind\": \"compile\", \"app\": \"egpws\", \
-                 \"cores\": {cores}, \"scheduler\": \"{scheduler}\"}}"
-            ));
-        }
-    }
-    requests
-}
 
 /// Boots an in-process daemon over `store` (TCP on an OS port).
 fn boot_tcp(store: argo_store::Store) -> ServerHandle {
@@ -107,42 +94,6 @@ fn reference_bodies(requests: &[String]) -> Vec<String> {
     shutdown_tcp(server);
     let _ = std::fs::remove_dir_all(&dir);
     bodies
-}
-
-struct PassReport {
-    requests: usize,
-    wall_ns: u64,
-    p50_ns: u64,
-    p99_ns: u64,
-}
-
-impl PassReport {
-    fn of(latencies: &mut [u64], wall_ns: u64) -> PassReport {
-        latencies.sort_unstable();
-        let n = latencies.len();
-        PassReport {
-            requests: n,
-            wall_ns,
-            p50_ns: latencies[n / 2],
-            p99_ns: latencies[(n * 99 / 100).min(n - 1)],
-        }
-    }
-
-    fn throughput(&self) -> f64 {
-        self.requests as f64 / (self.wall_ns as f64 * 1e-9)
-    }
-
-    fn print(&self, label: &str, detail: &str) {
-        println!(
-            "{label}: {} requests in {:.1} ms   p50 {:.1} us   p99 {:.1} us   \
-             throughput {:.1} req/s   {detail}",
-            self.requests,
-            self.wall_ns as f64 / 1e6,
-            self.p50_ns as f64 / 1e3,
-            self.p99_ns as f64 / 1e3,
-            self.throughput(),
-        );
-    }
 }
 
 /// Phase 1: concurrent retrying clients against an io-storm store.
@@ -399,48 +350,6 @@ fn restart_phase(requests: &[String], seed: u64) -> PassReport {
     PassReport::of(&mut latencies, wall_ns)
 }
 
-/// Inserts (or replaces) the e13 rows in a `bench_hotpaths` JSON file,
-/// preserving every other row byte-for-byte.
-fn merge_rows(path: &str, faulty: &PassReport, restart: Option<&PassReport>) {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
-    let mut lines: Vec<String> = text
-        .lines()
-        .filter(|line| !line.trim_start().starts_with("\"e13_chaos_"))
-        .map(str::to_string)
-        .collect();
-    let close = lines
-        .iter()
-        .position(|line| line == "  }")
-        .unwrap_or_else(|| panic!("{path} is not a bench_hotpaths output"));
-    let last = &mut lines[close - 1];
-    if last.ends_with('}') {
-        last.push(',');
-    }
-    let row = |name: &str, pass: &PassReport, tail: &str| {
-        format!(
-            "    \"{name}\": {{\"median_ns\": {}, \"items\": {}, \"unit\": \"requests\", \
-             \"throughput_per_s\": {:.1}, \"p99_ns\": {}}}{tail}",
-            pass.p50_ns,
-            pass.requests,
-            pass.throughput(),
-            pass.p99_ns
-        )
-    };
-    let mut rows = Vec::new();
-    match restart {
-        Some(restart) => {
-            rows.push(row("e13_chaos_faulty", faulty, ","));
-            rows.push(row("e13_chaos_restart", restart, ""));
-        }
-        None => rows.push(row("e13_chaos_faulty", faulty, "")),
-    }
-    lines.splice(close..close, rows);
-    let mut out = lines.join("\n");
-    out.push('\n');
-    std::fs::write(path, out).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-    eprintln!("merged e13 rows into {path}");
-}
-
 fn main() {
     let mut clients = 3usize;
     let mut rounds = 3usize;
@@ -472,7 +381,7 @@ fn main() {
         }
     }
 
-    let requests = distinct_requests();
+    let requests = argo_bench::replay_requests();
     println!(
         "e13_chaos: {clients} clients × {rounds} rounds × {} distinct requests, \
          seed {seed}, storm rate {rate}‰",
@@ -496,7 +405,11 @@ fn main() {
     }
 
     if let Some(path) = merge {
-        merge_rows(&path, &faulty, restart.as_ref());
+        let mut rows = vec![faulty.row("e13_chaos_faulty")];
+        rows.extend(restart.map(|r| r.row("e13_chaos_restart")));
+        merge_rows(&path, "e13_chaos_", &rows)
+            .unwrap_or_else(|e| panic!("merging into {path}: {e}"));
+        eprintln!("merged e13 rows into {path}");
     }
     println!("e13_chaos: all chaos invariants held");
 }

@@ -7,6 +7,12 @@
 //! The source paper (DATE 2017 project overview) contains a single figure
 //! — the tool-flow diagram — and no quantitative tables; the experiments
 //! quantify each claim of §§ I–III instead (see DESIGN.md § 5).
+//!
+//! The [`hotpaths`] module holds the one row type and writer behind
+//! `BENCH_hotpaths.json`, shared by `bench_hotpaths`, `e10_serve` and
+//! `e13_chaos`.
+
+pub mod hotpaths;
 
 use argo_adl::{Arbitration, CacheConfig, Platform};
 use argo_core::{CollectingObserver, SchedulerKind, Stage, ToolchainConfig, Toolflow};
@@ -567,20 +573,20 @@ where
     }
 }
 
-/// Scheduler-kind sweep used by E4's tool-chain-level variant.
-pub fn compile_with_scheduler(kind: SchedulerKind) -> f64 {
-    let platform = Platform::xentium_manycore(4);
-    let uc = &argo_apps::all_use_cases(42)[2];
-    let cfg = ToolchainConfig {
-        scheduler: kind,
-        ..Default::default()
-    };
-    let r = Toolflow::new(uc.program.clone(), uc.entry)
-        .platform(&platform)
-        .config(cfg)
-        .run()
-        .expect("compile");
-    r.wcet_speedup()
+/// The D distinct compile requests the `e10_serve` and `e13_chaos`
+/// replay traces are built from: one use case, two core counts × two
+/// schedulers.
+pub fn replay_requests() -> Vec<String> {
+    let mut requests = Vec::new();
+    for cores in [2usize, 4] {
+        for scheduler in ["list", "anneal"] {
+            requests.push(format!(
+                "{{\"id\": 1, \"kind\": \"compile\", \"app\": \"egpws\", \
+                 \"cores\": {cores}, \"scheduler\": \"{scheduler}\"}}"
+            ));
+        }
+    }
+    requests
 }
 
 #[cfg(test)]
@@ -627,13 +633,10 @@ mod tests {
             let mut platform = Platform::xentium_manycore(1);
             platform.cores[0].spm_bytes = cap;
             let uc = argo_apps::egpws::use_case(42);
-            let direct = argo_core::compile(
-                uc.program.clone(),
-                uc.entry,
-                &platform,
-                &ToolchainConfig::default(),
-            )
-            .expect("compile");
+            let direct = Toolflow::new(uc.program.clone(), uc.entry)
+                .platform(&platform)
+                .run()
+                .expect("compile");
             let bound: u64 = line.split_whitespace().nth(1).unwrap().parse().unwrap();
             assert_eq!(bound, direct.system.bound, "capacity {cap}: {line}");
         }
@@ -654,8 +657,11 @@ mod tests {
                 granularity: g,
                 ..Default::default()
             };
-            let direct =
-                argo_core::compile(uc.program.clone(), uc.entry, &platform, &cfg).expect("compile");
+            let direct = Toolflow::new(uc.program.clone(), uc.entry)
+                .platform(&platform)
+                .config(cfg)
+                .run()
+                .expect("compile");
             let cols: Vec<&str> = line.split_whitespace().collect();
             assert_eq!(
                 cols[1].parse::<usize>().unwrap(),

@@ -136,10 +136,6 @@ pub struct CostTable {
     costs: BTreeMap<TaskId, u64>,
 }
 
-/// Legacy alias for [`CostTable`] (the pre-session driver exposed the
-/// bare map type under this name).
-pub type TaskCosts = CostTable;
-
 impl CostTable {
     /// Empty table.
     pub fn new() -> CostTable {
@@ -214,10 +210,6 @@ pub struct BackendResult {
     /// Feedback iterations actually performed.
     pub feedback_iterations: u32,
 }
-
-/// Legacy alias for [`BackendResult`] (the pre-session driver returned
-/// this type under the name `ToolchainResult`).
-pub type ToolchainResult = BackendResult;
 
 impl BackendResult {
     /// Guaranteed WCET speedup of the parallel version over sequential

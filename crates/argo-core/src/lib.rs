@@ -23,36 +23,24 @@
 //!
 //! The driver is a typed, observable, fingerprint-native session:
 //! [`Toolflow`] binds program, entry, platform, config and (optionally)
-//! a [`StageObserver`], then runs the pipeline whole or stage by stage.
-//! Each stage yields an owned [`Artifact`]:
+//! a [`StageObserver`], then runs the pipeline whole
+//! (`Toolflow::new(program, "main").platform(&platform).config(cfg).run()`)
+//! or stage by stage ([`Toolflow::run_frontend`] →
+//! [`Toolflow::run_seed_costs`] → [`Toolflow::run_backend`]). Each
+//! stage yields an owned [`Artifact`]:
 //! [`FrontendArtifact`] → [`CostTable`] → [`BackendResult`], every one
-//! carrying a canonical content [`Fingerprint`]; [`Platform`] and
-//! [`ToolchainConfig`] are [`Fingerprintable`] too, so caches (see
-//! `argo-dse`) key on API-owned hashes instead of `Debug` formatting.
+//! carrying a canonical content [`Fingerprint`];
+//! [`Platform`](argo_adl::Platform) and [`ToolchainConfig`] are
+//! [`Fingerprintable`] too, so caches (see `argo-dse`) key on API-owned
+//! hashes instead of `Debug` formatting. Observers receive paired
+//! start/finish events and per-feedback-round schedule/placement
+//! snapshots; the canonical per-stage input fingerprints
+//! ([`Toolflow::frontend_fingerprint`],
+//! [`Toolflow::seed_cost_fingerprint`]) are the `argo-dse` cache keys.
 //! Failures are structured [`Diagnostic`]s (a [`Stage`], an
 //! [`ErrorCode`], the offending entity, a rendered message).
 //!
-//! ## Migration guide (free functions → sessions)
-//!
-//! The legacy free functions remain as thin wrappers over a default
-//! session, so downstream code has a one-line migration:
-//!
-//! | legacy call | session call |
-//! |-------------|--------------|
-//! | `compile(p, "main", &plat, &cfg)` | `Toolflow::new(p, "main").platform(&plat).config(cfg).run()` |
-//! | `frontend(p, "main", cores, &cfg)` | `Toolflow::new(p, "main").platform(&plat).config(cfg).run_frontend()` |
-//! | `seed_costs(&art, "main", &plat)` | `flow.run_seed_costs(&art)` |
-//! | `backend(art, "main", &plat, &cfg, seed)` | `flow.run_backend(art, seed)` |
-//! | `ToolchainError { stage: "entry", .. }` | `Diagnostic { code: ErrorCode::UnknownEntry, .. }` |
-//! | `format!("{:?}", platform)` cache keys | `platform.fingerprint()` / `flow.frontend_fingerprint()` |
-//!
-//! What sessions add over the free functions: stage observers (paired
-//! start/finish events, per-feedback-round schedule/placement
-//! snapshots) and canonical per-stage input fingerprints
-//! ([`Toolflow::frontend_fingerprint`],
-//! [`Toolflow::seed_cost_fingerprint`]).
-//!
-//! ### Error codes
+//! ## Error codes
 //!
 //! [`Diagnostic::code`] replaces the legacy stringly-typed stage names:
 //!
@@ -84,24 +72,20 @@ pub mod fingerprint;
 pub mod observer;
 pub mod session;
 
-pub use artifact::{
-    Artifact, BackendResult, CostTable, FrontendArtifact, TaskCosts, ToolchainResult,
-};
+pub use artifact::{Artifact, BackendResult, CostTable, FrontendArtifact};
 pub use cancel::CancelToken;
 pub use codec::{Codec, DecodeError, Decoder, Encoder};
 pub use diag::{Diagnostic, ErrorCode, Stage};
 pub use fingerprint::{schedule_fingerprint, Fingerprint, FingerprintHasher, Fingerprintable};
 pub use observer::{
     stage_span_name, CollectingObserver, FeedbackSnapshot, NullObserver, StageEvent, StageObserver,
-    StageSummary, TraceObserver, TracingObserver,
+    StageSummary, TraceObserver,
 };
 pub use session::{ScheduleCache, Toolflow};
 
 pub(crate) use session::feed_frontend_config;
 
-use argo_adl::Platform;
 use argo_htg::Granularity;
-use argo_ir::ast::Program;
 use argo_wcet::system::MhpMode;
 use argo_wcet::value::ValueCtx;
 
@@ -161,91 +145,11 @@ impl Default for ToolchainConfig {
     }
 }
 
-/// Runs the program-side stages: validation, predictability
-/// transformations (§ II-B), loop-bound value analysis and HTG task
-/// extraction with access annotation.
-///
-/// Thin wrapper over a default (observer-less) session; see
-/// [`Toolflow::run_frontend`]. `core_count` is the only platform
-/// property the frontend observes (it controls DOALL chunking); pass
-/// `platform.core_count()` when driving a single compile, or the
-/// point's core count when sweeping a design space.
-///
-/// # Errors
-///
-/// Returns a [`Diagnostic`] naming the failing step.
-pub fn frontend(
-    program: Program,
-    entry: &str,
-    core_count: usize,
-    cfg: &ToolchainConfig,
-) -> Result<FrontendArtifact, Diagnostic> {
-    let seq = std::sync::atomic::AtomicU64::new(0);
-    session::run_frontend_impl(program, entry, core_count, cfg, None, &seq)
-}
-
-/// Computes the feedback round-0 code-level WCETs: every task costed on
-/// core 0 with the conservative all-shared memory placement.
-///
-/// Thin wrapper over a default session; see
-/// [`Toolflow::run_seed_costs`].
-///
-/// # Errors
-///
-/// Returns a [`Diagnostic`] if the code-level analysis fails.
-pub fn seed_costs(
-    artifact: &FrontendArtifact,
-    entry: &str,
-    platform: &Platform,
-) -> Result<CostTable, Diagnostic> {
-    let seq = std::sync::atomic::AtomicU64::new(0);
-    session::run_seed_costs_impl(artifact, entry, platform, None, &seq)
-}
-
-/// Runs the platform-side stages on a frontend artifact: the iterative
-/// schedule ↔ placement ↔ WCET feedback loop (§ II-E), parallel model
-/// construction (§ II-C) and system-level WCET analysis (§ II-D).
-///
-/// Thin wrapper over a default session; see [`Toolflow::run_backend`].
-///
-/// # Errors
-///
-/// Returns a [`Diagnostic`] naming the failing step.
-pub fn backend(
-    artifact: FrontendArtifact,
-    entry: &str,
-    platform: &Platform,
-    cfg: &ToolchainConfig,
-    seed: Option<&CostTable>,
-) -> Result<BackendResult, Diagnostic> {
-    let seq = std::sync::atomic::AtomicU64::new(0);
-    session::run_backend_impl(artifact, entry, platform, cfg, seed, None, &seq, None)
-}
-
-/// Runs the complete ARGO flow on `program` for `platform` — a thin
-/// wrapper over a default [`Toolflow`] session (the one-line migration
-/// path for legacy callers).
-///
-/// # Errors
-///
-/// Returns a [`Diagnostic`] naming the failing step: validation,
-/// transformation, loop-bound analysis, extraction, WCET or
-/// parallel-model construction.
-pub fn compile(
-    program: Program,
-    entry: &str,
-    platform: &Platform,
-    cfg: &ToolchainConfig,
-) -> Result<BackendResult, Diagnostic> {
-    Toolflow::new(program, entry)
-        .platform(platform)
-        .config(cfg.clone())
-        .run()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use argo_adl::Platform;
+    use argo_ir::ast::Program;
     use argo_ir::parse::parse_program;
 
     // A compute-heavy map + reduction, the shape of the paper's use-case
@@ -265,11 +169,24 @@ mod tests {
         }
     "#;
 
+    /// One-shot session run: the whole pipeline through [`Toolflow::run`].
+    fn run(
+        program: Program,
+        entry: &str,
+        platform: &Platform,
+        cfg: ToolchainConfig,
+    ) -> Result<BackendResult, Diagnostic> {
+        Toolflow::new(program, entry)
+            .platform(platform)
+            .config(cfg)
+            .run()
+    }
+
     #[test]
     fn end_to_end_compiles_and_improves_wcet() {
         let program = parse_program(MAP_REDUCE).unwrap();
         let platform = Platform::xentium_manycore(4);
-        let r = compile(program, "main", &platform, &ToolchainConfig::default()).unwrap();
+        let r = run(program, "main", &platform, ToolchainConfig::default()).unwrap();
         r.parallel.validate().unwrap();
         assert!(r.system.bound > 0);
         assert!(
@@ -283,7 +200,7 @@ mod tests {
     fn single_core_has_speedup_one() {
         let program = parse_program(MAP_REDUCE).unwrap();
         let platform = Platform::xentium_manycore(1);
-        let r = compile(program, "main", &platform, &ToolchainConfig::default()).unwrap();
+        let r = run(program, "main", &platform, ToolchainConfig::default()).unwrap();
         assert_eq!(r.parallel.sync_count(), 0);
         assert!((r.wcet_speedup() - 1.0).abs() < 0.01);
     }
@@ -296,7 +213,7 @@ mod tests {
             feedback_rounds: 5,
             ..Default::default()
         };
-        let r = compile(program, "main", &platform, &cfg).unwrap();
+        let r = run(program, "main", &platform, cfg).unwrap();
         assert!(r.feedback_iterations <= 5);
     }
 
@@ -313,7 +230,7 @@ mod tests {
                 scheduler: sk,
                 ..Default::default()
             };
-            let r = compile(program, "main", &platform, &cfg).unwrap();
+            let r = run(program, "main", &platform, cfg).unwrap();
             r.parallel.validate().unwrap();
         }
     }
@@ -322,7 +239,7 @@ mod tests {
     fn report_mentions_key_numbers() {
         let program = parse_program(MAP_REDUCE).unwrap();
         let platform = Platform::xentium_manycore(2);
-        let r = compile(program, "main", &platform, &ToolchainConfig::default()).unwrap();
+        let r = run(program, "main", &platform, ToolchainConfig::default()).unwrap();
         let rep = r.report();
         assert!(rep.contains("parallel   WCET bound"));
         assert!(rep.contains("guaranteed speedup"));
@@ -332,11 +249,11 @@ mod tests {
     fn unknown_entry_is_reported_with_code_and_entity() {
         let program = parse_program(MAP_REDUCE).unwrap();
         let platform = Platform::xentium_manycore(2);
-        let err = compile(
+        let err = run(
             program,
             "nonexistent",
             &platform,
-            &ToolchainConfig::default(),
+            ToolchainConfig::default(),
         )
         .unwrap_err();
         assert_eq!(err.stage, Stage::Frontend);
@@ -348,7 +265,7 @@ mod tests {
     fn zero_core_platform_is_an_invalid_platform_diagnostic() {
         let program = parse_program(MAP_REDUCE).unwrap();
         let platform = Platform::xentium_manycore(0);
-        let err = compile(program, "main", &platform, &ToolchainConfig::default()).unwrap_err();
+        let err = run(program, "main", &platform, ToolchainConfig::default()).unwrap_err();
         assert_eq!(err.code, ErrorCode::InvalidPlatform);
         assert_eq!(err.stage, Stage::Backend);
         assert!(err.message.contains("no cores"), "{err}");
@@ -359,7 +276,7 @@ mod tests {
         let src = "void main(real a[8]) { }";
         let program = parse_program(src).unwrap();
         let platform = Platform::xentium_manycore(2);
-        let err = compile(program, "main", &platform, &ToolchainConfig::default()).unwrap_err();
+        let err = run(program, "main", &platform, ToolchainConfig::default()).unwrap_err();
         assert_eq!(err.code, ErrorCode::EmptyHtg);
         assert_eq!(err.entity.as_deref(), Some("main"));
     }
@@ -375,7 +292,7 @@ mod tests {
         let program = parse_program(src).unwrap();
         let platform = Platform::xentium_manycore(2);
         // No value context bounds `n`, so the trip count is unboundable.
-        let err = compile(program, "main", &platform, &ToolchainConfig::default()).unwrap_err();
+        let err = run(program, "main", &platform, ToolchainConfig::default()).unwrap_err();
         assert_eq!(err.code, ErrorCode::UnboundedLoop);
         assert_eq!(err.stage, Stage::Frontend);
     }
@@ -452,7 +369,7 @@ mod tests {
         "#;
         let program = parse_program(src).unwrap();
         let platform = Platform::xentium_manycore(4);
-        let r = compile(program, "main", &platform, &ToolchainConfig::default()).unwrap();
+        let r = run(program, "main", &platform, ToolchainConfig::default()).unwrap();
         assert!(r.wcet_speedup() <= 1.05);
     }
 
@@ -460,19 +377,16 @@ mod tests {
     fn noc_platform_compiles() {
         let program = parse_program(MAP_REDUCE).unwrap();
         let platform = Platform::kit_tile_noc(2, 2);
-        let r = compile(program, "main", &platform, &ToolchainConfig::default()).unwrap();
+        let r = run(program, "main", &platform, ToolchainConfig::default()).unwrap();
         assert!(r.system.bound > 0);
     }
 
     #[test]
-    fn staged_session_matches_monolithic_compile() {
+    fn staged_session_matches_one_shot_run() {
         let program = parse_program(MAP_REDUCE).unwrap();
         let platform = Platform::xentium_manycore(4);
-        let cfg = ToolchainConfig::default();
-        let whole = compile(program.clone(), "main", &platform, &cfg).unwrap();
-        let flow = Toolflow::new(program, "main")
-            .platform(&platform)
-            .config(cfg);
+        let flow = Toolflow::new(program, "main").platform(&platform);
+        let whole = flow.run().unwrap();
         let art = flow.run_frontend().unwrap();
         let staged = flow.run_backend(art, None).unwrap();
         assert_eq!(whole.system, staged.system);
@@ -511,9 +425,14 @@ mod tests {
 
     #[test]
     fn frontend_is_deterministic_for_equal_inputs() {
-        let cfg = ToolchainConfig::default();
-        let a = frontend(parse_program(MAP_REDUCE).unwrap(), "main", 4, &cfg).unwrap();
-        let b = frontend(parse_program(MAP_REDUCE).unwrap(), "main", 4, &cfg).unwrap();
+        let platform = Platform::xentium_manycore(4);
+        let frontend = || {
+            Toolflow::new(parse_program(MAP_REDUCE).unwrap(), "main")
+                .platform(&platform)
+                .run_frontend()
+                .unwrap()
+        };
+        let (a, b) = (frontend(), frontend());
         assert_eq!(
             argo_ir::printer::print_program(&a.program),
             argo_ir::printer::print_program(&b.program)
@@ -705,21 +624,21 @@ mod tests {
     fn finer_granularity_yields_more_tasks() {
         let program = parse_program(MAP_REDUCE).unwrap();
         let platform = Platform::xentium_manycore(2);
-        let coarse = compile(
+        let coarse = run(
             program.clone(),
             "main",
             &platform,
-            &ToolchainConfig {
+            ToolchainConfig {
                 granularity: Granularity::Loop,
                 ..Default::default()
             },
         )
         .unwrap();
-        let fine = compile(
+        let fine = run(
             program,
             "main",
             &platform,
-            &ToolchainConfig {
+            ToolchainConfig {
                 granularity: Granularity::Stmt,
                 ..Default::default()
             },

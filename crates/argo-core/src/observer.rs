@@ -1,11 +1,10 @@
 //! Stage observability: typed hooks into a running [`Toolflow`] session.
 //!
 //! The paper's toolflow (Fig. 1) is an *iterative* pipeline — WCET
-//! information feeds back into scheduling and placement — but the legacy
-//! driver gave callers no way to watch it: DSE sweeps and experiment
-//! binaries hand-rolled wall-clock timing around opaque `compile()`
-//! calls. A [`StageObserver`] attached via
-//! [`Toolflow::observer`](crate::Toolflow::observer) receives:
+//! information feeds back into scheduling and placement. A
+//! [`StageObserver`] attached via
+//! [`Toolflow::observer`](crate::Toolflow::observer) watches it and
+//! receives:
 //!
 //! * paired `on_stage_start` / `on_stage_finish` events for every
 //!   pipeline [`Stage`] the session runs, the finish event carrying a
@@ -25,7 +24,6 @@
 use crate::diag::Stage;
 use crate::fingerprint::Fingerprint;
 use argo_adl::CoreId;
-use std::cell::RefCell;
 use std::io::Write;
 use std::sync::Mutex;
 use std::time::Duration;
@@ -77,8 +75,8 @@ pub struct FeedbackSnapshot {
 /// sweep routinely mixes both on one shared observer).
 ///
 /// Every event carries a `seq` number drawn from one per-session
-/// counter ([`Toolflow`](crate::Toolflow) allocates it; the legacy
-/// free functions use a fresh counter per call). Within a session,
+/// counter, which [`Toolflow`](crate::Toolflow) allocates and which
+/// starts at 0 for every new session. Within a session,
 /// `seq` is strictly increasing in emission order across *all* event
 /// kinds — stage starts, finishes, errors and feedback rounds share
 /// the counter — so consumers that receive events over a reordering
@@ -134,92 +132,15 @@ pub struct NullObserver;
 impl StageObserver for NullObserver {}
 
 /// Stable span name for a pipeline stage: `stage.<label>`. The session
-/// driver's tracer spans, the [`TracingObserver`] adapter and
-/// `argo-dse`'s `TimingObserver` aggregator all key stage time under
-/// these names, so every view of "where did the stage time go" agrees.
+/// driver's tracer spans and `argo-dse`'s `TimingObserver` aggregator
+/// both key stage time under these names, so every view of "where did
+/// the stage time go" agrees.
 pub fn stage_span_name(stage: Stage) -> &'static str {
     match stage {
         Stage::Frontend => "stage.frontend",
         Stage::SeedCosts => "stage.seed-costs",
         Stage::Backend => "stage.backend",
         Stage::Verify => "stage.verify",
-    }
-}
-
-thread_local! {
-    /// Open stage spans of [`TracingObserver`] adapters on this thread.
-    /// Stage events of one session never interleave within a thread
-    /// (stages run sequentially), so a per-thread stack suffices even
-    /// when one adapter is shared by many worker threads.
-    static OPEN_STAGE_SPANS: RefCell<Vec<(Stage, argo_trace::Span<'static>)>> =
-        const { RefCell::new(Vec::new()) };
-}
-
-/// Adapter turning a [`StageObserver`] event stream into spans on the
-/// global `argo-trace` tracer: `on_stage_start` opens a
-/// [`stage_span_name`] span, the matching terminal event closes it,
-/// and every event is forwarded to the wrapped observer — existing
-/// seq/progress streaming is preserved untouched.
-///
-/// Sessions driven by [`crate::Toolflow`] already record stage spans in
-/// the driver itself; this adapter is for event streams *without* a
-/// local driver — e.g. replaying a recorded [`CollectingObserver`]
-/// stream, or re-tracing progress frames on an `argo-serve` client.
-/// Wrapping an observer that a local session also drives would record
-/// each stage twice.
-#[derive(Debug, Default)]
-pub struct TracingObserver<O: StageObserver> {
-    inner: O,
-}
-
-impl<O: StageObserver> TracingObserver<O> {
-    /// Wraps `inner`, forwarding every event to it.
-    pub fn new(inner: O) -> TracingObserver<O> {
-        TracingObserver { inner }
-    }
-
-    /// The wrapped observer.
-    pub fn inner(&self) -> &O {
-        &self.inner
-    }
-}
-
-impl<O: StageObserver> TracingObserver<O> {
-    fn close_span(stage: Stage) {
-        OPEN_STAGE_SPANS.with(|open| {
-            let mut open = open.borrow_mut();
-            if let Some(pos) = open.iter().rposition(|(s, _)| *s == stage) {
-                open.remove(pos);
-            }
-        });
-    }
-}
-
-impl<O: StageObserver> StageObserver for TracingObserver<O> {
-    fn checkpoint(&self, stage: Stage) -> Result<(), crate::Diagnostic> {
-        self.inner.checkpoint(stage)
-    }
-
-    fn on_stage_start(&self, stage: Stage, seq: u64) {
-        OPEN_STAGE_SPANS.with(|open| {
-            open.borrow_mut()
-                .push((stage, argo_trace::span(stage_span_name(stage))));
-        });
-        self.inner.on_stage_start(stage, seq);
-    }
-
-    fn on_stage_finish(&self, summary: &StageSummary) {
-        Self::close_span(summary.stage);
-        self.inner.on_stage_finish(summary);
-    }
-
-    fn on_stage_error(&self, stage: Stage, seq: u64, diagnostic: &crate::Diagnostic) {
-        Self::close_span(stage);
-        self.inner.on_stage_error(stage, seq, diagnostic);
-    }
-
-    fn on_feedback_round(&self, snapshot: &FeedbackSnapshot) {
-        self.inner.on_feedback_round(snapshot);
     }
 }
 
@@ -337,17 +258,6 @@ impl CollectingObserver {
             }
         }
         open.is_none()
-    }
-
-    /// Total wall time of all finished stages.
-    pub fn total_elapsed(&self) -> Duration {
-        self.events()
-            .iter()
-            .filter_map(|e| match e {
-                StageEvent::Finished(s) => Some(s.elapsed),
-                _ => None,
-            })
-            .sum()
     }
 }
 
@@ -513,31 +423,5 @@ mod tests {
         let text = String::from_utf8(obs.into_inner()).unwrap();
         assert!(text.contains("frontend ..."), "{text}");
         assert!(text.contains("frontend done"), "{text}");
-    }
-
-    #[test]
-    fn tracing_observer_turns_events_into_spans_and_forwards() {
-        argo_trace::enable_spans();
-        let adapter = TracingObserver::new(CollectingObserver::new());
-        adapter.on_stage_start(Stage::Frontend, 0);
-        adapter.on_stage_finish(&summary(Stage::Frontend, 1));
-        adapter.on_stage_start(Stage::Backend, 2);
-        adapter.on_stage_error(
-            Stage::Backend,
-            3,
-            &crate::Diagnostic::new(Stage::Backend, crate::ErrorCode::EmptyHtg, "x"),
-        );
-        // Forwarding preserved the stream for the wrapped observer.
-        assert!(adapter.inner().well_nested());
-        assert_eq!(adapter.inner().events().len(), 4);
-        // Both stages (the erroring one included) closed their spans.
-        let records = argo_trace::global().snapshot();
-        for name in ["stage.frontend", "stage.backend"] {
-            assert!(
-                records.iter().any(|r| r.name == name),
-                "missing span {name}"
-            );
-        }
-        OPEN_STAGE_SPANS.with(|open| assert!(open.borrow().is_empty()));
     }
 }

@@ -28,8 +28,7 @@ use argo_sched::bnb::BranchAndBound;
 use argo_sched::list::ListScheduler;
 use argo_sched::{evaluate_assignment, CommModel, SchedCtx, Schedule, Scheduler, TaskGraph};
 use argo_transform::chunk::chunk_all_parallel_loops;
-use argo_transform::fold::ConstantFold;
-use argo_transform::Pass;
+use argo_transform::fold::fold_program;
 use argo_wcet::cost::{program_symbols, CostCtx};
 use argo_wcet::schema::{function_wcets, stmt_ids_wcet};
 use argo_wcet::system::{analyze, task_shared_accesses};
@@ -296,42 +295,158 @@ impl<'a> Toolflow<'a> {
         Ok(h.finish())
     }
 
+    /// Runs `body` bracketed by observer events for `stage`: a start
+    /// event first, then exactly one terminal event (finish with the
+    /// artifact summary, or error with the diagnostic). When no
+    /// observer is attached, the summary (fingerprint + detail) is never
+    /// computed.
+    ///
+    /// Before anything starts, the observer's
+    /// [`StageObserver::checkpoint`] is polled; a cancelled/expired
+    /// request aborts here with the checkpoint's diagnostic and emits
+    /// *no* events for the stage — the event stream stays well-nested
+    /// and no partial stage ever runs.
+    fn observed_stage<T: Artifact>(
+        &self,
+        stage: Stage,
+        body: impl FnOnce() -> Result<T, Diagnostic>,
+    ) -> Result<T, Diagnostic> {
+        if let Some(obs) = self.observer {
+            obs.checkpoint(stage)?;
+        }
+        // Stage span on the global tracer (inert unless `--trace` enabled
+        // it); sub-phase and per-point spans opened inside `body` nest
+        // under it on the same thread.
+        let _span = argo_trace::span(crate::observer::stage_span_name(stage));
+        let Some(obs) = self.observer else {
+            return body();
+        };
+        obs.on_stage_start(stage, self.next_observer_seq());
+        let t0 = Instant::now();
+        match body() {
+            Ok(artifact) => {
+                obs.on_stage_finish(&StageSummary {
+                    seq: self.next_observer_seq(),
+                    stage,
+                    fingerprint: artifact.fingerprint(),
+                    detail: artifact.summary(),
+                    elapsed: t0.elapsed(),
+                });
+                Ok(artifact)
+            }
+            Err(diagnostic) => {
+                obs.on_stage_error(stage, self.next_observer_seq(), &diagnostic);
+                Err(diagnostic)
+            }
+        }
+    }
+
     /// Runs the frontend stage: validation, predictability
     /// transformations (§ II-B), loop-bound value analysis and HTG task
-    /// extraction with access annotation.
+    /// extraction with access annotation. The platform's core count is
+    /// the only platform property the frontend observes: it controls
+    /// DOALL chunking.
     ///
     /// # Errors
     ///
     /// Returns a [`Diagnostic`] naming the failing step (see the
     /// error-code table in the [crate docs](crate)).
     pub fn run_frontend(&self) -> Result<FrontendArtifact, Diagnostic> {
-        let platform = self.require_platform(Stage::Frontend)?;
-        run_frontend_impl(
-            self.program.as_ref().clone(),
-            &self.entry,
-            platform.core_count(),
-            &self.cfg,
-            self.observer,
-            &self.seq,
-        )
+        let core_count = self.require_platform(Stage::Frontend)?.core_count();
+        let entry = self.entry.as_str();
+        let cfg = &self.cfg;
+        let mut program = self.program.as_ref().clone();
+        self.observed_stage(Stage::Frontend, move || {
+            argo_ir::validate::validate(&program)
+                .map_err(|e| frontend_err(ErrorCode::InvalidProgram, e))?;
+            if program.function(entry).is_none() {
+                return Err(Diagnostic::new(
+                    Stage::Frontend,
+                    ErrorCode::UnknownEntry,
+                    format!("no function `{entry}` in program"),
+                )
+                .with_entity(entry));
+            }
+
+            // --- Program analysis & predictability transformations (§ II-B).
+            fold_program(&mut program);
+            program.renumber();
+            if cfg.chunk_loops && core_count > 1 {
+                chunk_all_parallel_loops(&mut program, entry, core_count)
+                    .map_err(|e| frontend_err(ErrorCode::TransformFailed, e))?;
+                fold_program(&mut program);
+                program.renumber();
+            }
+            argo_ir::validate::validate(&program)
+                .map_err(|e| frontend_err(ErrorCode::InvalidProgram, e))?;
+
+            // --- Slot resolution of the final (transformed, renumbered)
+            // program: one pass, reused by the value analysis below,
+            // stored in the artifact for every downstream interpreter.
+            let resolution = argo_ir::resolve::Resolution::of(&program);
+
+            // --- Loop bounds (value analysis).
+            let bounds = loop_bounds_resolved(&resolution, entry, &cfg.value_ctx)
+                .map_err(|e| frontend_err(ErrorCode::UnboundedLoop, e).with_entity(entry))?;
+
+            // --- Task extraction (HTG) + access annotation.
+            let mut htg = extract(&program, entry, cfg.granularity)
+                .map_err(|e| frontend_err(ErrorCode::ExtractionFailed, e))?;
+            let actx = AnnotateCtx {
+                bounds: bounds.clone(),
+                default_bound: 1,
+            };
+            argo_htg::accesses::annotate(&mut htg, &program, &actx);
+            if htg.top_level.is_empty() {
+                return Err(Diagnostic::new(
+                    Stage::Frontend,
+                    ErrorCode::EmptyHtg,
+                    format!("entry `{entry}` produced no top-level tasks (empty function body?)"),
+                )
+                .with_entity(entry));
+            }
+
+            Ok(FrontendArtifact {
+                program,
+                resolution,
+                bounds,
+                htg,
+            })
+        })
     }
 
-    /// Runs the seed-costs stage on a frontend artifact: every task
-    /// costed on core 0 under the conservative all-shared placement
-    /// (feedback round 0).
+    /// Runs the seed-costs stage on a frontend artifact: feedback round
+    /// 0, every task costed on core 0 under the conservative all-shared
+    /// placement. The table depends only on `(artifact, entry,
+    /// platform)`, not on the scheduler or MHP mode, so design-space
+    /// points that share a platform and program can reuse it (the
+    /// second cache tier of `argo-dse`).
     ///
     /// # Errors
     ///
     /// Returns a [`Diagnostic`] if the code-level analysis fails.
     pub fn run_seed_costs(&self, artifact: &FrontendArtifact) -> Result<CostTable, Diagnostic> {
         let platform = self.require_platform(Stage::SeedCosts)?;
-        run_seed_costs_impl(artifact, &self.entry, platform, self.observer, &self.seq)
+        let entry = self.entry.as_str();
+        self.observed_stage(Stage::SeedCosts, || {
+            let mem = all_shared_map(&artifact.program, entry);
+            let ctx = CostCtx::new(&artifact.program, platform, argo_adl::CoreId(0), 1, &mem);
+            let fw = function_wcets(&ctx, &artifact.bounds).map_err(seed_err)?;
+            let mut costs: BTreeMap<argo_htg::TaskId, u64> = BTreeMap::new();
+            for &tid in &artifact.htg.top_level {
+                let task = artifact.htg.task(tid);
+                let w = stmt_ids_wcet(&ctx, &artifact.bounds, &fw, entry, &task.stmts)
+                    .map_err(|e| seed_err(e).with_entity(task.name.clone()))?;
+                costs.insert(tid, w.max(1));
+            }
+            Ok(CostTable::from(costs))
+        })
     }
 
     /// Runs the backend stage on a frontend artifact: the iterative
     /// schedule ↔ placement ↔ WCET feedback loop (§ II-E), parallel
-    /// model construction (§ II-C) and system-level WCET analysis
-    /// (§ II-D).
+    /// model construction (§ II-C), system-level WCET analysis
+    /// (§ II-D) and the sequential baseline.
     ///
     /// `seed` optionally supplies the round-0 task costs (as produced
     /// by [`Toolflow::run_seed_costs`] for the same artifact and
@@ -347,22 +462,194 @@ impl<'a> Toolflow<'a> {
         seed: Option<&CostTable>,
     ) -> Result<BackendResult, Diagnostic> {
         let platform = self.require_platform(Stage::Backend)?;
-        run_backend_impl(
-            artifact,
-            &self.entry,
-            platform,
-            &self.cfg,
-            seed,
-            self.observer,
-            &self.seq,
-            self.sched_cache,
-        )
+        validate_platform(platform)?;
+        let entry = self.entry.as_str();
+        let cfg = &self.cfg;
+        self.observed_stage(Stage::Backend, move || {
+            let FrontendArtifact {
+                program,
+                bounds,
+                htg,
+                ..
+            } = artifact;
+            if htg.top_level.is_empty() {
+                return Err(Diagnostic::new(
+                    Stage::Backend,
+                    ErrorCode::EmptyHtg,
+                    format!("artifact for `{entry}` has no top-level tasks"),
+                )
+                .with_entity(entry));
+            }
+
+            // --- Iterative schedule ↔ placement ↔ WCET loop (§ II-E).
+            let platform_fp = platform.fingerprint();
+            let mut mem = all_shared_map(&program, entry);
+            let mut assignment: Option<Vec<argo_adl::CoreId>> = None;
+            let mut schedule: Option<Schedule> = None;
+            // Hoisted out of the feedback loop: the symbol tables and the
+            // task-graph skeleton (names, ids, edges) depend only on the
+            // program/HTG, not on the round — each round only re-costs.
+            let symbols = program_symbols(&program);
+            let mut graph = TaskGraph::skeleton_from_htg(&htg);
+            let mut iso_costs: Vec<u64> = Vec::new();
+            let mut iterations = 0;
+            for round in 0..cfg.feedback_rounds.max(1) {
+                let _round_span = argo_trace::span("backend.round");
+                iterations = round + 1;
+                // Code-level WCET per task, on its (current) core,
+                // isolated. The function-WCET table only depends on the
+                // core, so it is computed once per distinct core rather
+                // than once per task.
+                let costs: BTreeMap<argo_htg::TaskId, u64> = match (round, seed) {
+                    (0, Some(seeded)) => (**seeded).clone(),
+                    _ => {
+                        let mut costs = BTreeMap::new();
+                        let mut fw_by_core: BTreeMap<argo_adl::CoreId, _> = BTreeMap::new();
+                        for (idx, &tid) in htg.top_level.iter().enumerate() {
+                            let core = match &assignment {
+                                Some(a) => a[idx],
+                                None => argo_adl::CoreId(0),
+                            };
+                            let ctx =
+                                CostCtx::with_symbols(&program, platform, core, 1, &mem, &symbols);
+                            if let std::collections::btree_map::Entry::Vacant(e) =
+                                fw_by_core.entry(core)
+                            {
+                                let fw = function_wcets(&ctx, &bounds)
+                                    .map_err(|e| backend_err(ErrorCode::CodeWcetFailed, e))?;
+                                e.insert(fw);
+                            }
+                            let fw = &fw_by_core[&core];
+                            let task = htg.task(tid);
+                            let w = stmt_ids_wcet(&ctx, &bounds, fw, entry, &task.stmts)
+                                .map_err(|e| backend_err(ErrorCode::CodeWcetFailed, e))?;
+                            costs.insert(tid, w.max(1));
+                        }
+                        costs
+                    }
+                };
+                graph.set_costs(&costs);
+                iso_costs = graph.cost.clone();
+
+                // Mapping/scheduling stage, routed through the schedule
+                // cache when one is bound (third `argo-dse` cache tier):
+                // the key covers everything a scheduler observes — the
+                // graph (costs + edges), the platform and the scheduler
+                // kind — so a hit is byte-identical to a rebuild.
+                let ctx = SchedCtx {
+                    platform,
+                    comm: CommModel::SignalOnly,
+                };
+                let mut build = || match cfg.scheduler {
+                    crate::SchedulerKind::List => ListScheduler::new().schedule(&graph, &ctx),
+                    crate::SchedulerKind::BranchAndBound => {
+                        BranchAndBound::new().schedule(&graph, &ctx)
+                    }
+                    crate::SchedulerKind::Anneal => {
+                        SimulatedAnnealing::new().schedule(&graph, &ctx)
+                    }
+                };
+                let sched: Schedule = match self.sched_cache {
+                    Some(cache) => {
+                        let key = crate::fingerprint::schedule_fingerprint(
+                            &graph,
+                            platform_fp,
+                            cfg.scheduler,
+                        );
+                        cache.schedule(key, &mut build)
+                    }
+                    None => build(),
+                };
+                let stable = assignment.as_ref() == Some(&sched.assignment);
+                assignment = Some(sched.assignment.clone());
+                let makespan = sched.makespan();
+                schedule = Some(sched);
+
+                // Memory placement for the new mapping (WCET fed back).
+                mem = argo_parir::mem_assign::assign(
+                    &program,
+                    &htg,
+                    &graph,
+                    schedule.as_ref().expect("just set"),
+                    platform,
+                )
+                .map_err(|e| backend_err(ErrorCode::MemAssignFailed, e))?;
+
+                if let Some(obs) = self.observer {
+                    let spm_resident = mem
+                        .iter()
+                        .filter(|(_, p)| matches!(p.space, MemSpace::Spm(_)))
+                        .count();
+                    obs.on_feedback_round(&FeedbackSnapshot {
+                        seq: self.next_observer_seq(),
+                        round,
+                        assignment: assignment.clone().expect("just set"),
+                        makespan,
+                        spm_resident,
+                        shared_resident: mem.len() - spm_resident,
+                        stable,
+                    });
+                }
+                if stable {
+                    break;
+                }
+            }
+            let schedule = schedule.expect("at least one round");
+
+            // In-backend soundness gate (debug builds): the schedule the
+            // feedback loop settled on must satisfy its own precedence
+            // and exclusivity constraints before we build the parallel
+            // model on top of it. Release builds skip this;
+            // `argo-verify` is the always-on external check.
+            #[cfg(debug_assertions)]
+            {
+                let gate_ctx = SchedCtx {
+                    platform,
+                    comm: CommModel::SignalOnly,
+                };
+                if let Err(e) = schedule.validate(&graph, &gate_ctx) {
+                    panic!("backend produced an unsound schedule: {e}");
+                }
+            }
+
+            // --- Parallel program model (§ II-C).
+            let parallel = ParallelProgram::build(program, &htg, graph, schedule, platform)
+                .map_err(|e| backend_err(ErrorCode::ParallelModelFailed, e))?;
+
+            // --- System-level WCET (§ II-D).
+            let shared_accesses = task_shared_accesses(&htg, &parallel.graph, &parallel.memory_map);
+            let system = analyze(&parallel, platform, &iso_costs, &shared_accesses, cfg.mhp);
+
+            // --- Sequential baseline: same tasks, one core, no overlap.
+            let seq_ctx = SchedCtx {
+                platform,
+                comm: CommModel::SignalOnly,
+            };
+            let seq = evaluate_assignment(
+                &parallel.graph,
+                &seq_ctx,
+                &vec![argo_adl::CoreId(0); parallel.graph.len()],
+            );
+            let sequential_bound = seq.makespan();
+
+            Ok(BackendResult {
+                parallel,
+                system,
+                sequential_bound,
+                iso_costs,
+                shared_accesses,
+                bounds,
+                htg,
+                feedback_iterations: iterations,
+            })
+        })
     }
 
     /// Runs the complete pipeline: platform validation, frontend,
-    /// backend. Equivalent to the staged sequence and bit-identical to
-    /// the legacy [`crate::compile`] free function (which is now a thin
-    /// wrapper over a default session).
+    /// backend. Equivalent to the staged sequence
+    /// ([`Toolflow::run_frontend`] → [`Toolflow::run_seed_costs`] →
+    /// [`Toolflow::run_backend`]): the report and the result
+    /// fingerprint are byte-identical either way.
     ///
     /// # Errors
     ///
@@ -376,361 +663,23 @@ impl<'a> Toolflow<'a> {
 }
 
 /// Maps a platform-validation failure to a backend diagnostic.
-pub(crate) fn validate_platform(platform: &Platform) -> Result<(), Diagnostic> {
+fn validate_platform(platform: &Platform) -> Result<(), Diagnostic> {
     platform.validate().map_err(|e| {
         Diagnostic::new(Stage::Backend, ErrorCode::InvalidPlatform, e.to_string())
             .with_entity(&platform.name)
     })
 }
 
-/// Runs `body` bracketed by observer events for `stage`: a start event
-/// first, then exactly one terminal event (finish with the artifact
-/// summary, or error with the diagnostic). When no observer is
-/// attached, the summary (fingerprint + detail) is never computed.
-///
-/// Before anything starts, the observer's
-/// [`StageObserver::checkpoint`] is polled; a cancelled/expired
-/// request aborts here with the checkpoint's diagnostic and emits *no*
-/// events for the stage — the event stream stays well-nested and no
-/// partial stage ever runs.
-fn observed_stage<T: Artifact>(
-    obs: Option<&dyn StageObserver>,
-    seq: &AtomicU64,
-    stage: Stage,
-    body: impl FnOnce() -> Result<T, Diagnostic>,
-) -> Result<T, Diagnostic> {
-    if let Some(obs) = obs {
-        obs.checkpoint(stage)?;
-    }
-    // Stage span on the global tracer (inert unless `--trace` enabled
-    // it); sub-phase and per-point spans opened inside `body` nest
-    // under it on the same thread.
-    let _span = argo_trace::span(crate::observer::stage_span_name(stage));
-    let Some(obs) = obs else {
-        return body();
-    };
-    obs.on_stage_start(stage, seq.fetch_add(1, Ordering::Relaxed));
-    let t0 = Instant::now();
-    match body() {
-        Ok(artifact) => {
-            obs.on_stage_finish(&StageSummary {
-                seq: seq.fetch_add(1, Ordering::Relaxed),
-                stage,
-                fingerprint: artifact.fingerprint(),
-                detail: artifact.summary(),
-                elapsed: t0.elapsed(),
-            });
-            Ok(artifact)
-        }
-        Err(diagnostic) => {
-            obs.on_stage_error(stage, seq.fetch_add(1, Ordering::Relaxed), &diagnostic);
-            Err(diagnostic)
-        }
-    }
-}
-
 fn frontend_err(code: ErrorCode, e: impl std::fmt::Display) -> Diagnostic {
     Diagnostic::new(Stage::Frontend, code, e.to_string())
-}
-
-/// The frontend stage implementation (shared by sessions and the
-/// legacy free functions). `core_count` is the only platform property
-/// the frontend observes: it controls DOALL chunking.
-pub(crate) fn run_frontend_impl(
-    mut program: Program,
-    entry: &str,
-    core_count: usize,
-    cfg: &ToolchainConfig,
-    obs: Option<&dyn StageObserver>,
-    seq: &AtomicU64,
-) -> Result<FrontendArtifact, Diagnostic> {
-    observed_stage(obs, seq, Stage::Frontend, move || {
-        argo_ir::validate::validate(&program)
-            .map_err(|e| frontend_err(ErrorCode::InvalidProgram, e))?;
-        if program.function(entry).is_none() {
-            return Err(Diagnostic::new(
-                Stage::Frontend,
-                ErrorCode::UnknownEntry,
-                format!("no function `{entry}` in program"),
-            )
-            .with_entity(entry));
-        }
-
-        // --- Program analysis & predictability transformations (§ II-B).
-        ConstantFold
-            .run(&mut program)
-            .map_err(|e| frontend_err(ErrorCode::TransformFailed, e))?;
-        program.renumber();
-        if cfg.chunk_loops && core_count > 1 {
-            chunk_all_parallel_loops(&mut program, entry, core_count)
-                .map_err(|e| frontend_err(ErrorCode::TransformFailed, e))?;
-            ConstantFold
-                .run(&mut program)
-                .map_err(|e| frontend_err(ErrorCode::TransformFailed, e))?;
-            program.renumber();
-        }
-        argo_ir::validate::validate(&program)
-            .map_err(|e| frontend_err(ErrorCode::InvalidProgram, e))?;
-
-        // --- Slot resolution of the final (transformed, renumbered)
-        // program: one pass, reused by the value analysis below, stored
-        // in the artifact for every downstream interpreter.
-        let resolution = argo_ir::resolve::Resolution::of(&program);
-
-        // --- Loop bounds (value analysis).
-        let bounds = loop_bounds_resolved(&resolution, entry, &cfg.value_ctx)
-            .map_err(|e| frontend_err(ErrorCode::UnboundedLoop, e).with_entity(entry))?;
-
-        // --- Task extraction (HTG) + access annotation.
-        let mut htg = extract(&program, entry, cfg.granularity)
-            .map_err(|e| frontend_err(ErrorCode::ExtractionFailed, e))?;
-        let actx = AnnotateCtx {
-            bounds: bounds.clone(),
-            default_bound: 1,
-        };
-        argo_htg::accesses::annotate(&mut htg, &program, &actx);
-        if htg.top_level.is_empty() {
-            return Err(Diagnostic::new(
-                Stage::Frontend,
-                ErrorCode::EmptyHtg,
-                format!("entry `{entry}` produced no top-level tasks (empty function body?)"),
-            )
-            .with_entity(entry));
-        }
-
-        Ok(FrontendArtifact {
-            program,
-            resolution,
-            bounds,
-            htg,
-        })
-    })
 }
 
 fn seed_err(e: impl std::fmt::Display) -> Diagnostic {
     Diagnostic::new(Stage::SeedCosts, ErrorCode::CodeWcetFailed, e.to_string())
 }
 
-/// The seed-costs stage implementation: feedback round 0 — every task
-/// costed on core 0 with the conservative all-shared memory placement.
-/// The table depends only on `(artifact, entry, platform)`, not on the
-/// scheduler or MHP mode, so design-space points that share a platform
-/// and program can reuse it (the second cache tier of `argo-dse`).
-pub(crate) fn run_seed_costs_impl(
-    artifact: &FrontendArtifact,
-    entry: &str,
-    platform: &Platform,
-    obs: Option<&dyn StageObserver>,
-    seq: &AtomicU64,
-) -> Result<CostTable, Diagnostic> {
-    observed_stage(obs, seq, Stage::SeedCosts, || {
-        let mem = all_shared_map(&artifact.program, entry);
-        let ctx = CostCtx::new(&artifact.program, platform, argo_adl::CoreId(0), 1, &mem);
-        let fw = function_wcets(&ctx, &artifact.bounds).map_err(seed_err)?;
-        let mut costs: BTreeMap<argo_htg::TaskId, u64> = BTreeMap::new();
-        for &tid in &artifact.htg.top_level {
-            let task = artifact.htg.task(tid);
-            let w = stmt_ids_wcet(&ctx, &artifact.bounds, &fw, entry, &task.stmts)
-                .map_err(|e| seed_err(e).with_entity(task.name.clone()))?;
-            costs.insert(tid, w.max(1));
-        }
-        Ok(CostTable::from(costs))
-    })
-}
-
 fn backend_err(code: ErrorCode, e: impl std::fmt::Display) -> Diagnostic {
     Diagnostic::new(Stage::Backend, code, e.to_string())
-}
-
-/// The backend stage implementation: iterative feedback loop, parallel
-/// model, system-level WCET, sequential baseline.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_backend_impl(
-    artifact: FrontendArtifact,
-    entry: &str,
-    platform: &Platform,
-    cfg: &ToolchainConfig,
-    seed: Option<&CostTable>,
-    obs: Option<&dyn StageObserver>,
-    seq: &AtomicU64,
-    sched_cache: Option<&dyn ScheduleCache>,
-) -> Result<BackendResult, Diagnostic> {
-    validate_platform(platform)?;
-    observed_stage(obs, seq, Stage::Backend, move || {
-        let FrontendArtifact {
-            program,
-            bounds,
-            htg,
-            ..
-        } = artifact;
-        if htg.top_level.is_empty() {
-            return Err(Diagnostic::new(
-                Stage::Backend,
-                ErrorCode::EmptyHtg,
-                format!("artifact for `{entry}` has no top-level tasks"),
-            )
-            .with_entity(entry));
-        }
-
-        // --- Iterative schedule ↔ placement ↔ WCET loop (§ II-E).
-        let platform_fp = platform.fingerprint();
-        let mut mem = all_shared_map(&program, entry);
-        let mut assignment: Option<Vec<argo_adl::CoreId>> = None;
-        let mut schedule: Option<Schedule> = None;
-        // Hoisted out of the feedback loop: the symbol tables and the
-        // task-graph skeleton (names, ids, edges) depend only on the
-        // program/HTG, not on the round — each round only re-costs.
-        let symbols = program_symbols(&program);
-        let mut graph = TaskGraph::skeleton_from_htg(&htg);
-        let mut iso_costs: Vec<u64> = Vec::new();
-        let mut iterations = 0;
-        for round in 0..cfg.feedback_rounds.max(1) {
-            let _round_span = argo_trace::span("backend.round");
-            iterations = round + 1;
-            // Code-level WCET per task, on its (current) core, isolated.
-            // The function-WCET table only depends on the core, so it is
-            // computed once per distinct core rather than once per task.
-            let costs: BTreeMap<argo_htg::TaskId, u64> = match (round, seed) {
-                (0, Some(seeded)) => (**seeded).clone(),
-                _ => {
-                    let mut costs = BTreeMap::new();
-                    let mut fw_by_core: BTreeMap<argo_adl::CoreId, _> = BTreeMap::new();
-                    for (idx, &tid) in htg.top_level.iter().enumerate() {
-                        let core = match &assignment {
-                            Some(a) => a[idx],
-                            None => argo_adl::CoreId(0),
-                        };
-                        let ctx =
-                            CostCtx::with_symbols(&program, platform, core, 1, &mem, &symbols);
-                        if let std::collections::btree_map::Entry::Vacant(e) =
-                            fw_by_core.entry(core)
-                        {
-                            let fw = function_wcets(&ctx, &bounds)
-                                .map_err(|e| backend_err(ErrorCode::CodeWcetFailed, e))?;
-                            e.insert(fw);
-                        }
-                        let fw = &fw_by_core[&core];
-                        let task = htg.task(tid);
-                        let w = stmt_ids_wcet(&ctx, &bounds, fw, entry, &task.stmts)
-                            .map_err(|e| backend_err(ErrorCode::CodeWcetFailed, e))?;
-                        costs.insert(tid, w.max(1));
-                    }
-                    costs
-                }
-            };
-            graph.set_costs(&costs);
-            iso_costs = graph.cost.clone();
-
-            // Mapping/scheduling stage, routed through the schedule
-            // cache when one is bound (third `argo-dse` cache tier):
-            // the key covers everything a scheduler observes — the
-            // graph (costs + edges), the platform and the scheduler
-            // kind — so a hit is byte-identical to a rebuild.
-            let ctx = SchedCtx {
-                platform,
-                comm: CommModel::SignalOnly,
-            };
-            let mut build = || match cfg.scheduler {
-                crate::SchedulerKind::List => ListScheduler::new().schedule(&graph, &ctx),
-                crate::SchedulerKind::BranchAndBound => {
-                    BranchAndBound::new().schedule(&graph, &ctx)
-                }
-                crate::SchedulerKind::Anneal => SimulatedAnnealing::new().schedule(&graph, &ctx),
-            };
-            let sched: Schedule = match sched_cache {
-                Some(cache) => {
-                    let key = crate::fingerprint::schedule_fingerprint(
-                        &graph,
-                        platform_fp,
-                        cfg.scheduler,
-                    );
-                    cache.schedule(key, &mut build)
-                }
-                None => build(),
-            };
-            let stable = assignment.as_ref() == Some(&sched.assignment);
-            assignment = Some(sched.assignment.clone());
-            let makespan = sched.makespan();
-            schedule = Some(sched);
-
-            // Memory placement for the new mapping (WCET fed back).
-            mem = argo_parir::mem_assign::assign(
-                &program,
-                &htg,
-                &graph,
-                schedule.as_ref().expect("just set"),
-                platform,
-            )
-            .map_err(|e| backend_err(ErrorCode::MemAssignFailed, e))?;
-
-            if let Some(obs) = obs {
-                let spm_resident = mem
-                    .iter()
-                    .filter(|(_, p)| matches!(p.space, MemSpace::Spm(_)))
-                    .count();
-                obs.on_feedback_round(&FeedbackSnapshot {
-                    seq: seq.fetch_add(1, Ordering::Relaxed),
-                    round,
-                    assignment: assignment.clone().expect("just set"),
-                    makespan,
-                    spm_resident,
-                    shared_resident: mem.len() - spm_resident,
-                    stable,
-                });
-            }
-            if stable {
-                break;
-            }
-        }
-        let schedule = schedule.expect("at least one round");
-
-        // In-backend soundness gate (debug builds): the schedule the
-        // feedback loop settled on must satisfy its own precedence and
-        // exclusivity constraints before we build the parallel model
-        // on top of it. Release builds skip this; `argo-verify` is the
-        // always-on external check.
-        #[cfg(debug_assertions)]
-        {
-            let gate_ctx = SchedCtx {
-                platform,
-                comm: CommModel::SignalOnly,
-            };
-            if let Err(e) = schedule.validate(&graph, &gate_ctx) {
-                panic!("backend produced an unsound schedule: {e}");
-            }
-        }
-
-        // --- Parallel program model (§ II-C).
-        let parallel = ParallelProgram::build(program, &htg, graph, schedule, platform)
-            .map_err(|e| backend_err(ErrorCode::ParallelModelFailed, e))?;
-
-        // --- System-level WCET (§ II-D).
-        let shared_accesses = task_shared_accesses(&htg, &parallel.graph, &parallel.memory_map);
-        let system = analyze(&parallel, platform, &iso_costs, &shared_accesses, cfg.mhp);
-
-        // --- Sequential baseline: same tasks, one core, no overlap.
-        let seq_ctx = SchedCtx {
-            platform,
-            comm: CommModel::SignalOnly,
-        };
-        let seq = evaluate_assignment(
-            &parallel.graph,
-            &seq_ctx,
-            &vec![argo_adl::CoreId(0); parallel.graph.len()],
-        );
-        let sequential_bound = seq.makespan();
-
-        Ok(BackendResult {
-            parallel,
-            system,
-            sequential_bound,
-            iso_costs,
-            shared_accesses,
-            bounds,
-            htg,
-            feedback_iterations: iterations,
-        })
-    })
 }
 
 /// The conservative round-0 placement: every array in shared memory.

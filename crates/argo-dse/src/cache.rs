@@ -406,7 +406,7 @@ impl ScheduleCache for ArtifactCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use argo_core::{frontend, ToolchainConfig};
+    use argo_core::Toolflow;
     use argo_ir::parse::parse_program;
 
     const SRC: &str = "void main(real a[8], real b[8]) {\n\
@@ -414,11 +414,18 @@ mod tests {
                        for (i = 0; i < 8; i = i + 1) { b[i] = a[i] * 2.0; }\n\
                        }";
 
+    /// Runs the frontend of [`SRC`] from `entry` for a 2-core platform.
+    fn frontend(entry: &str) -> Result<FrontendArtifact, Diagnostic> {
+        let platform = argo_adl::Platform::xentium_manycore(2);
+        Toolflow::new(parse_program(SRC).unwrap(), entry)
+            .platform(&platform)
+            .run_frontend()
+    }
+
     #[test]
     fn second_lookup_hits_and_shares_the_artifact() {
         let cache = ArtifactCache::new();
-        let cfg = ToolchainConfig::default();
-        let build = || frontend(parse_program(SRC).unwrap(), "main", 2, &cfg);
+        let build = || frontend("main");
         let a = cache.frontend(Fingerprint(7), build).unwrap();
         let b = cache.frontend(Fingerprint(7), build).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
@@ -434,12 +441,9 @@ mod tests {
     #[test]
     fn distinct_keys_build_independently() {
         let cache = ArtifactCache::new();
-        let cfg = ToolchainConfig::default();
         for key in [1u64, 2, 3] {
             cache
-                .frontend(Fingerprint(key), || {
-                    frontend(parse_program(SRC).unwrap(), "main", 2, &cfg)
-                })
+                .frontend(Fingerprint(key), || frontend("main"))
                 .unwrap();
         }
         assert_eq!(cache.stats().frontend_misses, 3);
@@ -449,12 +453,11 @@ mod tests {
     #[test]
     fn failures_are_cached() {
         let cache = ArtifactCache::new();
-        let cfg = ToolchainConfig::default();
         let mut calls = 0;
         for _ in 0..2 {
             let r = cache.frontend(Fingerprint(9), || {
                 calls += 1;
-                frontend(parse_program(SRC).unwrap(), "nonexistent", 2, &cfg)
+                frontend("nonexistent")
             });
             assert!(r.is_err());
         }
@@ -465,7 +468,6 @@ mod tests {
     fn transient_failures_are_not_memoized() {
         use argo_core::{Diagnostic, ErrorCode, Stage};
         let cache = ArtifactCache::new();
-        let cfg = ToolchainConfig::default();
         let mut calls = 0;
         // First build fails with a transient (infrastructure) code…
         let r = cache.frontend(Fingerprint(13), || {
@@ -482,7 +484,7 @@ mod tests {
             cache
                 .frontend(Fingerprint(13), || {
                     calls += 1;
-                    frontend(parse_program(SRC).unwrap(), "main", 2, &cfg)
+                    frontend("main")
                 })
                 .unwrap();
         }
@@ -521,11 +523,10 @@ mod tests {
         std::thread::scope(|s| {
             for _ in 0..8 {
                 s.spawn(|| {
-                    let cfg = ToolchainConfig::default();
                     cache
                         .frontend(Fingerprint(1), || {
                             built.fetch_add(1, Ordering::Relaxed);
-                            frontend(parse_program(SRC).unwrap(), "main", 2, &cfg)
+                            frontend("main")
                         })
                         .unwrap();
                 });
@@ -542,15 +543,11 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("argo-dse-cache-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let store = Arc::new(Store::open(&dir).unwrap());
-        let cfg = ToolchainConfig::default();
         let key = Fingerprint(0xf00d);
 
         let mut warm = ArtifactCache::new();
         warm.set_store(Arc::clone(&store));
-        warm.frontend(key, || {
-            frontend(parse_program(SRC).unwrap(), "main", 2, &cfg)
-        })
-        .unwrap();
+        warm.frontend(key, || frontend("main")).unwrap();
         let s = warm.stats();
         assert_eq!((s.frontend_store_hits, s.frontend_store_misses), (0, 1));
 
@@ -562,32 +559,25 @@ mod tests {
         let artifact = cold
             .frontend(key, || {
                 built.set(true);
-                frontend(parse_program(SRC).unwrap(), "main", 2, &cfg)
+                frontend("main")
             })
             .unwrap();
         assert!(!built.get(), "cold cache must not rebuild");
         let s = cold.stats();
         assert_eq!((s.frontend_store_hits, s.frontend_store_misses), (1, 0));
         assert!((s.combined_hit_rate() - 1.0).abs() < 1e-9);
-        let rebuilt = frontend(parse_program(SRC).unwrap(), "main", 2, &cfg).unwrap();
+        let rebuilt = frontend("main").unwrap();
         assert_eq!(artifact.fingerprint(), rebuilt.fingerprint());
 
         // Failures are never persisted: a failing key touches the store
         // for the read but writes nothing.
         let fail_key = Fingerprint(0xdead);
-        let r = cold.frontend(fail_key, || {
-            frontend(parse_program(SRC).unwrap(), "nonexistent", 2, &cfg)
-        });
+        let r = cold.frontend(fail_key, || frontend("nonexistent"));
         assert!(r.is_err());
         let mut colder = ArtifactCache::new();
         colder.set_store(Arc::clone(&store));
         assert!(colder
-            .frontend(fail_key, || frontend(
-                parse_program(SRC).unwrap(),
-                "nonexistent",
-                2,
-                &cfg
-            ))
+            .frontend(fail_key, || frontend("nonexistent"))
             .is_err());
         assert_eq!(colder.stats().frontend_store_misses, 1);
         let _ = std::fs::remove_dir_all(&dir);

@@ -22,10 +22,11 @@
 //!   `(program, transforms, core count)` reuse one
 //!   [`argo_core::FrontendArtifact`] (HTG extraction), points sharing
 //!   `(program, platform)` additionally reuse the round-0 code-level WCET
-//!   table ([`argo_core::seed_costs`]), and backend feedback rounds
-//!   sharing `(task graph, platform, scheduler)` reuse the mapping-stage
-//!   schedule through the [`argo_core::ScheduleCache`] hook. Hit/miss
-//!   counters for every tier are surfaced in every report;
+//!   table ([`argo_core::Toolflow::run_seed_costs`]), and backend
+//!   feedback rounds sharing `(task graph, platform, scheduler)` reuse
+//!   the mapping-stage schedule through the [`argo_core::ScheduleCache`]
+//!   hook. Hit/miss counters for every tier are surfaced in every
+//!   report;
 //! * [`Explorer::explore`] / [`Explorer::search`] — the exhaustive sweep
 //!   and the budgeted steered sweep: `search` hands point selection to an
 //!   `argo-search` [`argo_search::SearchStrategy`] (genetic, simulated

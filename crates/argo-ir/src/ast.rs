@@ -187,14 +187,6 @@ impl Expr {
         }
     }
 
-    /// Builds `a[i][j]` for a 2-D access.
-    pub fn idx2(array: impl Into<String>, i: Expr, j: Expr) -> Expr {
-        Expr::ArrayElem {
-            array: array.into(),
-            indices: vec![i, j],
-        }
-    }
-
     /// Returns the constant integer value if this is an `IntLit`.
     pub fn as_int_const(&self) -> Option<i64> {
         match self {

@@ -209,11 +209,6 @@ pub enum AccessKind {
 }
 
 impl AccessKind {
-    /// Returns `true` for writes.
-    pub fn is_write(self) -> bool {
-        matches!(self, AccessKind::WriteScalar | AccessKind::WriteElem)
-    }
-
     /// Returns `true` for array-element accesses.
     pub fn is_array(self) -> bool {
         matches!(self, AccessKind::ReadElem | AccessKind::WriteElem)
@@ -547,25 +542,6 @@ impl<'p> Interp<'p> {
         {
             Some(Binding::Array(id)) => Ok(&self.arrays[*id]),
             _ => Err(RuntimeError::new(format!("`{name}` is not a bound array"))),
-        }
-    }
-
-    /// Reads the current value of a scalar variable in `frame`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`RuntimeError`] if `name` is unbound or uninitialised.
-    pub fn scalar_of(&self, frame: &Frame, name: &str) -> Result<ScalarVal, RuntimeError> {
-        match self
-            .resolved
-            .slot_of(frame.func as usize, name)
-            .map(|s| &frame.bindings[s.idx()])
-        {
-            Some(Binding::Scalar(v)) => Ok(*v),
-            Some(Binding::Uninit(_)) => {
-                Err(RuntimeError::new(format!("read of uninitialised `{name}`")))
-            }
-            _ => Err(RuntimeError::new(format!("`{name}` is not a bound scalar"))),
         }
     }
 

@@ -5,10 +5,10 @@
 //!
 //! - **Spans** ([`Tracer`], [`Span`]): RAII guards forming a
 //!   per-thread hierarchy (session → stage → sub-phase → per-point),
-//!   recorded into a bounded ring buffer with atomic slot claim.
-//!   `StageObserver` events become spans through the
-//!   `argo_core::TracingObserver` adapter; `argo_dse::TimingObserver`
-//!   folds the same durations through a [`SpanAgg`].
+//!   recorded into a bounded ring buffer with atomic slot claim. The
+//!   `argo-core` session driver opens one `stage.*` span per stage it
+//!   runs; `argo_dse::TimingObserver` folds the same durations through
+//!   a [`SpanAgg`].
 //! - **Exporters** ([`chrome_trace`], [`flame_summary`]): Chrome
 //!   trace-event JSON (open in Perfetto or `chrome://tracing`) and a
 //!   text top-N self-time table, both behind `--trace out.json` on

@@ -6,25 +6,17 @@
 //! CFG can bound statically — a predictability enabler, not a speed
 //! optimisation.
 
-use crate::{Pass, TransformError};
 use argo_ir::ast::*;
 
-/// The constant-folding pass.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ConstantFold;
-
-impl Pass for ConstantFold {
-    fn run(&self, program: &mut Program) -> Result<bool, TransformError> {
-        let mut changed = false;
-        for f in &mut program.functions {
-            changed |= fold_block(&mut f.body);
-        }
-        Ok(changed)
+/// Folds every function body of `program` in place; returns `true` if
+/// anything changed. Statement ids are left as they were: callers
+/// renumber once after their last structural pass.
+pub fn fold_program(program: &mut Program) -> bool {
+    let mut changed = false;
+    for f in &mut program.functions {
+        changed |= fold_block(&mut f.body);
     }
-
-    fn name(&self) -> &'static str {
-        "constant-fold"
-    }
+    changed
 }
 
 fn fold_block(b: &mut Block) -> bool {
@@ -262,14 +254,13 @@ mod tests {
             "void f(real a[64]) { int i; for (i = 0; i < 4 * 16; i = i + 1) { a[i] = 0.0; } }",
         )
         .unwrap();
-        let changed = ConstantFold.run(&mut p).unwrap();
-        assert!(changed);
+        assert!(fold_program(&mut p));
         match &p.functions[0].body.stmts[1].kind {
             StmtKind::For { hi, .. } => assert_eq!(hi.as_int_const(), Some(64)),
             _ => panic!(),
         }
         // Second run: fixpoint.
-        assert!(!ConstantFold.run(&mut p).unwrap());
+        assert!(!fold_program(&mut p));
     }
 
     #[test]

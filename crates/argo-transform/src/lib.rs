@@ -11,22 +11,17 @@
 //! * [`fold`] — constant folding (enables static loop bounds);
 //! * [`chunk`] — DOALL/reduction loop chunking across cores: the
 //!   transformation that actually *extracts task parallelism* from loops;
-//! * [`fission`] — loop distribution of independent body statements;
-//! * [`unroll`] — full unrolling of small constant-trip loops;
-//! * [`split`] — index-set splitting (paper ref \[10\]) and strip-mining;
 //! * [`spm`] — WCET-directed scratchpad allocation (knapsack; ref \[6\]).
 //!
-//! All structural passes leave the program re-validated and renumbered.
+//! The `argo-core` frontend runs [`fold::fold_program`], then (when
+//! chunking is on) [`chunk::chunk_all_parallel_loops`] and a second
+//! fold, and renumbers and re-validates the program afterwards.
 
 pub mod chunk;
-pub mod fission;
 pub mod fold;
-pub mod split;
 pub mod spm;
-pub mod unroll;
 
 use argo_ir::ast::*;
-use argo_ir::StmtId;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -51,45 +46,6 @@ impl fmt::Display for TransformError {
 }
 
 impl std::error::Error for TransformError {}
-
-/// A source-to-source transformation pass.
-pub trait Pass {
-    /// Runs the pass; returns `true` if the program changed.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`TransformError`] if the pass cannot be applied.
-    fn run(&self, program: &mut Program) -> Result<bool, TransformError>;
-
-    /// Short identifier for reports.
-    fn name(&self) -> &'static str;
-}
-
-/// Runs passes in order, repeating the whole sequence until a fixpoint
-/// (bounded by `max_rounds`); renumbers statement ids afterwards.
-///
-/// # Errors
-///
-/// Propagates the first pass error.
-pub fn run_pipeline(
-    program: &mut Program,
-    passes: &[&dyn Pass],
-    max_rounds: u32,
-) -> Result<u32, TransformError> {
-    let mut rounds = 0;
-    for _ in 0..max_rounds {
-        let mut changed = false;
-        for p in passes {
-            changed |= p.run(program)?;
-        }
-        rounds += 1;
-        if !changed {
-            break;
-        }
-    }
-    program.renumber();
-    Ok(rounds)
-}
 
 /// All variable names already used in a function (params + decls + loop
 /// vars); used to generate fresh names.
@@ -158,88 +114,10 @@ pub fn subst_var(e: &Expr, var: &str, replacement: &Expr) -> Expr {
     }
 }
 
-/// Substitutes reads of `var` throughout a statement subtree (including
-/// lvalue indices but not lvalue bases, which are writes).
-pub fn subst_var_stmt(s: &Stmt, var: &str, replacement: &Expr) -> Stmt {
-    let kind = match &s.kind {
-        StmtKind::Decl { name, ty, init } => StmtKind::Decl {
-            name: name.clone(),
-            ty: ty.clone(),
-            init: init.as_ref().map(|e| subst_var(e, var, replacement)),
-        },
-        StmtKind::Assign { target, value } => StmtKind::Assign {
-            target: match target {
-                LValue::Var(n) => LValue::Var(n.clone()),
-                LValue::ArrayElem { array, indices } => LValue::ArrayElem {
-                    array: array.clone(),
-                    indices: indices
-                        .iter()
-                        .map(|i| subst_var(i, var, replacement))
-                        .collect(),
-                },
-            },
-            value: subst_var(value, var, replacement),
-        },
-        StmtKind::If {
-            cond,
-            then_blk,
-            else_blk,
-        } => StmtKind::If {
-            cond: subst_var(cond, var, replacement),
-            then_blk: subst_block(then_blk, var, replacement),
-            else_blk: subst_block(else_blk, var, replacement),
-        },
-        StmtKind::For {
-            var: lv,
-            lo,
-            hi,
-            step,
-            body,
-        } => StmtKind::For {
-            var: lv.clone(),
-            lo: subst_var(lo, var, replacement),
-            hi: subst_var(hi, var, replacement),
-            step: *step,
-            // Inner loop shadowing: if the inner loop redefines `var`,
-            // stop substituting in its body.
-            body: if lv == var {
-                body.clone()
-            } else {
-                subst_block(body, var, replacement)
-            },
-        },
-        StmtKind::While { cond, bound, body } => StmtKind::While {
-            cond: subst_var(cond, var, replacement),
-            bound: *bound,
-            body: subst_block(body, var, replacement),
-        },
-        StmtKind::Call { name, args } => StmtKind::Call {
-            name: name.clone(),
-            args: args
-                .iter()
-                .map(|a| subst_var(a, var, replacement))
-                .collect(),
-        },
-        StmtKind::Return { value } => StmtKind::Return {
-            value: value.as_ref().map(|e| subst_var(e, var, replacement)),
-        },
-    };
-    Stmt { id: s.id, kind }
-}
-
-fn subst_block(b: &Block, var: &str, replacement: &Expr) -> Block {
-    Block::of(
-        b.stmts
-            .iter()
-            .map(|s| subst_var_stmt(s, var, replacement))
-            .collect(),
-    )
-}
-
 /// Renames every occurrence of scalar `old` (reads **and** writes,
 /// declarations and loop headers, through the whole subtree — renaming is
 /// not substitution, so shadowing does not stop it) to `new`. Used by loop
-/// chunking/fission to give each copy private locals.
+/// chunking to give each copy private locals.
 pub fn rename_var_stmt(s: &Stmt, old: &str, new: &str) -> Stmt {
     let rn = |n: &String| if n == old { new.to_string() } else { n.clone() };
     let re = |e: &Expr| rename_expr(e, old, new);
@@ -341,11 +219,6 @@ pub fn rename_expr(e: &Expr, old: &str, new: &str) -> Expr {
     }
 }
 
-/// Finds the position of a top-level statement by id in a function body.
-pub fn top_level_position(f: &Function, id: StmtId) -> Option<usize> {
-    f.body.stmts.iter().position(|s| s.id == id)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -365,31 +238,6 @@ mod tests {
         let e = parse_expr("a[i] + i * 2").unwrap();
         let r = subst_var(&e, "i", &Expr::int(5));
         assert_eq!(print_expr(&r), "(a[5] + (5 * 2))");
-    }
-
-    #[test]
-    fn subst_respects_inner_loop_shadowing() {
-        let p = parse_program(
-            "void f(int n, real a[4]) { int i; int k; k = n; \
-             for (i=0;i<k;i=i+1) { a[i] = 0.0; } }",
-        )
-        .unwrap();
-        let loop_stmt = &p.functions[0].body.stmts[3];
-        // Substituting `i` outside must not touch the loop body that
-        // redefines i.
-        let out = subst_var_stmt(loop_stmt, "i", &Expr::int(9));
-        match &out.kind {
-            StmtKind::For { body, .. } => match &body.stmts[0].kind {
-                StmtKind::Assign {
-                    target: LValue::ArrayElem { indices, .. },
-                    ..
-                } => {
-                    assert_eq!(indices[0], Expr::var("i"));
-                }
-                _ => panic!(),
-            },
-            _ => panic!(),
-        }
     }
 
     #[test]

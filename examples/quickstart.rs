@@ -7,9 +7,8 @@
 //! pipeline (`frontend → seed-costs → backend`); the attached
 //! `TraceObserver` streams per-stage progress (artifact fingerprints,
 //! timings, feedback-round snapshots) to stderr, so stdout keeps only
-//! the report. The legacy one-call form is still available as
-//! `argo_core::compile(program, "main", &platform, &cfg)` — a thin
-//! wrapper over a default session.
+//! the report. The one-call form is
+//! `Toolflow::new(program, "main").platform(&platform).config(cfg).run()`.
 //!
 //! ```sh
 //! cargo run --example quickstart

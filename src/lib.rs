@@ -3,7 +3,7 @@
 //! Reproduction of *"WCET-aware parallelization of model-based
 //! applications for multi-cores: The ARGO approach"* (DATE 2017). Each
 //! member crate owns one stage of the toolflow; this facade re-exports
-//! them all so `argo::core::compile`, `argo::dse::Explorer`, … resolve
+//! them all so `argo::Toolflow`, `argo::dse::Explorer`, … resolve
 //! from a single dependency.
 //!
 //! * [`ir`] — mini-C frontend IR: AST, parser, CFG, interpreter;
@@ -34,9 +34,11 @@
 //!   protocol, single-flight request coalescing, bounded worker pool,
 //!   all sessions sharing one persistent store;
 //! * [`chaos`] — deterministic fault injection for the store's I/O
-//!   backend, proving every injected fault degrades to a counted miss;
-//! * [`bench`](mod@bench) — the E1–E10 experiment drivers plus the
-//!   `e13_chaos` fault-injection replay.
+//!   backend, proving every injected fault degrades to a counted miss.
+//!
+//! The experiment drivers (E1–E10, `e13_chaos`, `bench_hotpaths`) live
+//! in the `argo-bench` crate, which builds on this facade's members but
+//! is not re-exported by it.
 
 // The session driver API, re-exported at the facade root so downstream
 // code can spell `argo::Toolflow` / `argo::Diagnostic` directly.
@@ -53,7 +55,6 @@ pub use argo_verify::{ToolflowVerifyExt, VerifyConfig, VerifyReport};
 
 pub use argo_adl as adl;
 pub use argo_apps as apps;
-pub use argo_bench as bench;
 pub use argo_chaos as chaos;
 pub use argo_core as core;
 pub use argo_dse as dse;

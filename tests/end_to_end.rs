@@ -9,7 +9,7 @@
 //!    on bus and NoC platforms, under every arbitration policy.
 
 use argo_adl::{Arbitration, Platform};
-use argo_core::{compile, CollectingObserver, Stage, ToolchainConfig, Toolflow};
+use argo_core::{CollectingObserver, Stage, ToolchainConfig, Toolflow};
 use argo_sim::{sequential_reference, simulate, SimConfig, SimMode};
 use argo_wcet::system::MhpMode;
 
@@ -174,13 +174,10 @@ fn parallel_wcet_beats_sequential_on_polka() {
     // POLKA's superpixel loops are DOALL: the guaranteed WCET must drop.
     let uc = &argo_apps::all_use_cases(42)[2];
     let platform = Platform::xentium_manycore(4);
-    let r = compile(
-        uc.program.clone(),
-        uc.entry,
-        &platform,
-        &ToolchainConfig::default(),
-    )
-    .unwrap();
+    let r = Toolflow::new(uc.program.clone(), uc.entry)
+        .platform(&platform)
+        .run()
+        .unwrap();
     assert!(
         r.wcet_speedup() > 1.2,
         "POLKA guaranteed speedup too small: {:.2}",
@@ -195,9 +192,11 @@ fn cache_platform_is_sound_but_less_tight() {
     let uc = &argo_apps::all_use_cases(3)[2]; // POLKA
     let spm = Platform::xentium_manycore(2);
     let cached = Platform::xentium_manycore(2).with_caches(argo_adl::CacheConfig::small());
-    let cfg = ToolchainConfig::default();
 
-    let r_spm = compile(uc.program.clone(), uc.entry, &spm, &cfg).unwrap();
+    let r_spm = Toolflow::new(uc.program.clone(), uc.entry)
+        .platform(&spm)
+        .run()
+        .unwrap();
     let sim_spm = simulate(
         &r_spm.parallel,
         &spm,
@@ -207,7 +206,10 @@ fn cache_platform_is_sound_but_less_tight() {
     .unwrap();
     assert!(sim_spm.cycles <= r_spm.system.bound);
 
-    let r_c = compile(uc.program.clone(), uc.entry, &cached, &cfg).unwrap();
+    let r_c = Toolflow::new(uc.program.clone(), uc.entry)
+        .platform(&cached)
+        .run()
+        .unwrap();
     let sim_c = simulate(
         &r_c.parallel,
         &cached,
@@ -229,13 +231,10 @@ fn cache_platform_is_sound_but_less_tight() {
 fn observed_contention_waits_within_analysis_budget() {
     let uc = &argo_apps::all_use_cases(42)[2];
     let platform = Platform::xentium_manycore(4);
-    let r = compile(
-        uc.program.clone(),
-        uc.entry,
-        &platform,
-        &ToolchainConfig::default(),
-    )
-    .unwrap();
+    let r = Toolflow::new(uc.program.clone(), uc.entry)
+        .platform(&platform)
+        .run()
+        .unwrap();
     let sim = simulate(
         &r.parallel,
         &platform,

@@ -220,10 +220,9 @@ proptest! {
     /// Constant folding never changes program results.
     #[test]
     fn folding_preserves_semantics(src in arb_program(), seed in 0u64..16) {
-        use argo_transform::Pass;
         let original = parse_program(&src).expect("parses");
         let mut folded = original.clone();
-        argo_transform::fold::ConstantFold.run(&mut folded).expect("folds");
+        argo_transform::fold::fold_program(&mut folded);
         folded.renumber();
         let o1 = Interp::new(&original)
             .call_full("main", input_args(seed), &mut NullHook).expect("runs");

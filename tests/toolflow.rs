@@ -2,7 +2,7 @@
 //!
 //! 1. **Equivalence** — the staged session run (`run_frontend` →
 //!    `run_seed_costs` → `run_backend`) produces a byte-identical
-//!    `report()` to the legacy one-call `compile()` for every bundled
+//!    `report()` to the one-shot `Toolflow::run()` for every bundled
 //!    use case, across every MHP analysis mode.
 //! 2. **Observer discipline** (property) — stage events are well-nested
 //!    `(start, finish)` pairs for arbitrary configurations, with one
@@ -14,17 +14,17 @@
 
 use argo_adl::Platform;
 use argo_core::{
-    compile, Artifact, CollectingObserver, Fingerprintable, SchedulerKind, Stage, ToolchainConfig,
-    Toolflow,
+    Artifact, CollectingObserver, Fingerprintable, SchedulerKind, Stage, ToolchainConfig, Toolflow,
 };
 use argo_htg::Granularity;
 use argo_wcet::system::MhpMode;
 use proptest::prelude::*;
 
-/// Staged session output is bit-identical to legacy `compile()` on all
-/// three bundled apps (egpws, polka, weaa), for every MHP mode.
+/// Staged session output (with seeded round-0 costs) is bit-identical
+/// to the one-shot `Toolflow::run()` on all three bundled apps (egpws,
+/// polka, weaa), for every MHP mode.
 #[test]
-fn staged_session_report_is_byte_identical_to_legacy_compile() {
+fn staged_session_report_is_byte_identical_to_one_shot_run() {
     for uc in argo_apps::all_use_cases(42) {
         for mhp in [MhpMode::Naive, MhpMode::Static, MhpMode::Windows] {
             let platform = Platform::xentium_manycore(4);
@@ -32,7 +32,10 @@ fn staged_session_report_is_byte_identical_to_legacy_compile() {
                 mhp,
                 ..Default::default()
             };
-            let legacy = compile(uc.program.clone(), uc.entry, &platform, &cfg)
+            let one_shot = Toolflow::new(uc.program.clone(), uc.entry)
+                .platform(&platform)
+                .config(cfg.clone())
+                .run()
                 .unwrap_or_else(|e| panic!("{} ({mhp}): {e}", uc.name));
             let flow = Toolflow::new(uc.program.clone(), uc.entry)
                 .platform(&platform)
@@ -41,13 +44,13 @@ fn staged_session_report_is_byte_identical_to_legacy_compile() {
             let costs = flow.run_seed_costs(&artifact).unwrap();
             let staged = flow.run_backend(artifact, Some(&costs)).unwrap();
             assert_eq!(
-                legacy.report(),
+                one_shot.report(),
                 staged.report(),
-                "{} ({mhp}): staged report differs from legacy compile",
+                "{} ({mhp}): staged report differs from the one-shot run",
                 uc.name
             );
             assert_eq!(
-                legacy.fingerprint(),
+                one_shot.fingerprint(),
                 staged.fingerprint(),
                 "{} ({mhp}): result fingerprints differ",
                 uc.name

@@ -1,9 +1,11 @@
 //! Integration tests for the `argo-trace` observability layer: span
 //! well-nestedness under arbitrary trees and ring eviction (proptest),
-//! histogram quantiles against a sorted-vector reference, and a
-//! Chrome-trace export of a real pipeline run parsed with the
-//! `argo-serve` JSON reader.
+//! histogram quantiles against a sorted-vector reference, the session
+//! driver's stage spans on failing stages, and a Chrome-trace export of
+//! a real pipeline run parsed with the `argo-serve` JSON reader.
 
+use argo_adl::Platform;
+use argo_core::{CollectingObserver, Diagnostic, ErrorCode, Stage, StageObserver, Toolflow};
 use argo_trace::{chrome_trace, Histogram, Tracer, LATENCY_US_BUCKETS};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -122,6 +124,61 @@ fn histogram_bucket_boundaries_are_le_inclusive() {
     assert_eq!(total, 4, "the 101 observation lands in the overflow bucket");
     assert_eq!(h.count(), 4);
     assert_eq!(h.sum(), 222);
+}
+
+/// The session driver's stage guard is the only source of `stage.*`
+/// spans. A stage that fails still closes its span, exactly once; a
+/// stage that the observer's checkpoint cancels never opens one. Other
+/// tests share the global tracer, so only this thread's records count.
+#[test]
+fn driver_stage_spans_close_on_failure() {
+    argo_trace::enable_spans();
+    let me = argo_trace::current_thread_id();
+    let stage_spans = || -> Vec<String> {
+        argo_trace::global()
+            .snapshot()
+            .into_iter()
+            .filter(|r| r.thread == me && r.name.starts_with("stage."))
+            .map(|r| r.name.into_owned())
+            .collect()
+    };
+    let program = argo_ir::parse::parse_program(
+        "void main(real a[8]) { int i; for (i = 0; i < 8; i = i + 1) { a[i] = 1.0; } }",
+    )
+    .unwrap();
+    let platform = Platform::xentium_manycore(2);
+
+    let obs = CollectingObserver::new();
+    let err = Toolflow::new(program.clone(), "nonexistent")
+        .platform(&platform)
+        .observer(&obs)
+        .run()
+        .unwrap_err();
+    assert_eq!(err.code, ErrorCode::UnknownEntry);
+    assert_eq!(obs.errors().len(), 1, "the failing stage is closed");
+    assert_eq!(stage_spans(), vec!["stage.frontend".to_string()]);
+
+    struct Cancelled;
+    impl StageObserver for Cancelled {
+        fn checkpoint(&self, stage: Stage) -> Result<(), Diagnostic> {
+            Err(Diagnostic::new(
+                stage,
+                ErrorCode::DeadlineExceeded,
+                "cancelled",
+            ))
+        }
+    }
+    let err = Toolflow::new(program, "main")
+        .platform(&platform)
+        .observer(&Cancelled)
+        .run()
+        .unwrap_err();
+    assert_eq!(err.code, ErrorCode::DeadlineExceeded);
+    assert_eq!(
+        stage_spans(),
+        vec!["stage.frontend".to_string()],
+        "a cancelled stage records no span"
+    );
 }
 
 /// A Chrome trace exported from a real end-to-end run (the e1 toolflow
