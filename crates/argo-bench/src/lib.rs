@@ -168,7 +168,7 @@ pub fn e3_tightness() -> String {
 pub fn e4_sched_ablation(sizes: &[usize]) -> String {
     let mut out = String::from(
         "E4 scheduler ablation (random layered DAGs, 4 cores, mean of 5 seeds)\n\
-         tasks   list-ms   bnb-ms    sa-ms   bnb/list  sa/list   bnb-nodes\n",
+         tasks   list-ms   bnb-ms    sa-ms   bnb/list  sa/list   bnb-nodes  proven\n",
     );
     let platform = Platform::xentium_manycore(4);
     let ctx = SchedCtx::new(&platform);
@@ -180,24 +180,26 @@ pub fn e4_sched_ablation(sizes: &[usize]) -> String {
                 tasks: n,
                 ..Default::default()
             };
-            let (mut l, mut b, mut s, mut nodes) = (0f64, 0f64, 0f64, 0u64);
+            let (mut l, mut b, mut s, mut nodes, mut proven) = (0f64, 0f64, 0f64, 0u64, 0u64);
             const SEEDS: u64 = 5;
             for seed in 0..SEEDS {
                 let g = random_task_graph(seed, &params);
                 l += ListScheduler::new().schedule(&g, &ctx).makespan() as f64;
-                let (bs, nn) = BranchAndBound::new().schedule_counted(&g, &ctx);
-                b += bs.makespan() as f64;
-                nodes += nn;
+                let exact = BranchAndBound::new().schedule_counted(&g, &ctx);
+                b += exact.schedule.makespan() as f64;
+                nodes += exact.expanded;
+                proven += u64::from(exact.proven_optimal);
                 s += SimulatedAnnealing::with_seed(seed)
                     .schedule(&g, &ctx)
                     .makespan() as f64;
             }
             let (l, b, s) = (l / SEEDS as f64, b / SEEDS as f64, s / SEEDS as f64);
             format!(
-                "{n:>5} {l:>9.0} {b:>8.0} {s:>8.0} {:>9.3} {:>8.3} {:>11}\n",
+                "{n:>5} {l:>9.0} {b:>8.0} {s:>8.0} {:>9.3} {:>8.3} {:>11} {:>5}/{SEEDS}\n",
                 b / l,
                 s / l,
-                nodes / SEEDS
+                nodes / SEEDS,
+                proven
             )
         },
     );

@@ -1,11 +1,52 @@
 //! Exact branch-and-bound scheduler.
 //!
-//! The "exact techniques" leg of § III-C. Depth-first search over
-//! task→core assignments in a fixed topological order, pruned by a
-//! critical-path/work lower bound and seeded with the list-scheduling
-//! makespan as the incumbent. Exponential in the worst case — intended
-//! for graphs of up to ~16 tasks (exactly the regime where the paper's
-//! fine-grain decomposition needs exact answers to calibrate heuristics).
+//! The "exact techniques" leg of § III-C. A depth-first search over
+//! task→core assignments in lexicographic order: tasks in a fixed
+//! topological order that pops the highest upward rank first, cores in
+//! ascending index order at every depth. Each task is appended to the
+//! end of its core, as early as its predecessors and communication
+//! allow (the *search model*). The list schedule seeds the incumbent,
+//! and a leaf replaces it only on a strictly smaller makespan. A search
+//! that runs to completion therefore returns the lexicographically first
+//! optimal assignment, or the list seed when no assignment beats it.
+//!
+//! Task costs do not depend on the core, so the search sees cores only
+//! through [`SchedCtx::comm_cost`]. Three rules cut the tree:
+//!
+//! * **Core classes.** Cores `i` and `j` share a class when their
+//!   communication cost to and from every other core, and between each
+//!   other in both directions, is equal for every edge volume of the
+//!   graph. Swapping two cores of a class then changes no makespan, so a
+//!   task goes to a used core or to the lowest-index unused core of a
+//!   class, never to another unused one. A bus (or any model that prices
+//!   all pairs alike) is one class; on a mesh under
+//!   [`CommModel::SignalOnly`](crate::CommModel::SignalOnly), tiles at
+//!   equal hop distance from the shared memory share one.
+//! * **Twin ordering.** Two tasks adjacent in the search order with
+//!   equal cost and equal predecessor and successor lists (volumes
+//!   included) can swap cores without changing any start time of the
+//!   rest, so the second never takes a lower core than the first.
+//! * **Lower bound.** A node is cut once
+//!   `max(max over placed tasks of start + bottom level,
+//!   ceil((Σ core availability + remaining work) / cores))` reaches the
+//!   incumbent. The bottom level is a task's cost plus the longest cost
+//!   path below it, ignoring communication: communication is never
+//!   negative, so every chain runs at least that long. (HEFT upward ranks
+//!   average communication costs, so they are no bound.) The first term
+//!   dominates the partial makespan and equals the makespan at a leaf.
+//!
+//! The bound only cuts subtrees that cannot beat the incumbent, and the
+//! two symmetry rules only cut assignments that have a lexicographically
+//! smaller twin with the same makespan, so none of them changes the
+//! answer. The search allocates nothing per node: per-depth arrays hold
+//! the next-core cursor, the saved availability of the core used (for
+//! undo) and the running tail bound.
+//!
+//! The search is still exponential in the worst case, so `node_budget`
+//! caps the nodes expanded. When it runs out, the best incumbent so far
+//! is returned with [`BnbOutcome::proven_optimal`] set to `false`: the
+//! schedule is valid and never worse than the list schedule, but a
+//! better assignment may exist.
 
 use crate::list::ListScheduler;
 use crate::{
@@ -29,128 +70,272 @@ impl Default for BranchAndBound {
     }
 }
 
+/// What one [`BranchAndBound::schedule_counted`] call found.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BnbOutcome {
+    /// The best schedule found.
+    pub schedule: Schedule,
+    /// Search-tree nodes expanded.
+    pub expanded: u64,
+    /// `false` exactly when the node budget ran out before the search
+    /// completed, so a better assignment may exist.
+    pub proven_optimal: bool,
+}
+
 impl BranchAndBound {
     /// Creates a solver with the default node budget.
     pub fn new() -> BranchAndBound {
         BranchAndBound::default()
     }
 
-    /// Returns the number of nodes expanded on the last call — exposed via
-    /// the return of [`BranchAndBound::schedule_counted`].
-    pub fn schedule_counted(&self, g: &TaskGraph, ctx: &SchedCtx<'_>) -> (Schedule, u64) {
-        let n = g.len();
+    /// Schedules `g` and reports the search effort and whether the
+    /// result was proven optimal.
+    pub fn schedule_counted(&self, g: &TaskGraph, ctx: &SchedCtx<'_>) -> BnbOutcome {
         let idx = g.index();
-        if n == 0 {
-            return (evaluate_assignment_indexed(g, &idx, ctx, &[]), 0);
+        if g.is_empty() {
+            return BnbOutcome {
+                schedule: evaluate_assignment_indexed(g, &idx, ctx, &[]),
+                expanded: 0,
+                proven_optimal: true,
+            };
         }
         // Incumbent from the list scheduler.
         let seed = ListScheduler::new().schedule_indexed(g, &idx, ctx);
-        let mut best = seed.makespan();
-        let mut best_assignment = seed.assignment.clone();
-
-        let order = {
-            // Deterministic topological order, prioritising long ranks to
-            // tighten pruning early: Kahn with max-rank pops keeps
-            // topological validity while visiting critical tasks first.
-            let ranks = ListScheduler::new().upward_ranks_indexed(g, &idx, ctx);
-            topo_by_rank(&idx, &ranks)
-        };
-        let cores = ctx.cores();
-
-        // Remaining-work tail sums for the work-based lower bound.
-        let mut tail_work = vec![0u64; n + 1];
-        for i in (0..n).rev() {
-            tail_work[i] = tail_work[i + 1] + g.cost[order[i]];
-        }
-
-        struct Frame {
-            depth: usize,
-            core: usize,
-        }
-        let mut assignment = vec![CoreId(0); n];
-        let mut start = vec![0u64; n];
-        let mut finish = vec![0u64; n];
-        let mut core_avail_stack: Vec<Vec<u64>> = vec![vec![0u64; cores]];
-        let mut stack: Vec<Frame> = vec![Frame { depth: 0, core: 0 }];
-        let mut expanded = 0u64;
-        let mut pruned = 0u64;
-
-        while let Some(frame) = stack.pop() {
-            let Frame { depth, core } = frame;
-            if core >= cores {
-                core_avail_stack.truncate(depth + 1);
-                continue;
-            }
-            // Queue the sibling branch.
-            stack.push(Frame {
-                depth,
-                core: core + 1,
-            });
-            expanded += 1;
-            if expanded > self.node_budget {
-                break;
-            }
-
-            let t = order[depth];
-            let avail = core_avail_stack[depth].clone();
-            let mut est = avail[core];
-            for &(p, bytes) in idx.preds(t) {
-                let comm = if assignment[p] == CoreId(core) {
-                    0
-                } else {
-                    ctx.comm_cost(assignment[p], CoreId(core), bytes)
-                };
-                est = est.max(finish[p] + comm);
-            }
-            let fin = est + g.cost[t];
-            // Lower bound: the partial makespan, plus remaining work
-            // spread perfectly over all cores.
-            let partial_ms = finish[..0].iter().copied().max().unwrap_or(0);
-            let _ = partial_ms;
-            let cur_ms = fin.max(avail.iter().copied().max().unwrap_or(0));
-            let remaining = tail_work[depth + 1];
-            let lb = cur_ms.max(avail.iter().sum::<u64>().saturating_add(remaining) / cores as u64);
-            if lb >= best {
-                pruned += 1;
-                continue; // prune
-            }
-            assignment[t] = CoreId(core);
-            start[t] = est;
-            finish[t] = fin;
-            let mut new_avail = avail;
-            new_avail[core] = fin;
-
-            if depth + 1 == n {
-                let ms = finish.iter().copied().max().unwrap_or(0);
-                if ms < best {
-                    best = ms;
-                    best_assignment = assignment.clone();
-                }
-                continue;
-            }
-            core_avail_stack.truncate(depth + 1);
-            core_avail_stack.push(new_avail);
-            stack.push(Frame {
-                depth: depth + 1,
-                core: 0,
-            });
-        }
+        let found = Model::new(g, &idx, ctx).search(seed.makespan(), self.node_budget);
 
         // Locals published once per call, behind the metrics gate —
         // the search loop itself stays free of shared memory traffic.
         if argo_trace::metrics_on() {
             let m = argo_trace::metrics();
-            m.counter("argo_sched_bnb_expanded_total").add(expanded);
-            m.counter("argo_sched_bnb_pruned_total").add(pruned);
+            m.counter("argo_sched_bnb_expanded_total")
+                .add(found.expanded);
+            m.counter("argo_sched_bnb_pruned_total").add(found.pruned);
+            m.counter("argo_sched_bnb_unproven_total")
+                .add(u64::from(!found.proven));
         }
-        let result = evaluate_assignment_indexed(g, &idx, ctx, &best_assignment);
+        let best = found.improved.as_deref().unwrap_or(&seed.assignment);
+        let result = evaluate_assignment_indexed(g, &idx, ctx, best);
         // The list seed uses gap insertion, which plain re-evaluation of
         // the same assignment cannot always reproduce; never return a
         // schedule worse than the seed.
-        if result.makespan() <= seed.makespan() {
-            (result, expanded)
-        } else {
-            (seed, expanded)
+        BnbOutcome {
+            schedule: if result.makespan() <= seed.makespan() {
+                result
+            } else {
+                seed
+            },
+            expanded: found.expanded,
+            proven_optimal: found.proven,
+        }
+    }
+}
+
+/// What one search found.
+struct Found {
+    /// The best assignment found (after a complete search, the
+    /// lexicographically first of least makespan), or `None` when
+    /// nothing beat the seed.
+    improved: Option<Vec<CoreId>>,
+    expanded: u64,
+    pruned: u64,
+    proven: bool,
+}
+
+/// The search model of one graph on one platform, indexed by depth
+/// (position in the search order) rather than by task.
+struct Model {
+    cores: usize,
+    /// Depth → task.
+    order: Vec<usize>,
+    cost: Vec<u64>,
+    /// Communication-free bottom level per depth.
+    bottom: Vec<u64>,
+    /// `rest[d]`: total cost of depths `d..` (one extra trailing zero).
+    rest: Vec<u64>,
+    /// CSR predecessors per depth: `(pred depth, comm table offset)`.
+    pred_off: Vec<usize>,
+    preds: Vec<(usize, usize)>,
+    /// `comm[off + from * cores + to]` for each distinct edge volume;
+    /// zero on the diagonal, as the search charges no same-core comm.
+    comm: Vec<u64>,
+    /// Core → the next lower core of its class, if any.
+    prev_in_class: Vec<Option<usize>>,
+    /// `twin[d]`: the tasks at depths `d - 1` and `d` are twins.
+    twin: Vec<bool>,
+}
+
+impl Model {
+    fn new(g: &TaskGraph, idx: &TaskGraphIndex, ctx: &SchedCtx<'_>) -> Model {
+        let n = g.len();
+        let cores = ctx.cores();
+        // Deterministic topological order, prioritising long ranks to
+        // tighten pruning early: Kahn with max-rank pops keeps
+        // topological validity while visiting critical tasks first.
+        let ranks = ListScheduler::new().upward_ranks_indexed(g, idx, ctx);
+        let order = topo_by_rank(idx, &ranks);
+        let mut depth_of = vec![0; n];
+        for (d, &t) in order.iter().enumerate() {
+            depth_of[t] = d;
+        }
+
+        let mut volumes: Vec<u64> = g.edges.iter().map(|e| e.2).collect();
+        volumes.sort_unstable();
+        volumes.dedup();
+        let mut comm = vec![0u64; volumes.len() * cores * cores];
+        for (v, &bytes) in volumes.iter().enumerate() {
+            for from in 0..cores {
+                for to in (0..cores).filter(|&to| to != from) {
+                    comm[(v * cores + from) * cores + to] =
+                        ctx.comm_cost(CoreId(from), CoreId(to), bytes);
+                }
+            }
+        }
+        let same_class = |i: usize, j: usize| {
+            comm.chunks_exact(cores * cores).all(|table| {
+                let at = |from: usize, to: usize| table[from * cores + to];
+                at(i, j) == at(j, i)
+                    && (0..cores)
+                        .filter(|&k| k != i && k != j)
+                        .all(|k| at(i, k) == at(j, k) && at(k, i) == at(k, j))
+            })
+        };
+        // Sharing a class is an equivalence (the swaps compose), so the
+        // nearest lower member is the only one to look for.
+        let prev_in_class = (0..cores)
+            .map(|c| (0..c).rev().find(|&q| same_class(q, c)))
+            .collect();
+
+        let mut bottom_of = vec![0u64; n];
+        for &t in idx.topo_order().iter().rev() {
+            let below = idx.succs(t).iter().map(|&(s, _)| bottom_of[s]).max();
+            bottom_of[t] = g.cost[t] + below.unwrap_or(0);
+        }
+        let cost: Vec<u64> = order.iter().map(|&t| g.cost[t]).collect();
+        let mut rest = vec![0u64; n + 1];
+        for d in (0..n).rev() {
+            rest[d] = rest[d + 1] + cost[d];
+        }
+
+        let mut pred_off = Vec::with_capacity(n + 1);
+        let mut preds = Vec::with_capacity(g.edges.len());
+        pred_off.push(0);
+        for &t in &order {
+            for &(p, bytes) in idx.preds(t) {
+                let v = volumes
+                    .binary_search(&bytes)
+                    .expect("volume of a graph edge");
+                preds.push((depth_of[p], v * cores * cores));
+            }
+            pred_off.push(preds.len());
+        }
+
+        let signature = |t: usize| {
+            let mut p = idx.preds(t).to_vec();
+            let mut s = idx.succs(t).to_vec();
+            p.sort_unstable();
+            s.sort_unstable();
+            (g.cost[t], p, s)
+        };
+        let mut twin = vec![false; n];
+        for d in 1..n {
+            twin[d] = signature(order[d - 1]) == signature(order[d]);
+        }
+
+        Model {
+            cores,
+            bottom: order.iter().map(|&t| bottom_of[t]).collect(),
+            order,
+            cost,
+            rest,
+            pred_off,
+            preds,
+            comm,
+            prev_in_class,
+            twin,
+        }
+    }
+
+    /// Depth-first search for an assignment with a makespan below
+    /// `incumbent`, expanding at most `budget` nodes.
+    fn search(&self, incumbent: u64, budget: u64) -> Found {
+        let (n, m) = (self.order.len(), self.cores);
+        let mut best = incumbent;
+        let mut improved: Option<Vec<CoreId>> = None;
+        // Per-depth state: the core used, the next core to try, the
+        // placed finish time, the used core's availability before the
+        // placement (for undo), and the tail bound of depths `< d`.
+        let mut core_at = vec![0usize; n];
+        let mut cursor = vec![0usize; n];
+        let mut finish = vec![0u64; n];
+        let mut saved = vec![0u64; n];
+        let mut tail = vec![0u64; n];
+        // Per-core state: availability and task count, plus Σ avail.
+        let mut avail = vec![0u64; m];
+        let mut used = vec![0u32; m];
+        let mut sum_avail = 0u64;
+        let (mut expanded, mut pruned) = (0u64, 0u64);
+
+        let mut d = 0;
+        let proven = loop {
+            let c = cursor[d];
+            if c == m {
+                // Depth exhausted: undo the placement one level up.
+                if d == 0 {
+                    break true;
+                }
+                d -= 1;
+                let u = core_at[d];
+                sum_avail -= avail[u] - saved[d];
+                avail[u] = saved[d];
+                used[u] -= 1;
+                continue;
+            }
+            cursor[d] = c + 1;
+            // The used cores of a class are a prefix of it, so `c` is
+            // unused here and the lower unused core is equivalent.
+            if self.prev_in_class[c].is_some_and(|q| used[q] == 0) {
+                continue;
+            }
+            expanded += 1;
+            if expanded > budget {
+                break false;
+            }
+
+            let mut est = avail[c];
+            for &(p, off) in &self.preds[self.pred_off[d]..self.pred_off[d + 1]] {
+                est = est.max(finish[p] + self.comm[off + core_at[p] * m + c]);
+            }
+            let fin = est + self.cost[d];
+            let tail_lb = tail[d].max(est + self.bottom[d]);
+            let work_lb = (sum_avail - avail[c] + fin + self.rest[d + 1]).div_ceil(m as u64);
+            if tail_lb.max(work_lb) >= best {
+                pruned += 1;
+                continue;
+            }
+            core_at[d] = c;
+            if d + 1 == n {
+                // At a leaf the tail bound is the makespan.
+                best = tail_lb;
+                let assignment = improved.get_or_insert_with(|| vec![CoreId(0); n]);
+                for (&t, &core) in self.order.iter().zip(&core_at) {
+                    assignment[t] = CoreId(core);
+                }
+                continue;
+            }
+            finish[d] = fin;
+            saved[d] = avail[c];
+            sum_avail += fin - avail[c];
+            avail[c] = fin;
+            used[c] += 1;
+            tail[d + 1] = tail_lb;
+            d += 1;
+            cursor[d] = if self.twin[d] { c } else { 0 };
+        };
+        Found {
+            improved,
+            expanded,
+            pruned,
+            proven,
         }
     }
 }
@@ -176,7 +361,7 @@ fn topo_by_rank(idx: &TaskGraphIndex, ranks: &[f64]) -> Vec<usize> {
 
 impl Scheduler for BranchAndBound {
     fn schedule(&self, g: &TaskGraph, ctx: &SchedCtx<'_>) -> Schedule {
-        self.schedule_counted(g, ctx).0
+        self.schedule_counted(g, ctx).schedule
     }
 
     fn name(&self) -> &'static str {
@@ -187,8 +372,9 @@ impl Scheduler for BranchAndBound {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::random::{random_task_graph, RandomGraphParams};
     use crate::test_graphs::{diamond, fork_join};
-    use crate::{sequential_schedule, CommModel};
+    use crate::{evaluate_assignment, sequential_schedule, CommModel};
     use argo_adl::Platform;
 
     #[test]
@@ -231,8 +417,9 @@ mod tests {
             names: (0..4).map(|i| format!("t{i}")).collect(),
             htg_ids: vec![],
         };
-        let s = BranchAndBound::new().schedule(&g, &ctx);
-        assert_eq!(s.makespan(), 20);
+        let out = BranchAndBound::new().schedule_counted(&g, &ctx);
+        assert_eq!(out.schedule.makespan(), 20);
+        assert!(out.proven_optimal);
     }
 
     #[test]
@@ -249,8 +436,31 @@ mod tests {
             names: (0..5).map(|i| format!("t{i}")).collect(),
             htg_ids: vec![],
         };
-        let s = BranchAndBound::new().schedule(&g, &ctx);
-        assert_eq!(s.makespan(), 12);
+        let out = BranchAndBound::new().schedule_counted(&g, &ctx);
+        assert_eq!(out.schedule.makespan(), 12);
+        assert!(out.proven_optimal);
+    }
+
+    #[test]
+    fn beats_list_down_to_the_work_bound() {
+        // Costs 3,3,2,2,2 on 2 cores: greedy earliest-finish puts the
+        // two 3s on separate cores and ends at 7; the optimum 3+3 | 2+2+2
+        // meets the work bound 12 / 2 exactly, one below the seed.
+        let p = Platform::xentium_manycore(2);
+        let ctx = SchedCtx {
+            platform: &p,
+            comm: CommModel::Free,
+        };
+        let g = TaskGraph {
+            cost: vec![3, 3, 2, 2, 2],
+            edges: vec![],
+            names: (0..5).map(|i| format!("t{i}")).collect(),
+            htg_ids: vec![],
+        };
+        assert_eq!(ListScheduler::new().schedule(&g, &ctx).makespan(), 7);
+        let out = BranchAndBound::new().schedule_counted(&g, &ctx);
+        assert_eq!(out.schedule.makespan(), 6);
+        assert!(out.proven_optimal);
     }
 
     #[test]
@@ -271,16 +481,210 @@ mod tests {
         let p = Platform::xentium_manycore(2);
         let ctx = SchedCtx::new(&p);
         let g = fork_join(10, 50);
-        let s = BranchAndBound { node_budget: 10 }.schedule(&g, &ctx);
-        s.validate(&g, &ctx).unwrap();
+        let out = BranchAndBound { node_budget: 10 }.schedule_counted(&g, &ctx);
+        out.schedule.validate(&g, &ctx).unwrap();
+        assert!(!out.proven_optimal);
+        assert_eq!(out.expanded, 11);
     }
 
     #[test]
     fn empty_graph() {
         let p = Platform::xentium_manycore(2);
         let ctx = SchedCtx::new(&p);
-        let (s, nodes) = BranchAndBound::new().schedule_counted(&TaskGraph::default(), &ctx);
-        assert_eq!(s.makespan(), 0);
-        assert_eq!(nodes, 0);
+        let out = BranchAndBound::new().schedule_counted(&TaskGraph::default(), &ctx);
+        assert_eq!(out.schedule.makespan(), 0);
+        assert_eq!(out.expanded, 0);
+        assert!(out.proven_optimal);
+    }
+
+    #[test]
+    fn core_classes_follow_the_comm_costs() {
+        let g = diamond();
+        let bus = Platform::xentium_manycore(4);
+        let model = Model::new(&g, &g.index(), &SchedCtx::new(&bus));
+        assert_eq!(model.prev_in_class, [None, Some(0), Some(1), Some(2)]);
+        // Under signal-only comm a 2×4 mesh prices a core by its hop
+        // distance from the shared memory at tile (0, 0).
+        let noc = Platform::kit_tile_noc(2, 4);
+        let ctx = SchedCtx {
+            platform: &noc,
+            comm: CommModel::SignalOnly,
+        };
+        let model = Model::new(&g, &g.index(), &ctx);
+        assert_eq!(
+            model.prev_in_class,
+            [None, None, None, None, Some(1), Some(2), Some(3), None]
+        );
+    }
+
+    #[test]
+    fn twins_are_adjacent_equal_tasks() {
+        let p = Platform::xentium_manycore(2);
+        let g = fork_join(3, 77);
+        let model = Model::new(&g, &g.index(), &SchedCtx::new(&p));
+        // Source, the three middle tasks, sink.
+        assert_eq!(model.twin, [false, false, true, true, false]);
+    }
+
+    /// Makespan of `core` (per task) in the search model: tasks in
+    /// `order`, each appended to the end of its core.
+    fn model_makespan(
+        g: &TaskGraph,
+        idx: &TaskGraphIndex,
+        ctx: &SchedCtx<'_>,
+        order: &[usize],
+        core: &[CoreId],
+    ) -> u64 {
+        let mut finish = vec![0u64; g.len()];
+        let mut avail = vec![0u64; ctx.cores()];
+        for &t in order {
+            let c = core[t];
+            let mut est = avail[c.0];
+            for &(p, bytes) in idx.preds(t) {
+                let comm = if core[p] == c {
+                    0
+                } else {
+                    ctx.comm_cost(core[p], c, bytes)
+                };
+                est = est.max(finish[p] + comm);
+            }
+            finish[t] = est + g.cost[t];
+            avail[c.0] = finish[t];
+        }
+        finish.into_iter().max().unwrap_or(0)
+    }
+
+    /// The lexicographically first assignment (cores listed in search
+    /// order) of least search-model makespan, by trying every one.
+    fn brute_force(
+        g: &TaskGraph,
+        idx: &TaskGraphIndex,
+        ctx: &SchedCtx<'_>,
+        order: &[usize],
+    ) -> (u64, Vec<CoreId>) {
+        struct Walk<'a> {
+            g: &'a TaskGraph,
+            idx: &'a TaskGraphIndex,
+            ctx: &'a SchedCtx<'a>,
+            order: &'a [usize],
+            core: Vec<CoreId>,
+            finish: Vec<u64>,
+            avail: Vec<u64>,
+            best: (u64, Vec<CoreId>),
+        }
+        fn walk(w: &mut Walk<'_>, d: usize, makespan: u64) {
+            let Some(&t) = w.order.get(d) else {
+                if makespan < w.best.0 {
+                    w.best = (makespan, w.core.clone());
+                }
+                return;
+            };
+            for c in (0..w.ctx.cores()).map(CoreId) {
+                let mut est = w.avail[c.0];
+                for &(p, bytes) in w.idx.preds(t) {
+                    let comm = if w.core[p] == c {
+                        0
+                    } else {
+                        w.ctx.comm_cost(w.core[p], c, bytes)
+                    };
+                    est = est.max(w.finish[p] + comm);
+                }
+                let saved = w.avail[c.0];
+                w.core[t] = c;
+                w.finish[t] = est + w.g.cost[t];
+                w.avail[c.0] = w.finish[t];
+                walk(w, d + 1, makespan.max(w.finish[t]));
+                w.avail[c.0] = saved;
+            }
+        }
+        let mut w = Walk {
+            g,
+            idx,
+            ctx,
+            order,
+            core: vec![CoreId(0); g.len()],
+            finish: vec![0; g.len()],
+            avail: vec![0; ctx.cores()],
+            best: (u64::MAX, Vec::new()),
+        };
+        walk(&mut w, 0, 0);
+        w.best
+    }
+
+    #[test]
+    fn matches_brute_force_on_small_graphs() {
+        let platforms = [
+            Platform::xentium_manycore(2),
+            Platform::xentium_manycore(3),
+            Platform::xentium_manycore(4),
+            Platform::kit_tile_noc(2, 2),
+        ];
+        // Wide layered graphs, where the list schedule is often beaten:
+        // random costs and volumes, then near-uniform ones with dense
+        // layers, where twins and equal finish times are common.
+        let families = [
+            RandomGraphParams {
+                layers: 2,
+                ..Default::default()
+            },
+            RandomGraphParams {
+                layers: 3,
+                ..Default::default()
+            },
+            RandomGraphParams {
+                layers: 2,
+                edge_prob: 0.9,
+                cost_range: (10, 11),
+                bytes_range: (8, 8),
+                ..Default::default()
+            },
+            RandomGraphParams {
+                layers: 3,
+                edge_prob: 0.9,
+                cost_range: (10, 11),
+                bytes_range: (8, 8),
+                ..Default::default()
+            },
+        ];
+        let comms = [
+            CommModel::Free,
+            CommModel::SignalOnly,
+            CommModel::PlatformWorstCase,
+        ];
+        for platform in &platforms {
+            for comm in comms {
+                let ctx = SchedCtx { platform, comm };
+                for (seed, (tasks, family)) in
+                    (3..=8).flat_map(|n| families.map(|f| (n, f))).enumerate()
+                {
+                    let g = random_task_graph(seed as u64, &RandomGraphParams { tasks, ..family });
+                    let idx = g.index();
+                    let list = ListScheduler::new().schedule(&g, &ctx);
+                    let model = Model::new(&g, &idx, &ctx);
+                    let (bf_ms, bf) = brute_force(&g, &idx, &ctx, &model.order);
+                    let case = format!("{} {comm:?} seed {seed}", platform.name);
+
+                    let found = model.search(list.makespan(), u64::MAX);
+                    assert!(found.proven, "{case}");
+                    let optimum = found.improved.as_ref().map_or(list.makespan(), |a| {
+                        model_makespan(&g, &idx, &ctx, &model.order, a)
+                    });
+                    assert_eq!(optimum, bf_ms.min(list.makespan()), "{case}");
+                    let pick = (bf_ms < list.makespan()).then_some(bf);
+                    assert_eq!(found.improved, pick, "{case}");
+
+                    let out = BranchAndBound::new().schedule_counted(&g, &ctx);
+                    assert!(out.proven_optimal, "{case}");
+                    let eval =
+                        evaluate_assignment(&g, &ctx, pick.as_deref().unwrap_or(&list.assignment));
+                    let expected = if eval.makespan() <= list.makespan() {
+                        eval
+                    } else {
+                        list
+                    };
+                    assert_eq!(out.schedule, expected, "{case}");
+                }
+            }
+        }
     }
 }

@@ -11,7 +11,9 @@
 //! * [`list::ListScheduler`] — a HEFT-style upward-rank list scheduler
 //!   (polynomial, scales to thousands of tasks);
 //! * [`bnb::BranchAndBound`] — an exact depth-first branch-and-bound
-//!   solver with critical-path lower bounds (small graphs);
+//!   solver with core-class and twin-task symmetry breaking and a
+//!   bottom-level/work lower bound; it reports whether it proved its
+//!   schedule optimal within the node budget (dozens of tasks);
 //! * [`anneal::SimulatedAnnealing`] — a metaheuristic that refines the
 //!   list schedule.
 //!

@@ -50,6 +50,7 @@
 //! | `argo_dse_worker_busy_us_total` / `argo_dse_worker_wall_us_total` | argo-dse | Executor busy time vs. elapsed wall time × workers; their ratio is worker utilization. |
 //! | `argo_sched_anneal_proposals_total` / `argo_sched_anneal_accepts_total` | argo-sched | Simulated-annealing moves proposed / accepted (gated on [`metrics_on`]). |
 //! | `argo_sched_bnb_expanded_total` / `argo_sched_bnb_pruned_total` | argo-sched | Branch-and-bound nodes expanded / subtrees cut by the lower bound (gated). |
+//! | `argo_sched_bnb_unproven_total` | argo-sched | Branch-and-bound calls that ran out of node budget, so their schedule is not proven optimal (gated). |
 //! | `argo_wcet_fixpoint_iters` | argo-wcet | Widening-fixpoint rounds per analyzed loop body (histogram, gated). |
 //!
 //! Span names: `stage.frontend` / `stage.seed-costs` / `stage.backend`

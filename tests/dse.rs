@@ -289,3 +289,23 @@ fn egpws_acceptance_shape_sweep() {
     let json = report.to_json();
     assert!(json.contains("\"cache\""));
 }
+
+/// Branch-and-bound over the three apps on both platforms at 1–8 cores
+/// reproduces `tests/golden/sweep_bnb.csv` byte for byte. The golden is
+/// the CLI's output for the same space:
+/// `argo-dse explore --app egpws,polka,weaa --platforms bus,noc
+/// --cores 1,2,4,8 --schedulers bnb --threads 1 --csv <file>`.
+#[test]
+fn bnb_sweep_matches_golden_csv() {
+    let space = DesignSpace::new()
+        .apps(["egpws", "polka", "weaa"].map(String::from))
+        .platforms(vec![PlatformKind::Bus, PlatformKind::Noc])
+        .cores(vec![1, 2, 4, 8])
+        .schedulers(vec![SchedulerKind::BranchAndBound]);
+    let csv = Explorer::with_threads(1).explore(&space).to_csv();
+    assert_eq!(
+        csv,
+        include_str!("golden/sweep_bnb.csv"),
+        "branch-and-bound sweep drifted from the golden CSV"
+    );
+}

@@ -202,7 +202,9 @@ proptest! {
         let seq = sequential_schedule(&g, &ctx).makespan();
         prop_assert!(seq >= g.total_work());
         let list = ListScheduler::new().schedule(&g, &ctx);
-        let bnb = BranchAndBound { node_budget: 50_000 }.schedule(&g, &ctx);
+        let exact = BranchAndBound { node_budget: 50_000 }.schedule_counted(&g, &ctx);
+        prop_assert!(exact.proven_optimal, "{} nodes", exact.expanded);
+        let bnb = exact.schedule;
         let sa = SimulatedAnnealing { iterations: 300, ..SimulatedAnnealing::with_seed(seed) }
             .schedule(&g, &ctx);
         for s in [&list, &bnb, &sa] {
