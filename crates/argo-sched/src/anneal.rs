@@ -6,9 +6,15 @@
 //! for reproducibility of the benches and for the tool-chain's iterative
 //! optimisation loop (§ II-E), which re-runs the scheduler with inflated
 //! costs and must not jitter.
+//!
+//! Proposals are made in place: a move or swap rewrites at most two
+//! entries of the current assignment, one [`Evaluator`] built per call
+//! prices it, and a rejection writes the two saved cores back. A swap
+//! of two tasks on the same core changes nothing; it is accepted
+//! without an evaluation, as an equal makespan always is.
 
 use crate::list::ListScheduler;
-use crate::{evaluate_assignment_indexed, SchedCtx, Schedule, Scheduler, TaskGraph};
+use crate::{Evaluator, SchedCtx, Schedule, Scheduler, TaskGraph};
 use argo_adl::CoreId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -52,22 +58,18 @@ impl SimulatedAnnealing {
 impl Scheduler for SimulatedAnnealing {
     fn schedule(&self, g: &TaskGraph, ctx: &SchedCtx<'_>) -> Schedule {
         let n = g.len();
-        // One adjacency index for the seed schedule and every proposal
-        // evaluation — the annealer used to rebuild preds/succs/indeg
-        // adjacency on all `iterations` proposals.
-        let idx = g.index();
-        if n == 0 {
-            return evaluate_assignment_indexed(g, &idx, ctx, &[]);
-        }
         let cores = ctx.cores();
+        let idx = g.index();
         let seed_sched = ListScheduler::new().schedule_indexed(g, &idx, ctx);
-        if cores < 2 {
+        if n == 0 || cores < 2 {
             return seed_sched;
         }
+        // One evaluator for the seed, every proposal and the result.
+        let mut eval = Evaluator::new(g, &idx, ctx);
         let mut current = seed_sched.assignment.clone();
         // Evaluate the seed assignment with the same (non-insertion)
         // kernel the proposals use, so acceptance is consistent.
-        let mut current_ms = evaluate_assignment_indexed(g, &idx, ctx, &current).makespan();
+        let mut current_ms = eval.makespan(&current);
         let mut best = current.clone();
         let mut best_ms = current_ms;
 
@@ -80,34 +82,45 @@ impl Scheduler for SimulatedAnnealing {
         let mut accepts = 0u64;
         for it in 0..self.iterations {
             let temp = t0 * (1.0 - it as f64 / self.iterations as f64).max(1e-6);
-            let mut cand = current.clone();
-            if n >= 2 && rng.gen_bool(0.3) {
+            // A proposal gives task `a` core `ca` and task `b` core `cb`
+            // (the same task and core for a move), in place; a rejection
+            // restores the two saved cores.
+            let (a, ca, b, cb) = if n >= 2 && rng.gen_bool(0.3) {
                 // Swap the cores of two tasks.
                 let a = rng.gen_range(0..n);
                 let b = rng.gen_range(0..n);
-                cand.swap(a, b);
+                if current[a] == current[b] {
+                    // Nothing changes, so neither does the makespan, and
+                    // an equal makespan is always accepted.
+                    accepts += 1;
+                    continue;
+                }
+                (a, current[b], b, current[a])
             } else {
                 // Move one task to a random other core.
                 let t = rng.gen_range(0..n);
                 let mut c = rng.gen_range(0..cores);
-                if CoreId(c) == cand[t] {
+                if CoreId(c) == current[t] {
                     c = (c + 1) % cores;
                 }
-                cand[t] = CoreId(c);
-            }
-            let ms = evaluate_assignment_indexed(g, &idx, ctx, &cand).makespan();
+                (t, CoreId(c), t, CoreId(c))
+            };
+            let saved = (current[a], current[b]);
+            (current[a], current[b]) = (ca, cb);
+            let ms = eval.makespan(&current);
             let accept = ms <= current_ms || {
                 let delta = (ms - current_ms) as f64;
                 rng.gen_bool((-delta / temp).exp().clamp(0.0, 1.0))
             };
             if accept {
                 accepts += 1;
-                current = cand;
                 current_ms = ms;
                 if ms < best_ms {
                     best_ms = ms;
-                    best = current.clone();
+                    best.copy_from_slice(&current);
                 }
+            } else {
+                (current[a], current[b]) = saved;
             }
         }
         if argo_trace::metrics_on() {
@@ -116,7 +129,7 @@ impl Scheduler for SimulatedAnnealing {
                 .add(self.iterations as u64);
             m.counter("argo_sched_anneal_accepts_total").add(accepts);
         }
-        let annealed = evaluate_assignment_indexed(g, &idx, ctx, &best);
+        let annealed = eval.schedule(&best);
         // The list seed uses gap insertion, which the plain evaluation
         // kernel cannot reproduce; never return worse than the seed.
         if annealed.makespan() <= seed_sched.makespan() {

@@ -49,9 +49,7 @@
 //! better assignment may exist.
 
 use crate::list::ListScheduler;
-use crate::{
-    evaluate_assignment_indexed, SchedCtx, Schedule, Scheduler, TaskGraph, TaskGraphIndex,
-};
+use crate::{CommTable, Evaluator, SchedCtx, Schedule, Scheduler, TaskGraph, TaskGraphIndex};
 use argo_adl::CoreId;
 
 /// Exact branch-and-bound scheduler with a node-expansion budget.
@@ -92,16 +90,17 @@ impl BranchAndBound {
     /// result was proven optimal.
     pub fn schedule_counted(&self, g: &TaskGraph, ctx: &SchedCtx<'_>) -> BnbOutcome {
         let idx = g.index();
+        let mut eval = Evaluator::new(g, &idx, ctx);
         if g.is_empty() {
             return BnbOutcome {
-                schedule: evaluate_assignment_indexed(g, &idx, ctx, &[]),
+                schedule: eval.schedule(&[]),
                 expanded: 0,
                 proven_optimal: true,
             };
         }
         // Incumbent from the list scheduler.
         let seed = ListScheduler::new().schedule_indexed(g, &idx, ctx);
-        let found = Model::new(g, &idx, ctx).search(seed.makespan(), self.node_budget);
+        let found = Model::new(g, &idx, ctx, &eval.comm).search(seed.makespan(), self.node_budget);
 
         // Locals published once per call, behind the metrics gate —
         // the search loop itself stays free of shared memory traffic.
@@ -114,7 +113,7 @@ impl BranchAndBound {
                 .add(u64::from(!found.proven));
         }
         let best = found.improved.as_deref().unwrap_or(&seed.assignment);
-        let result = evaluate_assignment_indexed(g, &idx, ctx, best);
+        let result = eval.schedule(best);
         // The list seed uses gap insertion, which plain re-evaluation of
         // the same assignment cannot always reproduce; never return a
         // schedule worse than the seed.
@@ -143,7 +142,7 @@ struct Found {
 
 /// The search model of one graph on one platform, indexed by depth
 /// (position in the search order) rather than by task.
-struct Model {
+struct Model<'c> {
     cores: usize,
     /// Depth → task.
     order: Vec<usize>,
@@ -155,17 +154,22 @@ struct Model {
     /// CSR predecessors per depth: `(pred depth, comm table offset)`.
     pred_off: Vec<usize>,
     preds: Vec<(usize, usize)>,
-    /// `comm[off + from * cores + to]` for each distinct edge volume;
-    /// zero on the diagonal, as the search charges no same-core comm.
-    comm: Vec<u64>,
+    /// The evaluator's comm table; zero on the diagonal, as the search
+    /// charges no same-core comm.
+    comm: &'c CommTable,
     /// Core → the next lower core of its class, if any.
     prev_in_class: Vec<Option<usize>>,
     /// `twin[d]`: the tasks at depths `d - 1` and `d` are twins.
     twin: Vec<bool>,
 }
 
-impl Model {
-    fn new(g: &TaskGraph, idx: &TaskGraphIndex, ctx: &SchedCtx<'_>) -> Model {
+impl<'c> Model<'c> {
+    fn new(
+        g: &TaskGraph,
+        idx: &TaskGraphIndex,
+        ctx: &SchedCtx<'_>,
+        comm: &'c CommTable,
+    ) -> Model<'c> {
         let n = g.len();
         let cores = ctx.cores();
         // Deterministic topological order, prioritising long ranks to
@@ -178,20 +182,8 @@ impl Model {
             depth_of[t] = d;
         }
 
-        let mut volumes: Vec<u64> = g.edges.iter().map(|e| e.2).collect();
-        volumes.sort_unstable();
-        volumes.dedup();
-        let mut comm = vec![0u64; volumes.len() * cores * cores];
-        for (v, &bytes) in volumes.iter().enumerate() {
-            for from in 0..cores {
-                for to in (0..cores).filter(|&to| to != from) {
-                    comm[(v * cores + from) * cores + to] =
-                        ctx.comm_cost(CoreId(from), CoreId(to), bytes);
-                }
-            }
-        }
         let same_class = |i: usize, j: usize| {
-            comm.chunks_exact(cores * cores).all(|table| {
+            comm.cost.chunks_exact(cores * cores).all(|table| {
                 let at = |from: usize, to: usize| table[from * cores + to];
                 at(i, j) == at(j, i)
                     && (0..cores)
@@ -221,10 +213,7 @@ impl Model {
         pred_off.push(0);
         for &t in &order {
             for &(p, bytes) in idx.preds(t) {
-                let v = volumes
-                    .binary_search(&bytes)
-                    .expect("volume of a graph edge");
-                preds.push((depth_of[p], v * cores * cores));
+                preds.push((depth_of[p], comm.offset(bytes)));
             }
             pred_off.push(preds.len());
         }
@@ -303,7 +292,7 @@ impl Model {
 
             let mut est = avail[c];
             for &(p, off) in &self.preds[self.pred_off[d]..self.pred_off[d + 1]] {
-                est = est.max(finish[p] + self.comm[off + core_at[p] * m + c]);
+                est = est.max(finish[p] + self.comm.cost[off + core_at[p] * m + c]);
             }
             let fin = est + self.cost[d];
             let tail_lb = tail[d].max(est + self.bottom[d]);
@@ -501,7 +490,9 @@ mod tests {
     fn core_classes_follow_the_comm_costs() {
         let g = diamond();
         let bus = Platform::xentium_manycore(4);
-        let model = Model::new(&g, &g.index(), &SchedCtx::new(&bus));
+        let ctx = SchedCtx::new(&bus);
+        let table = CommTable::new(&g, &ctx);
+        let model = Model::new(&g, &g.index(), &ctx, &table);
         assert_eq!(model.prev_in_class, [None, Some(0), Some(1), Some(2)]);
         // Under signal-only comm a 2×4 mesh prices a core by its hop
         // distance from the shared memory at tile (0, 0).
@@ -510,7 +501,8 @@ mod tests {
             platform: &noc,
             comm: CommModel::SignalOnly,
         };
-        let model = Model::new(&g, &g.index(), &ctx);
+        let table = CommTable::new(&g, &ctx);
+        let model = Model::new(&g, &g.index(), &ctx, &table);
         assert_eq!(
             model.prev_in_class,
             [None, None, None, None, Some(1), Some(2), Some(3), None]
@@ -521,7 +513,9 @@ mod tests {
     fn twins_are_adjacent_equal_tasks() {
         let p = Platform::xentium_manycore(2);
         let g = fork_join(3, 77);
-        let model = Model::new(&g, &g.index(), &SchedCtx::new(&p));
+        let ctx = SchedCtx::new(&p);
+        let table = CommTable::new(&g, &ctx);
+        let model = Model::new(&g, &g.index(), &ctx, &table);
         // Source, the three middle tasks, sink.
         assert_eq!(model.twin, [false, false, true, true, false]);
     }
@@ -660,7 +654,8 @@ mod tests {
                     let g = random_task_graph(seed as u64, &RandomGraphParams { tasks, ..family });
                     let idx = g.index();
                     let list = ListScheduler::new().schedule(&g, &ctx);
-                    let model = Model::new(&g, &idx, &ctx);
+                    let table = CommTable::new(&g, &ctx);
+                    let model = Model::new(&g, &idx, &ctx, &table);
                     let (bf_ms, bf) = brute_force(&g, &idx, &ctx, &model.order);
                     let case = format!("{} {comm:?} seed {seed}", platform.name);
 

@@ -25,6 +25,19 @@
 //! interference inflation. Because the schedule is fully static, "at any
 //! point in time, all shared resource contenders are known" (§ II) — the
 //! property the system-level WCET analysis exploits.
+//!
+//! One kernel, [`Evaluator`], turns a fixed task→core assignment into a
+//! schedule: the annealer's proposals, branch-and-bound's final
+//! re-evaluation, the system-level WCET rounds and the one-shot
+//! [`evaluate_assignment`] all run through it. It rests on two facts.
+//! The dispatch order — Kahn's algorithm popping the smallest ready
+//! task index — is fixed by the graph and never by the assignment, so
+//! it is computed once. An edge's communication cost depends only on
+//! its volume and its two cores, so a comm table holds, per distinct
+//! edge volume, the [`SchedCtx::comm_cost`] of every ordered pair of
+//! cores, zero on the diagonal. An evaluation is then one pass over the
+//! order with table lookups; the makespan of an assignment allocates
+//! nothing.
 
 pub mod anneal;
 pub mod bnb;
@@ -33,7 +46,8 @@ pub mod random;
 
 use argo_adl::{CoreId, Platform};
 use argo_htg::{Htg, TaskId};
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 use std::fmt;
 
 /// A flattened task DAG: the scheduling view of one HTG hierarchy level.
@@ -189,8 +203,8 @@ impl TaskGraph {
 /// Every scheduler used to rebuild `preds()`/`succs()`/`topo_order()`
 /// `Vec<Vec<_>>` adjacency on each call — the annealer did so once per
 /// *proposal*. Building the index once per graph and sharing it across
-/// the schedule evaluation kernel removes those allocations from the
-/// inner loop entirely.
+/// the schedulers and [`Evaluator::new`] removes those allocations from
+/// the inner loops entirely.
 #[derive(Debug, Clone)]
 pub struct TaskGraphIndex {
     pred_off: Vec<u32>,
@@ -432,57 +446,195 @@ impl Schedule {
     }
 }
 
-/// Evaluates a fixed task→core `assignment` into a full [`Schedule`] by
-/// dispatching tasks in topological order, as early as possible.
+/// Evaluates a fixed task→core `assignment` into a full [`Schedule`]:
+/// tasks are dispatched in the graph's dispatch order, each appended to
+/// the end of its core as early as its predecessors and their
+/// communication allow.
 ///
-/// Builds the adjacency index on each call; callers evaluating many
-/// assignments of one graph (the annealer, the exact solver) should
-/// build the index once and use [`evaluate_assignment_indexed`].
+/// The kernel relies on the dispatch order being Kahn's algorithm
+/// popping the smallest ready task index: it is fixed by the graph, so
+/// it is computed once, never per assignment. Communication comes from
+/// a comm table holding, for each distinct edge volume, the
+/// [`SchedCtx::comm_cost`] of every ordered pair of cores (zero on the
+/// diagonal, as same-core edges cost nothing), since an edge's cost
+/// depends only on its volume and its two cores.
+///
+/// A one-shot convenience over [`Evaluator`]; callers evaluating many
+/// assignments or cost vectors of one graph should build one evaluator
+/// and reuse it.
 pub fn evaluate_assignment(g: &TaskGraph, ctx: &SchedCtx<'_>, assignment: &[CoreId]) -> Schedule {
-    evaluate_assignment_indexed(g, &g.index(), ctx, assignment)
+    Evaluator::new(g, &g.index(), ctx).schedule(assignment)
 }
 
-/// [`evaluate_assignment`] over a prebuilt [`TaskGraphIndex`] — the
-/// shared, allocation-light evaluation kernel of the annealer and the
-/// exact solver; deterministic (ready ties broken by task index).
-pub fn evaluate_assignment_indexed(
-    g: &TaskGraph,
-    idx: &TaskGraphIndex,
-    ctx: &SchedCtx<'_>,
-    assignment: &[CoreId],
-) -> Schedule {
-    let mut start = vec![0u64; g.len()];
-    let mut finish = vec![0u64; g.len()];
-    let mut core_avail = vec![0u64; ctx.cores()];
-    let mut indeg: Vec<u32> = (0..g.len()).map(|t| idx.indegree(t) as u32).collect();
-    let mut ready: Vec<usize> = (0..g.len()).filter(|&i| indeg[i] == 0).collect();
-    while !ready.is_empty() {
-        ready.sort_unstable();
-        let t = ready.remove(0);
-        let core = assignment[t];
-        let mut est = core_avail[core.0];
-        for &(p, bytes) in idx.preds(t) {
-            let comm = if assignment[p] == core {
-                0
-            } else {
-                ctx.comm_cost(assignment[p], core, bytes)
-            };
-            est = est.max(finish[p] + comm);
-        }
-        start[t] = est;
-        finish[t] = est + g.cost[t];
-        core_avail[core.0] = finish[t];
-        for &(s, _) in idx.succs(t) {
-            indeg[s] -= 1;
-            if indeg[s] == 0 {
-                ready.push(s);
+/// The communication cost of every distinct edge volume of a graph
+/// between every ordered pair of cores, filled once from
+/// [`SchedCtx::comm_cost`]: an edge's cost depends only on its volume
+/// and its two cores, never on the rest of the assignment.
+#[derive(Debug, Clone)]
+pub(crate) struct CommTable {
+    cores: usize,
+    /// The graph's distinct edge volumes, ascending.
+    volumes: Vec<u64>,
+    /// `cost[offset(bytes) + from * cores + to]`: one `cores × cores`
+    /// block per volume, zero on the diagonal, where no communication
+    /// is charged.
+    pub(crate) cost: Vec<u64>,
+}
+
+impl CommTable {
+    pub(crate) fn new(g: &TaskGraph, ctx: &SchedCtx<'_>) -> CommTable {
+        let cores = ctx.cores();
+        let mut volumes: Vec<u64> = g.edges.iter().map(|e| e.2).collect();
+        volumes.sort_unstable();
+        volumes.dedup();
+        let mut cost = vec![0u64; volumes.len() * cores * cores];
+        for (v, &bytes) in volumes.iter().enumerate() {
+            for from in 0..cores {
+                for to in (0..cores).filter(|&to| to != from) {
+                    cost[(v * cores + from) * cores + to] =
+                        ctx.comm_cost(CoreId(from), CoreId(to), bytes);
+                }
             }
         }
+        CommTable {
+            cores,
+            volumes,
+            cost,
+        }
     }
-    Schedule {
-        assignment: assignment.to_vec(),
-        start,
-        finish,
+
+    /// Offset of the block of `bytes`, which must be an edge volume of
+    /// the graph.
+    pub(crate) fn offset(&self, bytes: u64) -> usize {
+        let v = self
+            .volumes
+            .binary_search(&bytes)
+            .expect("volume of a graph edge");
+        v * self.cores * self.cores
+    }
+}
+
+/// The assignment evaluation kernel (see the [crate docs](crate)):
+/// turns task→core assignments of one graph on one [`SchedCtx`] into
+/// makespans or full [`Schedule`]s.
+///
+/// Built once per graph and context, it holds everything that does not
+/// depend on the assignment: the dispatch order, the predecessors of
+/// each dispatch position, the comm table and the reusable finish-time
+/// and core-availability buffers. Building it costs one
+/// [`SchedCtx::comm_cost`] call per distinct edge volume and ordered
+/// pair of distinct cores (the seed apps' graphs have one to three
+/// volumes). [`Evaluator::set_costs`] swaps in new task costs, as the
+/// system-level WCET analysis does every round.
+#[derive(Debug, Clone)]
+pub struct Evaluator {
+    cores: usize,
+    /// Dispatch position → task.
+    order: Vec<usize>,
+    /// Task → cost.
+    cost: Vec<u64>,
+    /// CSR predecessors per dispatch position: `(pred task, comm offset)`.
+    pred_off: Vec<usize>,
+    preds: Vec<(usize, usize)>,
+    /// Shared with branch-and-bound's search model.
+    pub(crate) comm: CommTable,
+    /// Task → finish time of the last evaluation.
+    finish: Vec<u64>,
+    /// Core → time it becomes free.
+    avail: Vec<u64>,
+}
+
+impl Evaluator {
+    /// Builds the evaluator of `g` (with its index `idx`) on `ctx`.
+    pub fn new(g: &TaskGraph, idx: &TaskGraphIndex, ctx: &SchedCtx<'_>) -> Evaluator {
+        let n = g.len();
+        let comm = CommTable::new(g, ctx);
+        // Kahn's algorithm popping the smallest ready index: the order
+        // depends on the graph alone, so every assignment is dispatched
+        // alike. (`TaskGraphIndex::topo_order` pops LIFO; it would
+        // sequence the tasks of a core differently and move makespans.)
+        let mut indeg: Vec<usize> = (0..n).map(|t| idx.indegree(t)).collect();
+        let mut ready: BinaryHeap<Reverse<usize>> =
+            (0..n).filter(|&t| indeg[t] == 0).map(Reverse).collect();
+        let mut order = Vec::with_capacity(n);
+        while let Some(Reverse(t)) = ready.pop() {
+            order.push(t);
+            for &(s, _) in idx.succs(t) {
+                indeg[s] -= 1;
+                if indeg[s] == 0 {
+                    ready.push(Reverse(s));
+                }
+            }
+        }
+        let mut pred_off = Vec::with_capacity(n + 1);
+        let mut preds = Vec::with_capacity(g.edges.len());
+        pred_off.push(0);
+        for &t in &order {
+            preds.extend(idx.preds(t).iter().map(|&(p, b)| (p, comm.offset(b))));
+            pred_off.push(preds.len());
+        }
+        Evaluator {
+            cores: ctx.cores(),
+            order,
+            cost: g.cost.clone(),
+            pred_off,
+            preds,
+            comm,
+            finish: vec![0; n],
+            avail: vec![0; ctx.cores()],
+        }
+    }
+
+    /// Replaces the per-task costs (the system-level analysis inflates
+    /// them round by round); the graph's shape stays.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cost` does not have one entry per task.
+    pub fn set_costs(&mut self, cost: &[u64]) {
+        self.cost.copy_from_slice(cost);
+    }
+
+    /// The makespan of `assignment`, touching only preallocated buffers.
+    pub fn makespan(&mut self, assignment: &[CoreId]) -> u64 {
+        let Evaluator {
+            cores,
+            order,
+            cost,
+            pred_off,
+            preds,
+            comm,
+            finish,
+            avail,
+        } = self;
+        avail.fill(0);
+        let mut makespan = 0;
+        for (d, &t) in order.iter().enumerate() {
+            let core = assignment[t].0;
+            let mut est = avail[core];
+            for &(p, off) in &preds[pred_off[d]..pred_off[d + 1]] {
+                est = est.max(finish[p] + comm.cost[off + assignment[p].0 * *cores + core]);
+            }
+            finish[t] = est + cost[t];
+            avail[core] = finish[t];
+            makespan = makespan.max(finish[t]);
+        }
+        makespan
+    }
+
+    /// The full schedule of `assignment`.
+    pub fn schedule(&mut self, assignment: &[CoreId]) -> Schedule {
+        self.makespan(assignment);
+        Schedule {
+            assignment: assignment.to_vec(),
+            start: self
+                .finish
+                .iter()
+                .zip(&self.cost)
+                .map(|(f, c)| f - c)
+                .collect(),
+            finish: self.finish.clone(),
+        }
     }
 }
 
@@ -549,8 +701,135 @@ pub(crate) mod test_graphs {
 
 #[cfg(test)]
 mod tests {
+    use super::random::{random_task_graph, RandomGraphParams};
     use super::test_graphs::diamond;
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The straightforward ready-set kernel that [`Evaluator`] must
+    /// match: it re-sorts the ready list before every dispatch and
+    /// prices every cross-core edge through [`SchedCtx::comm_cost`].
+    fn reference_evaluate(
+        g: &TaskGraph,
+        idx: &TaskGraphIndex,
+        ctx: &SchedCtx<'_>,
+        assignment: &[CoreId],
+    ) -> Schedule {
+        let mut start = vec![0u64; g.len()];
+        let mut finish = vec![0u64; g.len()];
+        let mut core_avail = vec![0u64; ctx.cores()];
+        let mut indeg: Vec<u32> = (0..g.len()).map(|t| idx.indegree(t) as u32).collect();
+        let mut ready: Vec<usize> = (0..g.len()).filter(|&i| indeg[i] == 0).collect();
+        while !ready.is_empty() {
+            ready.sort_unstable();
+            let t = ready.remove(0);
+            let core = assignment[t];
+            let mut est = core_avail[core.0];
+            for &(p, bytes) in idx.preds(t) {
+                let comm = if assignment[p] == core {
+                    0
+                } else {
+                    ctx.comm_cost(assignment[p], core, bytes)
+                };
+                est = est.max(finish[p] + comm);
+            }
+            start[t] = est;
+            finish[t] = est + g.cost[t];
+            core_avail[core.0] = finish[t];
+            for &(s, _) in idx.succs(t) {
+                indeg[s] -= 1;
+                if indeg[s] == 0 {
+                    ready.push(s);
+                }
+            }
+        }
+        Schedule {
+            assignment: assignment.to_vec(),
+            start,
+            finish,
+        }
+    }
+
+    /// `g` with its tasks relabelled by a seeded random permutation, so
+    /// that edges run from higher to lower indices too (the generator
+    /// numbers tasks layer by layer, which makes every dispatch order
+    /// the identity).
+    fn shuffled(g: &TaskGraph, rng: &mut StdRng) -> TaskGraph {
+        let n = g.len();
+        let mut label: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            label.swap(i, rng.gen_range(0..=i));
+        }
+        let mut out = g.clone();
+        for (t, &l) in label.iter().enumerate() {
+            out.cost[l] = g.cost[t];
+        }
+        for e in &mut out.edges {
+            *e = (label[e.0], label[e.1], e.2);
+        }
+        out
+    }
+
+    #[test]
+    fn evaluator_matches_the_ready_set_reference() {
+        let platforms = [
+            Platform::xentium_manycore(1),
+            Platform::xentium_manycore(2),
+            Platform::xentium_manycore(3),
+            Platform::xentium_manycore(4),
+            Platform::xentium_manycore(8),
+            Platform::kit_tile_noc(2, 2),
+        ];
+        let comms = [
+            CommModel::Free,
+            CommModel::SignalOnly,
+            CommModel::PlatformWorstCase,
+        ];
+        let mut rng = StdRng::seed_from_u64(15);
+        let mut cases = 0;
+        for platform in &platforms {
+            for comm in comms {
+                let ctx = SchedCtx { platform, comm };
+                let m = ctx.cores();
+                for seed in 0..8u64 {
+                    let params = RandomGraphParams {
+                        tasks: 1 + rng.gen_range(0..24usize),
+                        layers: 1 + rng.gen_range(0..5usize),
+                        edge_prob: rng.gen_range(0.1..0.9),
+                        bytes_range: (8, 64 + rng.gen_range(0..2048u64)),
+                        ..Default::default()
+                    };
+                    let g = shuffled(&random_task_graph(seed, &params), &mut rng);
+                    let idx = g.index();
+                    // One evaluator across every assignment and cost
+                    // update of this graph: no state may leak between
+                    // calls.
+                    let mut reused = Evaluator::new(&g, &idx, &ctx);
+                    for round in 0..8 {
+                        let assignment: Vec<CoreId> =
+                            (0..g.len()).map(|_| CoreId(rng.gen_range(0..m))).collect();
+                        let mut costed = g.clone();
+                        if round > 0 {
+                            for c in &mut costed.cost {
+                                *c += rng.gen_range(0..400u64);
+                            }
+                        }
+                        let case = format!("{} {comm:?} seed {seed} round {round}", platform.name);
+                        let reference = reference_evaluate(&costed, &idx, &ctx, &assignment);
+                        reused.set_costs(&costed.cost);
+                        assert_eq!(reused.makespan(&assignment), reference.makespan(), "{case}");
+                        assert_eq!(reused.schedule(&assignment), reference, "{case}");
+                        let fresh = Evaluator::new(&costed, &idx, &ctx).schedule(&assignment);
+                        assert_eq!(fresh, reference, "{case}");
+                        assert_eq!(evaluate_assignment(&costed, &ctx, &assignment), reference);
+                        cases += 1;
+                    }
+                }
+            }
+        }
+        assert!(cases >= 1000, "{cases} cases");
+    }
 
     #[test]
     fn topo_order_is_valid() {

@@ -26,7 +26,7 @@
 use argo_adl::{MemSpace, MemoryMap, Platform};
 use argo_htg::Htg;
 use argo_parir::ParallelProgram;
-use argo_sched::{evaluate_assignment, CommModel, SchedCtx, TaskGraph};
+use argo_sched::{CommModel, Evaluator, SchedCtx, TaskGraph};
 
 /// MHP precision of the system-level analysis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,17 +122,19 @@ pub fn analyze(
             .collect()
     };
 
-    let evaluate = |costs: Vec<u64>| {
-        let mut g = pp.graph.clone();
-        g.cost = costs;
-        evaluate_assignment(&g, &ctx, &pp.schedule.assignment)
+    // One evaluator per analysis: every round re-schedules the same
+    // graph and assignment, only the inflated costs change.
+    let mut evaluator = Evaluator::new(&pp.graph, &pp.graph.index(), &ctx);
+    let mut evaluate = |costs: &[u64]| {
+        evaluator.set_costs(costs);
+        evaluator.schedule(&pp.schedule.assignment)
     };
 
     match mode {
         MhpMode::Naive => {
             let contenders = vec![platform.core_count(); n];
             let task_wcet = inflate(&contenders);
-            let s = evaluate(task_wcet.clone());
+            let s = evaluate(&task_wcet);
             SystemWcet {
                 bound: s.makespan(),
                 iso_wcet: iso_wcet.to_vec(),
@@ -147,7 +149,7 @@ pub fn analyze(
             let mhp = static_mhp(pp);
             let contenders = contenders_from_mhp(pp, shared_accesses, &mhp);
             let task_wcet = inflate(&contenders);
-            let s = evaluate(task_wcet.clone());
+            let s = evaluate(&task_wcet);
             SystemWcet {
                 bound: s.makespan(),
                 iso_wcet: iso_wcet.to_vec(),
@@ -162,7 +164,7 @@ pub fn analyze(
             // Start from isolated costs; grow contender sets monotonically
             // from window overlaps until a fixed point.
             let mut contenders = vec![1usize; n];
-            let mut sched = evaluate(iso_wcet.to_vec());
+            let mut sched = evaluate(iso_wcet);
             let mut iterations = 0;
             loop {
                 iterations += 1;
@@ -176,9 +178,8 @@ pub fn analyze(
                     }
                 }
                 let task_wcet = inflate(&contenders);
-                sched = evaluate(task_wcet);
+                sched = evaluate(&task_wcet);
                 if !changed || iterations >= 10 {
-                    let task_wcet = inflate(&contenders);
                     return SystemWcet {
                         bound: sched.makespan(),
                         iso_wcet: iso_wcet.to_vec(),

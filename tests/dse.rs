@@ -309,3 +309,23 @@ fn bnb_sweep_matches_golden_csv() {
         "branch-and-bound sweep drifted from the golden CSV"
     );
 }
+
+/// The annealer's answers through the whole toolflow: the bus and NoC
+/// sweep reproduces `tests/golden/sweep_anneal.csv` byte for byte. The
+/// golden is the CLI's output for the same space:
+/// `argo-dse explore --app egpws,polka,weaa --platforms bus,noc
+/// --cores 1,2,4,8 --schedulers anneal --threads 1 --csv <file>`.
+#[test]
+fn anneal_sweep_matches_golden_csv() {
+    let space = DesignSpace::new()
+        .apps(["egpws", "polka", "weaa"].map(String::from))
+        .platforms(vec![PlatformKind::Bus, PlatformKind::Noc])
+        .cores(vec![1, 2, 4, 8])
+        .schedulers(vec![SchedulerKind::Anneal]);
+    let csv = Explorer::with_threads(1).explore(&space).to_csv();
+    assert_eq!(
+        csv,
+        include_str!("golden/sweep_anneal.csv"),
+        "annealing sweep drifted from the golden CSV"
+    );
+}
