@@ -739,6 +739,41 @@ mod tests {
     }
 
     #[test]
+    fn json_bytes_are_pinned() {
+        let expected = r#"{
+  "rows": [
+    {"app": "egpws", "platform": "bus", "cores": 1, "scheduler": "list", "granularity": "loop", "chunk": true, "spm_bytes": 4096, "pareto": true, "tasks": 5, "signals": 4, "seq_wcet": 1000, "par_wcet": 1000, "speedup": 1.0000, "feedback_iterations": 2, "verify_findings": 0},
+    {"app": "egpws", "platform": "bus", "cores": 4, "scheduler": "list", "granularity": "loop", "chunk": true, "spm_bytes": 4096, "pareto": true, "tasks": 5, "signals": 4, "seq_wcet": 1000, "par_wcet": 400, "speedup": 2.5000, "feedback_iterations": 2, "verify_findings": 0},
+    {"app": "egpws", "platform": "bus", "cores": 4, "scheduler": "anneal", "granularity": "loop", "chunk": true, "spm_bytes": 4096, "pareto": false, "error": {"stage": "backend", "code": "parallel-model-failed", "entity": "t3", "message": "scheduler exploded"}}
+  ],
+  "pareto": [0, 1],
+  "cache": {"frontend_hits": 2, "frontend_misses": 1, "cost_hits": 1, "cost_misses": 2, "sched_hits": 3, "sched_misses": 3, "hit_rate": 0.5000, "frontend_store_hits": 1, "frontend_store_misses": 0, "cost_store_hits": 0, "cost_store_misses": 2, "sched_store_hits": 0, "sched_store_misses": 3, "point_store_hits": 2, "point_store_misses": 1, "combined_hit_rate": 0.6000},
+  "timing": {"frontend_runs": 1, "frontend_ms": 2.000, "seed_cost_runs": 2, "seed_cost_ms": 1.000, "backend_runs": 3, "backend_ms": 7.000, "verify_runs": 2, "verify_ms": 0.500, "schedule_builds": 3, "schedule_build_ms": 1.500},
+
+  "threads": 4,
+  "wall_ms": 12.0
+}
+"#;
+        assert_eq!(sample_report().to_json(), expected);
+
+        // Strings that need escaping: app name, entity and message.
+        let mut r = sample_report();
+        r.rows[2].point.app = "o'brien \"café\"".into();
+        r.rows[2].outcome = Err(Diagnostic::new(
+            Stage::Backend,
+            ErrorCode::ParallelModelFailed,
+            "line\none\ttab\\ \u{1}",
+        )
+        .with_entity("t\"3\""));
+        let j = r.to_json();
+        let row = j.lines().nth(4).unwrap();
+        assert_eq!(
+            row,
+            r#"    {"app": "o'brien \"café\"", "platform": "bus", "cores": 4, "scheduler": "anneal", "granularity": "loop", "chunk": true, "spm_bytes": 4096, "pareto": false, "error": {"stage": "backend", "code": "parallel-model-failed", "entity": "t\"3\"", "message": "line\none\ttab\\ \u0001"}}"#
+        );
+    }
+
+    #[test]
     fn stored_point_round_trips_both_outcomes() {
         let ok = StoredPoint {
             spm_effective: 4096,
