@@ -19,15 +19,12 @@
 //! is fine — the cold pass simply finds fewer fresh fingerprints).
 //!
 //! ```text
-//! e10_serve [--clients N] [--connect ADDR] [--merge BENCH_hotpaths.json]
+//! e10_serve [--clients N] [--connect ADDR]
 //! ```
 //!
-//! `--merge` appends/replaces `e10_serve_cold` / `e10_serve_hot` rows
-//! (p50 as `median_ns`, plus `p99_ns`) in a `bench_hotpaths` output
-//! file, so replay latency lands in the same perf record as the micro
-//! benches. Exits non-zero if any invariant fails.
+//! Exits non-zero if any invariant fails.
 
-use argo_bench::hotpaths::{merge_rows, PassReport};
+use argo_bench::PassReport;
 use argo_serve::{Client, Listener, ServeConfig, Server, Value};
 use std::time::Instant;
 
@@ -84,15 +81,13 @@ fn replay_pass(addr: &str, clients: usize, requests: &[String]) -> Vec<u64> {
 fn main() {
     let mut clients = 4usize;
     let mut connect: Option<String> = None;
-    let mut merge: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--clients" => clients = args.next().expect("--clients N").parse().expect("number"),
             "--connect" => connect = Some(args.next().expect("--connect ADDR")),
-            "--merge" => merge = Some(args.next().expect("--merge PATH")),
             other => {
-                eprintln!("usage: e10_serve [--clients N] [--connect ADDR] [--merge PATH]");
+                eprintln!("usage: e10_serve [--clients N] [--connect ADDR]");
                 eprintln!("unknown argument `{other}`");
                 std::process::exit(2);
             }
@@ -176,13 +171,6 @@ fn main() {
         "hot ",
         &format!("combined store hits on repeats: 100% ({hot_hits} archive hits, 0 misses)"),
     );
-
-    if let Some(path) = merge {
-        let rows = [cold.row("e10_serve_cold"), hot.row("e10_serve_hot")];
-        merge_rows(&path, "e10_serve_", &rows)
-            .unwrap_or_else(|e| panic!("merging into {path}: {e}"));
-        eprintln!("merged e10 rows into {path}");
-    }
 
     if let Some(server) = server {
         let mut client = Client::connect_tcp(&addr).expect("connect for shutdown");

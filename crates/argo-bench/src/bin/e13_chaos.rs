@@ -23,13 +23,10 @@
 //!    without a single pipeline stage (100% warm-start archive hits).
 //!
 //! ```text
-//! e13_chaos [--clients N] [--rounds R] [--seed S] [--rate PERMILLE] [--merge PATH]
+//! e13_chaos [--clients N] [--rounds R] [--seed S] [--rate PERMILLE]
 //! ```
-//!
-//! `--merge` appends/replaces `e13_chaos_faulty` / `e13_chaos_restart`
-//! rows in a `bench_hotpaths` output file, preserving every other row.
 
-use argo_bench::hotpaths::{merge_rows, PassReport};
+use argo_bench::PassReport;
 use argo_chaos::{ChaosIo, FaultPlan};
 use argo_serve::{
     Client, Listener, RetryClient, RetryPolicy, ServeConfig, Server, ServerHandle, Value,
@@ -355,7 +352,6 @@ fn main() {
     let mut rounds = 3usize;
     let mut seed = 7u64;
     let mut rate = 150u16;
-    let mut merge: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -369,11 +365,10 @@ fn main() {
                     .parse()
                     .expect("number")
             }
-            "--merge" => merge = Some(args.next().expect("--merge PATH")),
             other => {
                 eprintln!(
                     "usage: e13_chaos [--clients N] [--rounds R] [--seed S] \
-                     [--rate PERMILLE] [--merge PATH]"
+                     [--rate PERMILLE]"
                 );
                 eprintln!("unknown argument `{other}`");
                 std::process::exit(2);
@@ -394,22 +389,9 @@ fn main() {
     panic_phase(&requests, &reference, rounds, seed);
 
     #[cfg(unix)]
-    let restart = Some(restart_phase(&requests, seed));
-    #[cfg(not(unix))]
-    let restart: Option<PassReport> = None;
-    if let Some(restart) = &restart {
-        restart.print(
-            "restart",
-            "byte-identical across drain + warm boot, zero pipeline stages on replay",
-        );
-    }
-
-    if let Some(path) = merge {
-        let mut rows = vec![faulty.row("e13_chaos_faulty")];
-        rows.extend(restart.map(|r| r.row("e13_chaos_restart")));
-        merge_rows(&path, "e13_chaos_", &rows)
-            .unwrap_or_else(|e| panic!("merging into {path}: {e}"));
-        eprintln!("merged e13 rows into {path}");
-    }
+    restart_phase(&requests, seed).print(
+        "restart",
+        "byte-identical across drain + warm boot, zero pipeline stages on replay",
+    );
     println!("e13_chaos: all chaos invariants held");
 }

@@ -1,18 +1,18 @@
 //! # argo-bench — experiment drivers for the evaluation suite
 //!
-//! One driver per experiment of EXPERIMENTS.md (E1–E8). Each driver
-//! returns the table text it prints, so the binaries (`src/bin/eN_*.rs`)
-//! and the Criterion benches share the exact same code paths.
+//! One driver per experiment (E1–E9). Each driver returns the table
+//! text it prints, so the binaries (`src/bin/eN_*.rs`) and the unit
+//! tests below run the exact same code paths. The daemon drivers
+//! `e10_serve` and `e13_chaos` share [`replay_requests`] and
+//! [`PassReport`].
 //!
 //! The source paper (DATE 2017 project overview) contains a single figure
 //! — the tool-flow diagram — and no quantitative tables; the experiments
-//! quantify each claim of §§ I–III instead (see DESIGN.md § 5).
+//! quantify each claim of §§ I–III instead.
 //!
-//! The [`hotpaths`] module holds the one row type and writer behind
-//! `BENCH_hotpaths.json`, shared by `bench_hotpaths`, `e10_serve` and
-//! `e13_chaos`.
-
-pub mod hotpaths;
+//! Performance is measured by the `perfbench` benchmark at the
+//! repository root, not here: these drivers assert invariants and print
+//! tables.
 
 use argo_adl::{Arbitration, CacheConfig, Platform};
 use argo_core::{CollectingObserver, SchedulerKind, Stage, ToolchainConfig, Toolflow};
@@ -589,6 +589,56 @@ pub fn replay_requests() -> Vec<String> {
         }
     }
     requests
+}
+
+/// Latency summary of one request-replay pass.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PassReport {
+    /// Requests completed in the pass.
+    pub requests: usize,
+    /// Wall time of the whole pass.
+    pub wall_ns: u64,
+    /// Median per-request latency.
+    pub p50_ns: u64,
+    /// 99th-percentile per-request latency.
+    pub p99_ns: u64,
+}
+
+impl PassReport {
+    /// Summarizes per-request `latencies` (sorted in place) of a pass
+    /// that took `wall_ns`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `latencies` is empty.
+    pub fn of(latencies: &mut [u64], wall_ns: u64) -> PassReport {
+        latencies.sort_unstable();
+        let n = latencies.len();
+        PassReport {
+            requests: n,
+            wall_ns,
+            p50_ns: latencies[n / 2],
+            p99_ns: latencies[(n * 99 / 100).min(n - 1)],
+        }
+    }
+
+    /// Completed requests per second of pass wall time.
+    pub fn throughput(&self) -> f64 {
+        self.requests as f64 / (self.wall_ns as f64 * 1e-9)
+    }
+
+    /// Prints the one-line pass summary to stdout.
+    pub fn print(&self, label: &str, detail: &str) {
+        println!(
+            "{label}: {} requests in {:.1} ms   p50 {:.1} us   p99 {:.1} us   \
+             throughput {:.1} req/s   {detail}",
+            self.requests,
+            self.wall_ns as f64 / 1e6,
+            self.p50_ns as f64 / 1e3,
+            self.p99_ns as f64 / 1e3,
+            self.throughput(),
+        );
+    }
 }
 
 #[cfg(test)]

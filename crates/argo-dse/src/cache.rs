@@ -147,17 +147,90 @@ impl CacheStats {
     }
 }
 
-type Slot<T> = Arc<OnceLock<Result<Arc<T>, Diagnostic>>>;
-
-/// One stage tier's counters plus its store namespace, bundled so
-/// `get_or_build` stays generic over the tier it serves.
-struct Tier<'a> {
-    hits: &'a AtomicU64,
-    misses: &'a AtomicU64,
-    store_hits: &'a AtomicU64,
-    store_misses: &'a AtomicU64,
+/// One cache tier: a once-initialized slot per key, the tier's store
+/// namespace and its memory and store hit/miss counters.
+struct Tier<V> {
     namespace: &'static str,
+    slots: Mutex<HashMap<Fingerprint, Arc<OnceLock<V>>>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    store_hits: AtomicU64,
+    store_misses: AtomicU64,
 }
+
+impl<V: Clone> Tier<V> {
+    fn new(namespace: &'static str) -> Tier<V> {
+        Tier {
+            namespace,
+            slots: Mutex::default(),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            store_hits: AtomicU64::new(0),
+            store_misses: AtomicU64::new(0),
+        }
+    }
+
+    /// The value under `key`: from memory, else read back from `store`,
+    /// else built (`build` writes through itself). Counts a memory hit
+    /// or miss and, when the slot is filled with a store attached, a
+    /// store hit or miss. A value that `keep` rejects is returned but
+    /// its slot is dropped, so the next lookup fills it afresh.
+    fn get(
+        &self,
+        key: Fingerprint,
+        store: Option<&Store>,
+        read: impl FnOnce(&Store) -> Option<V>,
+        build: impl FnOnce() -> V,
+        keep: impl FnOnce(&V) -> bool,
+    ) -> V {
+        let (slot, created) = {
+            let mut slots = self.slots.lock().unwrap();
+            match slots.get(&key) {
+                Some(slot) => (Arc::clone(slot), false),
+                None => {
+                    let slot = Arc::new(OnceLock::new());
+                    slots.insert(key, Arc::clone(&slot));
+                    (slot, true)
+                }
+            }
+        };
+        let counter = if created { &self.misses } else { &self.hits };
+        counter.fetch_add(1, Ordering::Relaxed);
+        let value = slot
+            .get_or_init(|| {
+                if let Some(store) = store {
+                    if let Some(value) = read(store) {
+                        self.store_hits.fetch_add(1, Ordering::Relaxed);
+                        return value;
+                    }
+                    self.store_misses.fetch_add(1, Ordering::Relaxed);
+                }
+                build()
+            })
+            .clone();
+        if !keep(&value) {
+            let mut slots = self.slots.lock().unwrap();
+            if slots.get(&key).is_some_and(|s| Arc::ptr_eq(s, &slot)) {
+                slots.remove(&key);
+            }
+        }
+        value
+    }
+
+    /// `[hits, misses, store hits, store misses]`.
+    fn counts(&self) -> [u64; 4] {
+        [
+            &self.hits,
+            &self.misses,
+            &self.store_hits,
+            &self.store_misses,
+        ]
+        .map(|c| c.load(Ordering::Relaxed))
+    }
+}
+
+/// An artifact tier's slot value: failures are cached like successes.
+type Built<T> = Result<Arc<T>, Diagnostic>;
 
 /// Four-tier artifact cache: frontend artifacts, seed-cost tables,
 /// mapping-stage schedules (all in-memory, optionally store-backed) and
@@ -167,27 +240,28 @@ struct Tier<'a> {
 /// share schedules across points whose feedback rounds re-derive
 /// identical `(task graph, platform, scheduler)` inputs (ROADMAP item
 /// (c)) — e.g. the MHP axis, or converged rounds within one backend.
-#[derive(Default)]
 pub struct ArtifactCache {
     store: Option<Arc<Store>>,
-    frontend: Mutex<HashMap<Fingerprint, Slot<FrontendArtifact>>>,
-    costs: Mutex<HashMap<Fingerprint, Slot<CostTable>>>,
-    schedules: Mutex<HashMap<Fingerprint, Arc<OnceLock<Schedule>>>>,
-    frontend_hits: AtomicU64,
-    frontend_misses: AtomicU64,
-    cost_hits: AtomicU64,
-    cost_misses: AtomicU64,
-    sched_hits: AtomicU64,
-    sched_misses: AtomicU64,
+    frontend: Tier<Built<FrontendArtifact>>,
+    costs: Tier<Built<CostTable>>,
+    schedules: Tier<Schedule>,
     sched_build_ns: AtomicU64,
-    frontend_store_hits: AtomicU64,
-    frontend_store_misses: AtomicU64,
-    cost_store_hits: AtomicU64,
-    cost_store_misses: AtomicU64,
-    sched_store_hits: AtomicU64,
-    sched_store_misses: AtomicU64,
     point_store_hits: AtomicU64,
     point_store_misses: AtomicU64,
+}
+
+impl Default for ArtifactCache {
+    fn default() -> ArtifactCache {
+        ArtifactCache {
+            store: None,
+            frontend: Tier::new(NS_FRONTEND),
+            costs: Tier::new(NS_COSTS),
+            schedules: Tier::new(NS_SCHEDULE),
+            sched_build_ns: AtomicU64::new(0),
+            point_store_hits: AtomicU64::new(0),
+            point_store_misses: AtomicU64::new(0),
+        }
+    }
 }
 
 impl ArtifactCache {
@@ -208,58 +282,37 @@ impl ArtifactCache {
         self.store.as_ref()
     }
 
+    /// An artifact tier lookup: store entries are fingerprint-validated
+    /// on read, only successes are written through, and transient
+    /// failures (deadline, caught panic, leader failure) are not
+    /// memoized — they are not deterministic in the key, so replaying
+    /// one would fail every later request for this artifact. Waiters
+    /// already parked on a transient slot share the error, which is
+    /// itself retryable.
     fn get_or_build<T: Codec + Artifact>(
         &self,
-        map: &Mutex<HashMap<Fingerprint, Slot<T>>>,
-        tier: Tier<'_>,
+        tier: &Tier<Built<T>>,
         key: Fingerprint,
         build: impl FnOnce() -> Result<T, Diagnostic>,
-    ) -> Result<Arc<T>, Diagnostic> {
-        let (slot, created) = {
-            let mut map = map.lock().unwrap();
-            match map.get(&key) {
-                Some(slot) => (Arc::clone(slot), false),
-                None => {
-                    let slot: Slot<T> = Arc::new(OnceLock::new());
-                    map.insert(key, Arc::clone(&slot));
-                    (slot, true)
-                }
-            }
-        };
-        if created {
-            tier.misses.fetch_add(1, Ordering::Relaxed);
-        } else {
-            tier.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        let result = slot
-            .get_or_init(|| {
-                if let Some(store) = &self.store {
-                    if let Some(value) = store.get_artifact::<T>(tier.namespace, key) {
-                        tier.store_hits.fetch_add(1, Ordering::Relaxed);
-                        return Ok(Arc::new(value));
-                    }
-                    tier.store_misses.fetch_add(1, Ordering::Relaxed);
-                }
+    ) -> Built<T> {
+        let store = self.store.as_deref();
+        tier.get(
+            key,
+            store,
+            |store| {
+                store
+                    .get_artifact(tier.namespace, key)
+                    .map(|v| Ok(Arc::new(v)))
+            },
+            || {
                 let result = build().map(Arc::new);
-                if let (Some(store), Ok(value)) = (&self.store, &result) {
+                if let (Some(store), Ok(value)) = (store, &result) {
                     store.put_artifact(tier.namespace, key, &**value);
                 }
                 result
-            })
-            .clone();
-        if matches!(&result, Err(d) if d.code.is_transient()) {
-            // Transient failures (deadline, caught panic, leader
-            // failure) are not deterministic in the key — memoizing
-            // one would replay it to every later request for this
-            // artifact. Drop the slot so the next lookup rebuilds;
-            // waiters already parked on this slot share the error,
-            // which is itself transient and retryable.
-            let mut map = map.lock().unwrap();
-            if map.get(&key).is_some_and(|s| Arc::ptr_eq(s, &slot)) {
-                map.remove(&key);
-            }
-        }
-        result
+            },
+            |result| !matches!(result, Err(d) if d.code.is_transient()),
+        )
     }
 
     /// Returns the frontend artifact for `key`, building it at most once
@@ -275,18 +328,7 @@ impl ArtifactCache {
         key: Fingerprint,
         build: impl FnOnce() -> Result<FrontendArtifact, Diagnostic>,
     ) -> Result<Arc<FrontendArtifact>, Diagnostic> {
-        self.get_or_build(
-            &self.frontend,
-            Tier {
-                hits: &self.frontend_hits,
-                misses: &self.frontend_misses,
-                store_hits: &self.frontend_store_hits,
-                store_misses: &self.frontend_store_misses,
-                namespace: NS_FRONTEND,
-            },
-            key,
-            build,
-        )
+        self.get_or_build(&self.frontend, key, build)
     }
 
     /// Returns the seed-cost table for `key`, building it at most once
@@ -300,18 +342,7 @@ impl ArtifactCache {
         key: Fingerprint,
         build: impl FnOnce() -> Result<CostTable, Diagnostic>,
     ) -> Result<Arc<CostTable>, Diagnostic> {
-        self.get_or_build(
-            &self.costs,
-            Tier {
-                hits: &self.cost_hits,
-                misses: &self.cost_misses,
-                store_hits: &self.cost_store_hits,
-                store_misses: &self.cost_store_misses,
-                namespace: NS_COSTS,
-            },
-            key,
-            build,
-        )
+        self.get_or_build(&self.costs, key, build)
     }
 
     /// Reads a whole point outcome from the persistent archive. Returns
@@ -340,20 +371,25 @@ impl ArtifactCache {
 
     /// Snapshot of the hit/miss counters.
     pub fn stats(&self) -> CacheStats {
+        let [frontend_hits, frontend_misses, frontend_store_hits, frontend_store_misses] =
+            self.frontend.counts();
+        let [cost_hits, cost_misses, cost_store_hits, cost_store_misses] = self.costs.counts();
+        let [sched_hits, sched_misses, sched_store_hits, sched_store_misses] =
+            self.schedules.counts();
         CacheStats {
-            frontend_hits: self.frontend_hits.load(Ordering::Relaxed),
-            frontend_misses: self.frontend_misses.load(Ordering::Relaxed),
-            cost_hits: self.cost_hits.load(Ordering::Relaxed),
-            cost_misses: self.cost_misses.load(Ordering::Relaxed),
-            sched_hits: self.sched_hits.load(Ordering::Relaxed),
-            sched_misses: self.sched_misses.load(Ordering::Relaxed),
+            frontend_hits,
+            frontend_misses,
+            cost_hits,
+            cost_misses,
+            sched_hits,
+            sched_misses,
             sched_build_ns: self.sched_build_ns.load(Ordering::Relaxed),
-            frontend_store_hits: self.frontend_store_hits.load(Ordering::Relaxed),
-            frontend_store_misses: self.frontend_store_misses.load(Ordering::Relaxed),
-            cost_store_hits: self.cost_store_hits.load(Ordering::Relaxed),
-            cost_store_misses: self.cost_store_misses.load(Ordering::Relaxed),
-            sched_store_hits: self.sched_store_hits.load(Ordering::Relaxed),
-            sched_store_misses: self.sched_store_misses.load(Ordering::Relaxed),
+            frontend_store_hits,
+            frontend_store_misses,
+            cost_store_hits,
+            cost_store_misses,
+            sched_store_hits,
+            sched_store_misses,
             point_store_hits: self.point_store_hits.load(Ordering::Relaxed),
             point_store_misses: self.point_store_misses.load(Ordering::Relaxed),
         }
@@ -366,40 +402,24 @@ impl ArtifactCache {
 /// builds and charge nothing).
 impl ScheduleCache for ArtifactCache {
     fn schedule(&self, key: Fingerprint, build: &mut dyn FnMut() -> Schedule) -> Schedule {
-        let (slot, created) = {
-            let mut map = self.schedules.lock().unwrap();
-            match map.get(&key) {
-                Some(slot) => (Arc::clone(slot), false),
-                None => {
-                    let slot: Arc<OnceLock<Schedule>> = Arc::new(OnceLock::new());
-                    map.insert(key, Arc::clone(&slot));
-                    (slot, true)
+        let store = self.store.as_deref();
+        let tier = &self.schedules;
+        tier.get(
+            key,
+            store,
+            |store| store.get_value(tier.namespace, key),
+            || {
+                let t0 = Instant::now();
+                let schedule = build();
+                self.sched_build_ns
+                    .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                if let Some(store) = store {
+                    store.put_value(tier.namespace, key, &schedule);
                 }
-            }
-        };
-        if created {
-            self.sched_misses.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.sched_hits.fetch_add(1, Ordering::Relaxed);
-        }
-        slot.get_or_init(|| {
-            if let Some(store) = &self.store {
-                if let Some(schedule) = store.get_value::<Schedule>(NS_SCHEDULE, key) {
-                    self.sched_store_hits.fetch_add(1, Ordering::Relaxed);
-                    return schedule;
-                }
-                self.sched_store_misses.fetch_add(1, Ordering::Relaxed);
-            }
-            let t0 = Instant::now();
-            let schedule = build();
-            self.sched_build_ns
-                .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            if let Some(store) = &self.store {
-                store.put_value(NS_SCHEDULE, key, &schedule);
-            }
-            schedule
-        })
-        .clone()
+                schedule
+            },
+            |_| true,
+        )
     }
 }
 

@@ -10,15 +10,14 @@
 //! results, charged inside the backend) is measured by the cache itself
 //! and reported as [`StageTimings::schedule_builds`].
 //!
-//! Since the `argo-trace` rewrite the observer is a thin shell over an
-//! [`argo_trace::SpanAgg`]: each stage-finish event is folded under the
-//! same `stage.<label>` name the session driver records as a tracer
-//! span, so stage-wall totals, flame summaries and Chrome traces are
-//! three views of one measurement — there is no second timing source
-//! to drift from.
+//! The totals are kept on every run. The session driver's `stage.*`
+//! tracer spans time the same stage executions, but they are recorded
+//! only while tracing is on (`--trace`), and the `stage wall:` report
+//! line, the daemon's `stats` reply and the benchmark's per-stage
+//! figures need the totals without it.
 
-use argo_core::{stage_span_name, Stage, StageObserver, StageSummary};
-use argo_trace::SpanAgg;
+use argo_core::{Stage, StageObserver, StageSummary};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Accumulated runs and wall time of one stage or cache tier.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -82,13 +81,13 @@ impl StageTimings {
 }
 
 /// Thread-safe observer summing stage wall time across the concurrent
-/// sessions of one sweep, implemented as a span aggregator
-/// ([`argo_trace::SpanAgg`] keyed by [`stage_span_name`]). Stage
-/// events from different worker threads interleave freely — only
-/// per-name totals are kept, so no nesting assumptions are made.
+/// sessions of one sweep. Stage events from different worker threads
+/// interleave freely — only per-stage totals are kept, so no nesting
+/// assumptions are made.
 #[derive(Debug, Default)]
 pub struct TimingObserver {
-    agg: SpanAgg,
+    /// Runs and total nanoseconds per stage, indexed by `Stage as usize`.
+    totals: [(AtomicU64, AtomicU64); 4],
 }
 
 impl TimingObserver {
@@ -98,11 +97,16 @@ impl TimingObserver {
     }
 
     /// Snapshot of the accumulated totals (the `schedule_builds` tier
-    /// is filled in by the explorer from cache counters).
+    /// is filled in by the explorer from cache counters). A stage's runs
+    /// and time are read one after the other, so a snapshot taken while
+    /// a stage finishes may count its run but not yet its time.
     pub fn snapshot(&self) -> StageTimings {
         let tier = |stage: Stage| {
-            let (runs, nanos) = self.agg.get(stage_span_name(stage));
-            TierTiming { runs, nanos }
+            let (runs, nanos) = &self.totals[stage as usize];
+            TierTiming {
+                runs: runs.load(Ordering::Relaxed),
+                nanos: nanos.load(Ordering::Relaxed),
+            }
         };
         StageTimings {
             frontend: tier(Stage::Frontend),
@@ -116,8 +120,9 @@ impl TimingObserver {
 
 impl StageObserver for TimingObserver {
     fn on_stage_finish(&self, summary: &StageSummary) {
-        self.agg
-            .record(stage_span_name(summary.stage), summary.elapsed);
+        let (runs, nanos) = &self.totals[summary.stage as usize];
+        runs.fetch_add(1, Ordering::Relaxed);
+        nanos.fetch_add(summary.elapsed.as_nanos() as u64, Ordering::Relaxed);
     }
 }
 

@@ -20,6 +20,7 @@ use crate::space::{granularity_label, scheduler_label, ExplorationPoint};
 use argo_core::codec::{Codec, DecodeError, Decoder, Encoder};
 use argo_core::Diagnostic;
 use argo_search::Budget;
+use argo_trace::json::escape;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -400,9 +401,9 @@ impl ExplorationReport {
             let p = &row.point;
             let _ = write!(
                 s,
-                "    {{\"app\": {}, \"platform\": \"{}\", \"cores\": {}, \"scheduler\": \"{}\", \
+                "    {{\"app\": \"{}\", \"platform\": \"{}\", \"cores\": {}, \"scheduler\": \"{}\", \
                  \"granularity\": \"{}\", \"chunk\": {}, \"spm_bytes\": {}, \"pareto\": {}",
-                json_string(&p.app),
+                escape(&p.app),
                 p.platform.label(),
                 p.cores,
                 scheduler_label(p.scheduler),
@@ -430,14 +431,14 @@ impl ExplorationReport {
                     let _ = write!(
                         s,
                         ", \"error\": {{\"stage\": \"{}\", \"code\": \"{}\", \"entity\": {}, \
-                         \"message\": {}}}",
+                         \"message\": \"{}\"}}",
                         e.stage.label(),
                         e.code.label(),
                         match &e.entity {
-                            Some(entity) => json_string(entity),
+                            Some(entity) => format!("\"{}\"", escape(entity)),
                             None => "null".to_string(),
                         },
-                        json_string(&e.message)
+                        escape(&e.message)
                     );
                 }
             }
@@ -526,26 +527,6 @@ fn csv_escape(s: &str) -> String {
     } else {
         s.to_string()
     }
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -804,6 +785,5 @@ mod tests {
     fn escaping_handles_specials() {
         assert_eq!(csv_escape("a,b"), "\"a,b\"");
         assert_eq!(csv_escape("plain"), "plain");
-        assert_eq!(json_string("say \"hi\"\n"), "\"say \\\"hi\\\"\\n\"");
     }
 }

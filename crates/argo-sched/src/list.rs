@@ -152,6 +152,7 @@ impl Scheduler for ListScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::random::{random_task_graph, RandomGraphParams};
     use crate::test_graphs::{diamond, fork_join};
     use crate::{sequential_schedule, CommModel};
     use argo_adl::Platform;
@@ -164,6 +165,22 @@ mod tests {
             let s = ListScheduler::new().schedule(&g, &ctx);
             s.validate(&g, &ctx).unwrap();
         }
+    }
+
+    #[test]
+    fn schedules_a_thousand_task_graph_validly() {
+        let g = random_task_graph(
+            7,
+            &RandomGraphParams {
+                tasks: 1000,
+                layers: 25,
+                ..Default::default()
+            },
+        );
+        let p = Platform::xentium_manycore(4);
+        let ctx = SchedCtx::new(&p);
+        let s = ListScheduler::new().schedule_indexed(&g, &g.index(), &ctx);
+        s.validate(&g, &ctx).unwrap();
     }
 
     #[test]

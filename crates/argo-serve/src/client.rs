@@ -18,8 +18,8 @@
 //! capacity, deadline exceeded, …), not a transport failure — resend
 //! decisions for those belong to the application.
 
-use crate::proto::Value;
 use crate::server::Conn;
+use argo_trace::json::Value;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::TcpStream;
 #[cfg(unix)]

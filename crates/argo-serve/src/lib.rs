@@ -208,7 +208,9 @@ pub mod proto;
 pub mod server;
 pub mod singleflight;
 
+/// The JSON value that requests and reply frames parse into.
+pub use argo_trace::json::Value;
 pub use client::{Client, Reply, RetryClient, RetryPolicy};
-pub use proto::{parse_request, Envelope, PointSpec, Request, SearchSpec, SweepSpec, Value};
+pub use proto::{parse_request, Envelope, PointSpec, Request, SearchSpec, SweepSpec};
 pub use server::{Listener, ServeConfig, Server, ServerHandle};
 pub use singleflight::{LeaderFailed, SingleFlight};

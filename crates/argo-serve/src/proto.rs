@@ -1,5 +1,5 @@
-//! Wire protocol: a minimal JSON reader/writer (std only, no deps) and
-//! the typed request layer on top of it.
+//! Wire protocol: the typed request layer over the workspace's JSON
+//! reader ([`argo_trace::json`]).
 //!
 //! Every request arrives as one JSON object on one line; every reply
 //! frame leaves as one JSON object on one line (see the crate docs for
@@ -17,248 +17,8 @@ use argo_dse::space::{
 };
 use argo_dse::{DesignSpace, ExplorationPoint, PlatformKind, PointMetrics};
 use argo_htg::Granularity;
+use argo_trace::json::{escape, Value};
 use argo_wcet::system::MhpMode;
-
-/// A parsed JSON value. Objects preserve key order (the parser is for
-/// requests, not for general documents — duplicate keys keep the last).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any JSON number (requests only carry integers that fit an f64).
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Value>),
-    /// An object.
-    Obj(Vec<(String, Value)>),
-}
-
-impl Value {
-    /// Parses one JSON document, requiring full consumption.
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0;
-        let v = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing bytes at offset {pos}"));
-        }
-        Ok(v)
-    }
-
-    /// Object field lookup (last occurrence wins).
-    pub fn get(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Obj(fields) => fields.iter().rev().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The string payload, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The numeric payload as a non-negative integer.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
-                Some(*n as u64)
-            }
-            _ => None,
-        }
-    }
-
-    /// The boolean payload, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The element list, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Value]> {
-        match self {
-            Value::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
-    if bytes.get(*pos) == Some(&b) {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected `{}` at offset {pos}", b as char))
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'"') => Ok(Value::Str(parse_string(bytes, pos)?)),
-        Some(b't') => parse_lit(bytes, pos, "true", Value::Bool(true)),
-        Some(b'f') => parse_lit(bytes, pos, "false", Value::Bool(false)),
-        Some(b'n') => parse_lit(bytes, pos, "null", Value::Null),
-        Some(_) => parse_number(bytes, pos),
-        None => Err("unexpected end of input".into()),
-    }
-}
-
-fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &str, v: Value) -> Result<Value, String> {
-    if bytes[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(v)
-    } else {
-        Err(format!("bad literal at offset {pos}"))
-    }
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-    let start = *pos;
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-    {
-        *pos += 1;
-    }
-    std::str::from_utf8(&bytes[start..*pos])
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .filter(|n| n.is_finite())
-        .map(Value::Num)
-        .ok_or_else(|| format!("bad number at offset {start}"))
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(bytes, pos, b'"')?;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".into()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .and_then(|h| u32::from_str_radix(h, 16).ok())
-                            .ok_or("bad \\u escape")?;
-                        out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err("bad escape".into()),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so the
-                // byte stream is valid UTF-8 by construction).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().ok_or("unterminated string")?;
-                out.push(c);
-                *pos += c.len_utf8();
-            }
-        }
-    }
-}
-
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-    expect(bytes, pos, b'[')?;
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Value::Arr(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Value::Arr(items));
-            }
-            _ => return Err(format!("expected `,` or `]` at offset {pos}")),
-        }
-    }
-}
-
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-    expect(bytes, pos, b'{')?;
-    let mut fields = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Value::Obj(fields));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
-        skip_ws(bytes, pos);
-        expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
-        fields.push((key, value));
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Value::Obj(fields));
-            }
-            _ => return Err(format!("expected `,` or `}}` at offset {pos}")),
-        }
-    }
-}
-
-/// Escapes `s` for embedding in a JSON string literal.
-pub fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Wire label of an MHP mode (the request vocabulary, which matches the
 /// CLI labels rather than the longer `Display` forms).
@@ -681,7 +441,7 @@ pub fn parse_request(line: &str) -> Result<Envelope, String> {
 /// `{"stage": "...", "code": "...", "entity": ...|null, "message": "..."}`.
 pub fn diag_json(d: &Diagnostic) -> String {
     let entity = match &d.entity {
-        Some(e) => format!("\"{}\"", esc(e)),
+        Some(e) => format!("\"{}\"", escape(e)),
         None => "null".into(),
     };
     format!(
@@ -689,7 +449,7 @@ pub fn diag_json(d: &Diagnostic) -> String {
         d.stage.label(),
         d.code.label(),
         entity,
-        esc(&d.message)
+        escape(&d.message)
     )
 }
 
@@ -712,33 +472,6 @@ pub fn metrics_json(m: &PointMetrics) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn values_parse() {
-        let v = Value::parse(r#"{"a": [1, 2.5, null], "b": "x\ny", "c": true}"#).unwrap();
-        assert_eq!(v.get("a").unwrap().as_arr().unwrap().len(), 3);
-        assert_eq!(v.get("b").unwrap().as_str(), Some("x\ny"));
-        assert_eq!(v.get("c").unwrap().as_bool(), Some(true));
-        assert_eq!(v.get("a").unwrap().as_arr().unwrap()[0].as_u64(), Some(1));
-        assert!(Value::parse("{").is_err());
-        assert!(Value::parse("{} extra").is_err());
-        assert!(
-            Value::parse(r#"{"u": "é"}"#)
-                .unwrap()
-                .get("u")
-                .unwrap()
-                .as_str()
-                == Some("é")
-        );
-    }
-
-    #[test]
-    fn escape_round_trips() {
-        let nasty = "a\"b\\c\nd\te\u{1}f";
-        let line = format!("{{\"s\": \"{}\"}}", esc(nasty));
-        let v = Value::parse(&line).unwrap();
-        assert_eq!(v.get("s").unwrap().as_str(), Some(nasty));
-    }
 
     #[test]
     fn compile_requests_parse_with_defaults() {

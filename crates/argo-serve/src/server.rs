@@ -21,6 +21,7 @@ use argo_core::{CancelToken, Diagnostic, FeedbackSnapshot, Stage, StageObserver,
 use argo_dse::executor::parallel_map;
 use argo_dse::{pareto_front, DesignSpace, Explorer, ReportRow, StageTimings, TimingObserver};
 use argo_search::Budget;
+use argo_trace::json::escape;
 use argo_trace::{Counter, Histogram, LATENCY_US_BUCKETS};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -238,7 +239,7 @@ impl StageObserver for ForwardObserver {
             self.id,
             summary.seq,
             summary.stage.label(),
-            proto::esc(&summary.detail),
+            escape(&summary.detail),
             summary.elapsed.as_micros(),
             summary.fingerprint
         ));
@@ -913,7 +914,7 @@ impl Inner {
                 }
                 let extra = format!(
                     "\"strategy\":\"{}\",\"lattice\":{},\"evaluated\":{},",
-                    proto::esc(&spec.strategy),
+                    escape(&spec.strategy),
                     space.len(),
                     report.rows.len()
                 );
@@ -1103,7 +1104,7 @@ impl Inner {
         }
         format!(
             "\"ok\":true,\"kind\":\"metrics\",\"result\":{{\"prometheus\":\"{}\"}}",
-            proto::esc(&text)
+            escape(&text)
         )
     }
 }
@@ -1115,7 +1116,7 @@ fn error_body(code: &str, message: &str) -> String {
     format!(
         "\"error\":{{\"code\":\"{}\",\"message\":\"{}\"}}",
         code,
-        proto::esc(message)
+        escape(message)
     )
 }
 
@@ -1143,7 +1144,7 @@ fn point_body(
     row: &ReportRow,
     result: impl Fn(&argo_dse::PointMetrics) -> String,
 ) -> String {
-    let label = proto::esc(&row.point.label());
+    let label = escape(&row.point.label());
     match &row.outcome {
         Ok(metrics) => format!(
             "\"ok\":true,\"kind\":\"{kind}\",\"result\":{{\"label\":\"{label}\",\
@@ -1173,7 +1174,7 @@ fn sweep_body(kind: &str, rows: &[ReportRow], extra: Option<&str>) -> String {
         }
         pareto.push_str(&format!(
             "{{\"label\":\"{}\",\"cores\":{},\"par_bound\":{},\"spm\":{},\"speedup\":{:.4}}}",
-            proto::esc(&row.point.label()),
+            escape(&row.point.label()),
             row.point.cores,
             metrics.par_bound,
             row.spm_effective,

@@ -14,6 +14,7 @@
 //! orphan-tmp files), so scripts can gate on store health.
 
 use argo_store::{FsckReport, Store};
+use argo_trace::json::escape;
 use std::process::ExitCode;
 use std::time::SystemTime;
 
@@ -100,7 +101,7 @@ fn stats_json(dir: &str, store: &Store) -> String {
          {{\"hits\": {}, \"misses\": {}, \"corrupt\": {}, \"version_skew\": {}, \
          \"evictions\": {}, \"write_errors\": {}}}, \"latency\": \
          {{\"get\": {}, \"put\": {}}}}}",
-        dir.escape_default(),
+        escape(dir),
         stats.entries,
         stats.bytes,
         c.hits,
@@ -123,7 +124,7 @@ fn fsck_json(report: &FsckReport) -> String {
             format!(
                 "{{\"class\": \"{}\", \"path\": \"{}\"}}",
                 f.class.label(),
-                f.path.display().to_string().escape_default()
+                escape(&f.path.display().to_string())
             )
         })
         .collect();
@@ -245,6 +246,8 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use argo_core::Fingerprint;
+    use argo_trace::json::Value;
 
     #[test]
     fn args_parse() {
@@ -274,35 +277,51 @@ mod tests {
         assert!(parse_args(&args).unwrap().repair);
     }
 
+    /// A fresh store directory whose name needs JSON escaping.
+    fn awkward_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!(
+            "argo-store-{tag}-{}-o'brien \"q\" back\\slash café",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
     #[test]
     fn fsck_json_shape() {
-        let dir = std::env::temp_dir().join(format!("argo-store-fsck-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = awkward_dir("fsck");
         let store = Store::open(&dir).unwrap();
-        use argo_core::Fingerprint;
         store.put_value("unit", Fingerprint(1), &vec![1u64; 8]);
-        std::fs::write(dir.join("tmp").join("1-0.tmp"), b"half").unwrap();
+        let orphan = dir.join("tmp").join("1-0.tmp");
+        std::fs::write(&orphan, b"half").unwrap();
         let json = fsck_json(&store.fsck(false));
         assert!(json.contains("\"scanned\": 1"), "{json}");
         assert!(json.contains("\"valid\": 1"), "{json}");
         assert!(json.contains("\"tmp_orphans\": 1"), "{json}");
         assert!(json.contains("\"problems\": 1"), "{json}");
         assert!(json.contains("\"class\": \"tmp-orphan\""), "{json}");
+        let doc = Value::parse(&json).expect("fsck --json is valid JSON");
+        let findings = doc.get("findings").and_then(Value::as_arr).unwrap();
+        assert_eq!(findings.len(), 1, "{json}");
+        assert_eq!(
+            findings[0].get("path").and_then(Value::as_str),
+            Some(orphan.display().to_string().as_str()),
+            "the finding path round-trips"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn stats_json_shape() {
-        let dir = std::env::temp_dir().join(format!("argo-store-cli-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = awkward_dir("cli");
         let store = Store::open(&dir).unwrap();
-        use argo_core::Fingerprint;
         for i in 0..3u64 {
             store.put_value("unit", Fingerprint(i), &vec![i; 8]);
         }
         let _ = store.get_value::<Vec<u64>>("unit", Fingerprint(0));
         let _ = store.get_value::<Vec<u64>>("unit", Fingerprint(9)); // miss
-        let json = stats_json("/tmp/s", &store);
+        let dir_text = dir.display().to_string();
+        let json = stats_json(&dir_text, &store);
         assert!(json.starts_with('{') && json.ends_with('}'), "{json}");
         assert!(json.contains("\"entries\": 3"), "{json}");
         assert!(json.contains("\"hits\": 1"), "{json}");
@@ -314,6 +333,12 @@ mod tests {
         assert!(
             json.contains("\"count\": 3"),
             "put histogram saw 3 writes: {json}"
+        );
+        let doc = Value::parse(&json).expect("stats --json is valid JSON");
+        assert_eq!(
+            doc.get("store").and_then(Value::as_str),
+            Some(dir_text.as_str()),
+            "the store path round-trips"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

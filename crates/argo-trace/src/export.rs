@@ -2,28 +2,10 @@
 //! `chrome://tracing`) and a text flame summary (top-N self-time by
 //! span name).
 
+use crate::json::escape;
 use crate::span::{thread_names, SpanRecord, Tracer};
 use std::collections::HashMap;
 use std::fmt::Write as _;
-
-/// Minimal JSON string escaping for span/thread names.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Renders records as Chrome trace-event JSON: one complete (`"ph":
 /// "X"`) event per span — balanced by construction, unlike paired B/E
@@ -41,7 +23,7 @@ pub fn chrome_trace(records: &[SpanRecord]) -> String {
             out,
             "{{\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"name\":\"thread_name\",\
              \"args\":{{\"name\":\"{}\"}}}}",
-            esc(&name)
+            escape(&name)
         );
     }
     for r in records {
@@ -54,7 +36,7 @@ pub fn chrome_trace(records: &[SpanRecord]) -> String {
             "{{\"ph\":\"X\",\"pid\":1,\"tid\":{},\"name\":\"{}\",\
              \"ts\":{:.3},\"dur\":{:.3},\"args\":{{\"id\":{},\"parent\":{}}}}}",
             r.thread,
-            esc(&r.name),
+            escape(&r.name),
             r.start_ns as f64 / 1_000.0,
             r.dur_ns as f64 / 1_000.0,
             r.id,

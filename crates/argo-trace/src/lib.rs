@@ -7,8 +7,7 @@
 //!   per-thread hierarchy (session → stage → sub-phase → per-point),
 //!   recorded into a bounded ring buffer with atomic slot claim. The
 //!   `argo-core` session driver opens one `stage.*` span per stage it
-//!   runs; `argo_dse::TimingObserver` folds the same durations through
-//!   a [`SpanAgg`].
+//!   runs.
 //! - **Exporters** ([`chrome_trace`], [`flame_summary`]): Chrome
 //!   trace-event JSON (open in Perfetto or `chrome://tracing`) and a
 //!   text top-N self-time table, both behind `--trace out.json` on
@@ -17,6 +16,9 @@
 //!   [`Histogram`]): atomic counters/gauges and fixed-bucket latency
 //!   histograms with p50/p90/p99 derivation, rendered as Prometheus
 //!   text exposition (the `argo-serve` `metrics` request).
+//! - **JSON** ([`json`]): the workspace's one JSON reader
+//!   ([`json::Value`]) and string escaper ([`json::escape`]), shared by
+//!   every crate that writes or reads JSON.
 //!
 //! # Cost model
 //!
@@ -25,14 +27,15 @@
 //! hot-subsystem counters (annealer proposals, BnB expansions, WCET
 //! fixpoint rounds). Instrumented inner loops count into locals and
 //! publish once per call *after* checking the gate, so a disabled
-//! build does no shared-memory traffic on the hot paths —
-//! `bench_hotpaths` pins this. Request/IO-level metrics (serve request
-//! latency, store get/put latency) are always on: one histogram
-//! observe per request or file operation. Spans and metrics are only
-//! ever surfaced through side channels (`--trace` files, the `metrics`
-//! request, `stats --json`, stderr summaries) — never in deterministic
-//! response bodies or CSV, so byte-identical replay contracts are
-//! unaffected.
+//! build does no shared-memory traffic on the hot paths. `perfbench`
+//! times this build in its untraced runs, and its `trace.overhead`
+//! metric is the cost of turning tracing on. Request/IO-level metrics
+//! (serve request latency, store get/put latency) are always on: one
+//! histogram observe per request or file operation. Spans and metrics
+//! are only ever surfaced through side channels (`--trace` files, the
+//! `metrics` request, `stats --json`, stderr summaries) — never in
+//! deterministic response bodies or CSV, so byte-identical replay
+//! contracts are unaffected.
 //!
 //! # OBSERVABILITY
 //!
@@ -79,12 +82,13 @@
 //! ```
 
 mod export;
+pub mod json;
 mod metrics;
 mod span;
 
 pub use export::{chrome_trace, flame_rows, flame_summary, write_chrome_trace, FlameRow};
 pub use metrics::{Counter, Gauge, Histogram, Registry, COUNT_BUCKETS, LATENCY_US_BUCKETS};
-pub use span::{current_thread_id, thread_names, Span, SpanAgg, SpanRecord, Tracer};
+pub use span::{current_thread_id, thread_names, Span, SpanRecord, Tracer};
 
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, Ordering};

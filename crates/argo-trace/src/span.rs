@@ -1,5 +1,5 @@
-//! Hierarchical spans: RAII guards, a bounded ring buffer of completed
-//! span records, and a by-name aggregator.
+//! Hierarchical spans: RAII guards and a bounded ring buffer of
+//! completed span records.
 //!
 //! A [`Tracer`] hands out [`Span`] guards. While a guard is alive, new
 //! spans started on the same thread become its children (parent links
@@ -304,50 +304,6 @@ impl Drop for Span<'_> {
     }
 }
 
-/// Thread-safe by-name aggregation of completed spans: `(runs, total
-/// nanoseconds)` per span name. This is the "span aggregator" behind
-/// `argo-dse`'s `TimingObserver` — the same stage durations the tracer
-/// records as spans, folded into totals.
-#[derive(Debug, Default)]
-pub struct SpanAgg {
-    totals: Mutex<BTreeMap<Cow<'static, str>, (u64, u64)>>,
-}
-
-impl SpanAgg {
-    /// An empty aggregator.
-    pub fn new() -> SpanAgg {
-        SpanAgg::default()
-    }
-
-    /// Folds one completed span into the totals.
-    pub fn record(&self, name: impl Into<Cow<'static, str>>, elapsed: Duration) {
-        let mut totals = self.totals.lock().unwrap();
-        let entry = totals.entry(name.into()).or_insert((0, 0));
-        entry.0 += 1;
-        entry.1 += elapsed.as_nanos() as u64;
-    }
-
-    /// `(runs, total nanoseconds)` for `name` (zeros when unseen).
-    pub fn get(&self, name: &str) -> (u64, u64) {
-        self.totals
-            .lock()
-            .unwrap()
-            .get(name)
-            .copied()
-            .unwrap_or((0, 0))
-    }
-
-    /// All `(name, runs, total nanoseconds)` entries, by name.
-    pub fn entries(&self) -> Vec<(String, u64, u64)> {
-        self.totals
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(name, &(runs, nanos))| (name.to_string(), runs, nanos))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -450,17 +406,5 @@ mod tests {
         assert!(names
             .iter()
             .any(|(id, n)| *id == worker.thread && n == "span-worker"));
-    }
-
-    #[test]
-    fn aggregator_sums_by_name() {
-        let agg = SpanAgg::new();
-        agg.record("stage.frontend", Duration::from_nanos(100));
-        agg.record("stage.frontend", Duration::from_nanos(50));
-        agg.record("stage.backend", Duration::from_nanos(7));
-        assert_eq!(agg.get("stage.frontend"), (2, 150));
-        assert_eq!(agg.get("stage.backend"), (1, 7));
-        assert_eq!(agg.get("stage.verify"), (0, 0));
-        assert_eq!(agg.entries().len(), 2);
     }
 }

@@ -34,11 +34,14 @@
 //!   protocol, single-flight request coalescing, bounded worker pool,
 //!   all sessions sharing one persistent store;
 //! * [`chaos`] — deterministic fault injection for the store's I/O
-//!   backend, proving every injected fault degrades to a counted miss.
+//!   backend, proving every injected fault degrades to a counted miss;
+//! * [`trace`] — span tracing, metrics, and the workspace's one JSON
+//!   reader and string escaper ([`trace::json`]).
 //!
-//! The experiment drivers (E1–E10, `e13_chaos`, `bench_hotpaths`) live
-//! in the `argo-bench` crate, which builds on this facade's members but
-//! is not re-exported by it.
+//! The experiment drivers (E1–E10, `e13_chaos`) live in the
+//! `argo-bench` crate, which builds on this facade's members but is not
+//! re-exported by it. The benchmark, `perfbench/`, is a package of its
+//! own that depends on this facade.
 
 // The session driver API, re-exported at the facade root so downstream
 // code can spell `argo::Toolflow` / `argo::Diagnostic` directly.

@@ -1,11 +1,13 @@
 //! Integration tests for the `argo-trace` observability layer: span
 //! well-nestedness under arbitrary trees and ring eviction (proptest),
 //! histogram quantiles against a sorted-vector reference, the session
-//! driver's stage spans on failing stages, and a Chrome-trace export of
-//! a real pipeline run parsed with the `argo-serve` JSON reader.
+//! driver's stage spans on failing stages, the JSON escaper against the
+//! JSON reader (proptest), and a Chrome-trace export of a real pipeline
+//! run parsed with that reader.
 
 use argo_adl::Platform;
 use argo_core::{CollectingObserver, Diagnostic, ErrorCode, Stage, StageObserver, Toolflow};
+use argo_trace::json::{self, Value};
 use argo_trace::{chrome_trace, Histogram, Tracer, LATENCY_US_BUCKETS};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -27,8 +29,32 @@ fn replay(tracer: &Tracer, depths: &[u8]) {
     while stack.pop().is_some() {}
 }
 
+/// Characters the escaper must handle: control characters below 0x20,
+/// quotes and backslashes, printable ASCII, and non-ASCII scalars from
+/// the two- to four-byte UTF-8 ranges.
+fn json_char() -> impl Strategy<Value = char> {
+    prop_oneof![
+        (0u32..0x20).prop_map(|c| char::from_u32(c).unwrap()),
+        Just('"'),
+        Just('\\'),
+        (0x20u32..0x80).prop_map(|c| char::from_u32(c).unwrap()),
+        (0x80u32..0xd800).prop_map(|c| char::from_u32(c).unwrap()),
+        (0xe000u32..0x11_0000).prop_map(|c| char::from_u32(c).unwrap()),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Escaping any string and parsing it back yields the same string.
+    #[test]
+    fn escaped_strings_parse_back_unchanged(
+        chars in proptest::collection::vec(json_char(), 0..64),
+    ) {
+        let s: String = chars.into_iter().collect();
+        let parsed = Value::parse(&format!("\"{}\"", json::escape(&s)));
+        prop_assert_eq!(parsed, Ok(Value::Str(s)));
+    }
 
     /// Whatever the nesting script, surviving records are well-nested:
     /// any present parent fully contains its present children, and
@@ -194,7 +220,7 @@ fn chrome_export_of_e1_run_is_valid_and_complete() {
     let records = argo_trace::global().snapshot();
     assert!(!records.is_empty(), "the run recorded spans");
     let json = chrome_trace(&records);
-    let doc = argo_serve::Value::parse(&json).expect("trace parses as JSON");
+    let doc = Value::parse(&json).expect("trace parses as JSON");
     let events = doc
         .get("traceEvents")
         .expect("top-level traceEvents key")
