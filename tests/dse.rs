@@ -5,6 +5,7 @@
 use argo_core::SchedulerKind;
 use argo_dse::pareto::{dominates, pareto_front};
 use argo_dse::{DesignSpace, Explorer, PlatformKind};
+use argo_htg::Granularity;
 use argo_ir::parse::parse_program;
 use argo_store::Store;
 use proptest::prelude::*;
@@ -307,6 +308,34 @@ fn bnb_sweep_matches_golden_csv() {
         csv,
         include_str!("golden/sweep_bnb.csv"),
         "branch-and-bound sweep drifted from the golden CSV"
+    );
+}
+
+/// The granularity and chunking axes through the whole toolflow: list
+/// scheduling over the three apps on both platforms at 1–8 cores, at
+/// loop, block and statement granularity with chunking on and off,
+/// reproduces `tests/golden/sweep_granularity.csv` byte for byte. The
+/// golden is the CLI's output for the same space:
+/// `argo-dse explore --app egpws,polka,weaa --platforms bus,noc
+/// --cores 1,2,4,8 --granularities loop,block,stmt --chunk both
+/// --threads 1 --csv <file>`.
+#[test]
+fn granularity_sweep_matches_golden_csv() {
+    let space = DesignSpace::new()
+        .apps(["egpws", "polka", "weaa"].map(String::from))
+        .platforms(vec![PlatformKind::Bus, PlatformKind::Noc])
+        .cores(vec![1, 2, 4, 8])
+        .granularities(vec![
+            Granularity::Loop,
+            Granularity::Block,
+            Granularity::Stmt,
+        ])
+        .chunking(vec![true, false]);
+    let csv = Explorer::with_threads(1).explore(&space).to_csv();
+    assert_eq!(
+        csv,
+        include_str!("golden/sweep_granularity.csv"),
+        "granularity/chunking sweep drifted from the golden CSV"
     );
 }
 

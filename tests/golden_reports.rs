@@ -1,5 +1,7 @@
 //! Golden tests pinning `BackendResult::report()` byte-identical for the
-//! three use cases across all MHP modes.
+//! three use cases across all MHP modes, and the frontend and seed-cost
+//! stages digest by digest across granularities, core counts and
+//! chunking.
 //!
 //! The golden files under `tests/golden/` were generated from the
 //! pre-slot-resolution tool-chain, so these tests prove the interning /
@@ -13,9 +15,12 @@
 //! GOLDEN_UPDATE=1 cargo test --test golden_reports
 //! ```
 
-use argo_adl::Platform;
-use argo_core::{ToolchainConfig, Toolflow};
+use argo_adl::{CacheConfig, Platform};
+use argo_core::{FingerprintHasher, ToolchainConfig, Toolflow};
+use argo_dse::PlatformKind;
+use argo_htg::Granularity;
 use argo_wcet::system::MhpMode;
+use std::fmt::Write as _;
 use std::path::PathBuf;
 
 fn golden_path(name: &str) -> PathBuf {
@@ -56,4 +61,68 @@ fn reports_match_pre_resolution_goldens() {
             check_or_update(&format!("{}_{}.report.txt", uc.name, mhp), &r.report());
         }
     }
+}
+
+/// The FNV-1a digest of one rendering, as 16 hex digits.
+fn digest(text: &str) -> String {
+    FingerprintHasher::new().write_str(text).finish().to_hex()
+}
+
+/// Pins the frontend and seed-cost stages on every app × granularity ×
+/// core count × chunking choice. Each line digests the printed program,
+/// the loop bounds, the `{:?}` of the whole HTG (edge `vars` and
+/// `conflicts` and the tasks' read/write/live-read sets, which the
+/// HTG's fingerprint leaves out) and the round-0 cost tables on the
+/// bus, the NoC and the bus with `CacheConfig::small()` data caches.
+#[test]
+fn frontend_and_seed_costs_match_digests() {
+    let mut actual = String::new();
+    for uc in argo_apps::all_use_cases(42) {
+        for (label, granularity) in [
+            ("loop", Granularity::Loop),
+            ("block", Granularity::Block),
+            ("stmt", Granularity::Stmt),
+        ] {
+            for cores in [1, 2, 3, 4, 8] {
+                for chunk_loops in [true, false] {
+                    let cfg = ToolchainConfig {
+                        granularity,
+                        chunk_loops,
+                        ..Default::default()
+                    };
+                    let bus = PlatformKind::Bus.build(cores, None);
+                    let noc = PlatformKind::Noc.build(cores, None);
+                    let cached = bus.clone().with_caches(CacheConfig::small());
+                    let artifact = Toolflow::borrowed(&uc.program, uc.entry)
+                        .platform(&bus)
+                        .config(cfg.clone())
+                        .run_frontend()
+                        .expect("frontend");
+                    let seed = |platform: &Platform| {
+                        let table = Toolflow::borrowed(&uc.program, uc.entry)
+                            .platform(platform)
+                            .config(cfg.clone())
+                            .run_seed_costs(&artifact)
+                            .expect("seed costs");
+                        digest(&format!("{table:?}"))
+                    };
+                    writeln!(
+                        actual,
+                        "{} {label} cores={cores} chunk={} program={} bounds={} htg={} \
+                         bus={} noc={} cached={}",
+                        uc.name,
+                        if chunk_loops { "on" } else { "off" },
+                        digest(&argo_ir::printer::print_program(&artifact.program)),
+                        digest(&format!("{:?}", artifact.bounds)),
+                        digest(&format!("{:?}", artifact.htg)),
+                        seed(&bus),
+                        seed(&noc),
+                        seed(&cached),
+                    )
+                    .expect("write to String");
+                }
+            }
+        }
+    }
+    check_or_update("frontend_digests.txt", &actual);
 }
