@@ -30,7 +30,7 @@ use argo_sched::{evaluate_assignment, CommModel, SchedCtx, Schedule, Scheduler, 
 use argo_transform::chunk::chunk_all_parallel_loops;
 use argo_transform::fold::fold_program;
 use argo_wcet::cost::{program_symbols, CostCtx};
-use argo_wcet::schema::{function_wcets, stmt_ids_wcet};
+use argo_wcet::schema::TaskCoster;
 use argo_wcet::system::{analyze, task_shared_accesses};
 use argo_wcet::value::loop_bounds_resolved;
 use std::borrow::Cow;
@@ -429,13 +429,20 @@ impl<'a> Toolflow<'a> {
         let platform = self.require_platform(Stage::SeedCosts)?;
         let entry = self.entry.as_str();
         self.observed_stage(Stage::SeedCosts, || {
-            let mem = all_shared_map(&artifact.program, entry);
-            let ctx = CostCtx::new(&artifact.program, platform, argo_adl::CoreId(0), 1, &mem);
-            let fw = function_wcets(&ctx, &artifact.bounds).map_err(seed_err)?;
+            let program = &artifact.program;
+            let mem = all_shared_map(program, entry);
+            let symbols = program_symbols(program);
+            let ctx =
+                CostCtx::with_symbols(program, platform, argo_adl::CoreId(0), 1, &mem, &symbols);
+            let coster = TaskCoster::new(program, entry).map_err(seed_err)?;
+            let fw = coster
+                .callee_wcets(&ctx, &artifact.bounds)
+                .map_err(seed_err)?;
             let mut costs: BTreeMap<argo_htg::TaskId, u64> = BTreeMap::new();
             for &tid in &artifact.htg.top_level {
                 let task = artifact.htg.task(tid);
-                let w = stmt_ids_wcet(&ctx, &artifact.bounds, &fw, entry, &task.stmts)
+                let w = coster
+                    .task_wcet(&ctx, &artifact.bounds, &fw, &task.stmts)
                     .map_err(|e| seed_err(e).with_entity(task.name.clone()))?;
                 costs.insert(tid, w.max(1));
             }
@@ -486,10 +493,14 @@ impl<'a> Toolflow<'a> {
             let mut mem = all_shared_map(&program, entry);
             let mut assignment: Option<Vec<argo_adl::CoreId>> = None;
             let mut schedule: Option<Schedule> = None;
-            // Hoisted out of the feedback loop: the symbol tables and the
-            // task-graph skeleton (names, ids, edges) depend only on the
-            // program/HTG, not on the round — each round only re-costs.
+            // Hoisted out of the feedback loop: the symbol tables, the
+            // index of the entry's top-level statements with the set of
+            // functions it reaches, and the task-graph skeleton (names,
+            // ids, edges) depend only on the program/HTG, not on the
+            // round — each round only re-costs.
             let symbols = program_symbols(&program);
+            let coster = TaskCoster::new(&program, entry)
+                .map_err(|e| backend_err(ErrorCode::CodeWcetFailed, e))?;
             let mut graph = TaskGraph::skeleton_from_htg(&htg);
             let mut iso_costs: Vec<u64> = Vec::new();
             let mut iterations = 0;
@@ -497,9 +508,10 @@ impl<'a> Toolflow<'a> {
                 let _round_span = argo_trace::span("backend.round");
                 iterations = round + 1;
                 // Code-level WCET per task, on its (current) core,
-                // isolated. The function-WCET table only depends on the
-                // core, so it is computed once per distinct core rather
-                // than once per task.
+                // isolated: the sum of its top-level statements' costs.
+                // The callee table depends only on the core, so it is
+                // computed once per distinct core rather than once per
+                // task, and only over the functions the entry reaches.
                 let costs: BTreeMap<argo_htg::TaskId, u64> = match (round, seed) {
                     (0, Some(seeded)) => (**seeded).clone(),
                     _ => {
@@ -515,13 +527,15 @@ impl<'a> Toolflow<'a> {
                             if let std::collections::btree_map::Entry::Vacant(e) =
                                 fw_by_core.entry(core)
                             {
-                                let fw = function_wcets(&ctx, &bounds)
+                                let fw = coster
+                                    .callee_wcets(&ctx, &bounds)
                                     .map_err(|e| backend_err(ErrorCode::CodeWcetFailed, e))?;
                                 e.insert(fw);
                             }
                             let fw = &fw_by_core[&core];
                             let task = htg.task(tid);
-                            let w = stmt_ids_wcet(&ctx, &bounds, fw, entry, &task.stmts)
+                            let w = coster
+                                .task_wcet(&ctx, &bounds, fw, &task.stmts)
                                 .map_err(|e| backend_err(ErrorCode::CodeWcetFailed, e))?;
                             costs.insert(tid, w.max(1));
                         }

@@ -16,6 +16,7 @@ use argo_adl::MemSpace;
 use argo_ir::ast::*;
 use argo_ir::interp::OpClass;
 use argo_ir::StmtId;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Per-function WCETs (body cost, excluding caller-side call overhead).
@@ -28,14 +29,25 @@ pub type FunctionWcets = BTreeMap<String, u64>;
 /// Returns [`WcetError`] if a loop bound is missing for some loop (run
 /// [`crate::value::loop_bounds`] first or rely on literal bounds).
 pub fn function_wcets(ctx: &CostCtx<'_>, bounds: &LoopBounds) -> Result<FunctionWcets, WcetError> {
+    wcets_of(ctx, bounds, ctx.program.functions.iter().collect())
+}
+
+/// The WCETs of `functions`, bottom-up over their call DAG; each may
+/// call only functions of the same list.
+fn wcets_of(
+    ctx: &CostCtx<'_>,
+    bounds: &LoopBounds,
+    functions: Vec<&Function>,
+) -> Result<FunctionWcets, WcetError> {
     let mut done = FunctionWcets::new();
     // Iterate until all functions are resolved (call DAG: each pass
     // resolves at least the leaves).
-    let mut remaining: Vec<&Function> = ctx.program.functions.iter().collect();
+    let passes = functions.len() + 1;
+    let mut remaining = functions;
     let mut guard = 0;
     while !remaining.is_empty() {
         guard += 1;
-        if guard > ctx.program.functions.len() + 1 {
+        if guard > passes {
             return Err(WcetError::new("call graph is not acyclic"));
         }
         let mut next = Vec::new();
@@ -166,12 +178,123 @@ pub fn stmt_wcet(
     Ok(total)
 }
 
-/// WCET of the statements with the given ids inside `func` — the per-task
-/// WCET entry point used by the scheduler.
+/// The top-level statements of one function, indexed by id, and the
+/// functions it reaches through calls: what costing many tasks of that
+/// function needs. Build it once per stage run; then, per core view,
+/// cost the reached functions once ([`TaskCoster::callee_wcets`]) and
+/// every task as the sum of its statements ([`TaskCoster::task_wcet`]).
+#[derive(Debug, Clone)]
+pub struct TaskCoster<'p> {
+    func: &'p str,
+    stmts: BTreeMap<StmtId, &'p Stmt>,
+    /// Every function `func` reaches through calls, in program order;
+    /// never `func` itself.
+    callees: Vec<&'p Function>,
+}
+
+impl<'p> TaskCoster<'p> {
+    /// Indexes the top-level statements of `func` and collects the
+    /// functions it reaches: the functions whose loops the value
+    /// analysis ([`crate::value::loop_bounds_resolved`]) bounds.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WcetError`] if `program` has no function `func`.
+    pub fn new(program: &'p Program, func: &str) -> Result<TaskCoster<'p>, WcetError> {
+        let position = |name: &str| program.functions.iter().position(|f| f.name == name);
+        let entry =
+            position(func).ok_or_else(|| WcetError::new(format!("no function `{func}`")))?;
+        let mut reached = vec![false; program.functions.len()];
+        reached[entry] = true;
+        let mut queue = vec![entry];
+        while let Some(fi) = queue.pop() {
+            let body = &program.functions[fi].body;
+            let mut names: Vec<&str> = Vec::new();
+            argo_ir::visit::walk_stmts(body, &mut |s| {
+                if let StmtKind::Call { name, .. } = &s.kind {
+                    names.push(name);
+                }
+            });
+            for s in &body.stmts {
+                argo_ir::visit::walk_exprs(s, &mut |e| {
+                    if let Expr::Call { name, .. } = e {
+                        names.push(name);
+                    }
+                });
+            }
+            for name in names {
+                if argo_ir::intrinsics::is_intrinsic(name) {
+                    continue;
+                }
+                if let Some(ci) = position(name) {
+                    if !std::mem::replace(&mut reached[ci], true) {
+                        queue.push(ci);
+                    }
+                }
+            }
+        }
+        reached[entry] = false;
+        let f = &program.functions[entry];
+        Ok(TaskCoster {
+            func: &f.name,
+            stmts: f.body.stmts.iter().map(|s| (s.id, s)).collect(),
+            callees: program
+                .functions
+                .iter()
+                .zip(reached)
+                .filter_map(|(g, r)| r.then_some(g))
+                .collect(),
+        })
+    }
+
+    /// The WCETs of the functions the indexed function reaches, on
+    /// `ctx`'s core view: the table [`TaskCoster::task_wcet`] reads.
+    /// Functions it never calls are not costed.
+    ///
+    /// # Errors
+    ///
+    /// See [`function_wcets`].
+    pub fn callee_wcets(
+        &self,
+        ctx: &CostCtx<'_>,
+        bounds: &LoopBounds,
+    ) -> Result<FunctionWcets, WcetError> {
+        wcets_of(ctx, bounds, self.callees.clone())
+    }
+
+    /// WCET of the top-level statements `ids` (one task) on `ctx`'s
+    /// core view: the saturating sum of their [`stmt_wcet`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WcetError`] if an id is not a top-level statement of
+    /// the indexed function, or as [`stmt_wcet`] does.
+    pub fn task_wcet(
+        &self,
+        ctx: &CostCtx<'_>,
+        bounds: &LoopBounds,
+        fn_wcets: &FunctionWcets,
+        ids: &[StmtId],
+    ) -> Result<u64, WcetError> {
+        let mut total = 0u64;
+        for id in ids {
+            let s = self.stmts.get(id).ok_or_else(|| {
+                WcetError::new(format!("no top-level statement {id} in `{}`", self.func))
+            })?;
+            total = total.saturating_add(stmt_wcet(ctx, bounds, fn_wcets, self.func, s)?);
+        }
+        Ok(total)
+    }
+}
+
+/// WCET of the top-level statements with the given ids inside `func`,
+/// for one task. It indexes `func` on every call; to cost many tasks,
+/// build one [`TaskCoster`] and call [`TaskCoster::task_wcet`].
 ///
 /// # Errors
 ///
-/// Returns [`WcetError`] if an id does not exist in the function.
+/// Returns [`WcetError`] if `func` does not exist or an id is not one
+/// of its top-level statements.
 pub fn stmt_ids_wcet(
     ctx: &CostCtx<'_>,
     bounds: &LoopBounds,
@@ -179,22 +302,7 @@ pub fn stmt_ids_wcet(
     func: &str,
     ids: &[StmtId],
 ) -> Result<u64, WcetError> {
-    let f = ctx
-        .program
-        .function(func)
-        .ok_or_else(|| WcetError::new(format!("no function `{func}`")))?;
-    let mut index: BTreeMap<StmtId, &Stmt> = BTreeMap::new();
-    argo_ir::visit::walk_stmts(&f.body, &mut |s| {
-        index.insert(s.id, s);
-    });
-    let mut total = 0u64;
-    for id in ids {
-        let s = index
-            .get(id)
-            .ok_or_else(|| WcetError::new(format!("no statement {id} in `{func}`")))?;
-        total = total.saturating_add(stmt_wcet(ctx, bounds, fn_wcets, func, s)?);
-    }
-    Ok(total)
+    TaskCoster::new(ctx.program, func)?.task_wcet(ctx, bounds, fn_wcets, ids)
 }
 
 fn loop_bound_of(_ctx: &CostCtx<'_>, bounds: &LoopBounds, s: &Stmt) -> Result<u64, WcetError> {
@@ -216,12 +324,17 @@ fn loop_bound_of(_ctx: &CostCtx<'_>, bounds: &LoopBounds, s: &Stmt) -> Result<u6
 }
 
 /// Builds a body context with cache-persistence overrides for a `for`
-/// loop, plus the one-time fill cost. Returns the unchanged context and
-/// zero fill when the core has no cache, the loop's footprint is not
-/// provably persistent, or the refinement is already active.
-fn cache_refined_ctx<'a>(ctx: &CostCtx<'a>, func: &str, loop_stmt: &Stmt) -> (CostCtx<'a>, u64) {
+/// loop, plus the one-time fill cost. Returns the caller's context,
+/// borrowed, and zero fill when the core has no cache, the loop's
+/// footprint is not provably persistent, or the refinement is already
+/// active.
+fn cache_refined_ctx<'c, 'a>(
+    ctx: &'c CostCtx<'a>,
+    func: &str,
+    loop_stmt: &Stmt,
+) -> (Cow<'c, CostCtx<'a>>, u64) {
     let Some(cache) = ctx.platform.core(ctx.core).cache else {
-        return (ctx.clone(), 0);
+        return (Cow::Borrowed(ctx), 0);
     };
     // Collect shared arrays accessed in the loop subtree.
     let (reads, writes) = argo_ir::visit::stmt_rw(loop_stmt);
@@ -240,14 +353,14 @@ fn cache_refined_ctx<'a>(ctx: &CostCtx<'a>, func: &str, loop_stmt: &Stmt) -> (Co
         }
         if ctx.overrides.contains_key(v) {
             // Already refined by an enclosing loop.
-            return (ctx.clone(), 0);
+            return (Cow::Borrowed(ctx), 0);
         }
         let p = ctx.mem.placement(v);
         let (base, size) = p.map_or((0, 0), |p| (p.base_addr, p.size_bytes));
         arrays.push((v.clone(), base, size));
     }
     if arrays.is_empty() || !loop_is_persistent(&arrays, &cache) {
-        return (ctx.clone(), 0);
+        return (Cow::Borrowed(ctx), 0);
     }
     let mut refined = ctx.clone();
     for (name, _, _) in &arrays {
@@ -259,7 +372,7 @@ fn cache_refined_ctx<'a>(ctx: &CostCtx<'a>, func: &str, loop_stmt: &Stmt) -> (Co
             .platform
             .worst_case_shared_access(ctx.core, ctx.contenders);
     let fill = loop_fill_cost(&arrays, &cache, miss_cost);
-    (refined, fill)
+    (Cow::Owned(refined), fill)
 }
 
 #[cfg(test)]

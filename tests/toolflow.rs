@@ -11,12 +11,18 @@
 //!    fingerprints are pinned to fixed expected hashes, so any process,
 //!    build or refactor that changes the encoding fails this regression
 //!    (the contract persistent caches rely on).
+//! 4. **Code-level WCET** — per-task costs through one `TaskCoster`
+//!    equal the one-shot `stmt_ids_wcet`, and functions the entry never
+//!    calls are not costed.
 
-use argo_adl::Platform;
+use argo_adl::{CacheConfig, CoreId, MemSpace, MemoryMap, Placement, Platform};
 use argo_core::{
     Artifact, CollectingObserver, Fingerprintable, SchedulerKind, Stage, ToolchainConfig, Toolflow,
 };
+use argo_dse::PlatformKind;
 use argo_htg::Granularity;
+use argo_wcet::cost::{program_symbols, CostCtx};
+use argo_wcet::schema::{function_wcets, stmt_ids_wcet, TaskCoster};
 use argo_wcet::system::MhpMode;
 use proptest::prelude::*;
 
@@ -200,4 +206,125 @@ fn observer_seq_is_contiguous_across_all_event_kinds() {
         .observer(&obs2);
     flow2.run_frontend().unwrap();
     assert_eq!(obs2.seqs(), vec![0, 1]);
+}
+
+/// A function the entry never calls is not costed. The value analysis
+/// bounds loops only in the functions the entry reaches, so costing
+/// `helper` (whose loop runs to a parameter) used to fail both the seed
+/// stage and the backend with `no loop bound`.
+#[test]
+fn functions_the_entry_never_calls_are_not_costed() {
+    const HELPER: &str = "void helper(real a[8], int n) { int i; \
+        for (i = 0; i < n; i = i + 1) { a[i] = 0.0; } }";
+    let platform = Platform::xentium_manycore(2);
+    let compile = |src: &str| {
+        let flow =
+            Toolflow::new(argo_ir::parse::parse_program(src).unwrap(), "main").platform(&platform);
+        let artifact = flow.run_frontend().expect("frontend");
+        let seed = flow.run_seed_costs(&artifact).expect("seed costs");
+        let bound = flow.run().expect("compile").system.bound;
+        ((*seed).clone(), bound)
+    };
+    assert_eq!(compile(&format!("{HELPER}\n{TINY}")), compile(TINY));
+}
+
+/// The conservative round-0 placement the backend starts from: every
+/// array of `entry` in shared memory, packed in symbol-table order.
+fn all_shared(program: &argo_ir::ast::Program, entry: &str) -> MemoryMap {
+    let mut map = MemoryMap::new();
+    let mut cursor = 0;
+    let f = program.function(entry).expect("entry exists");
+    for (name, ty) in argo_ir::validate::symbol_table(f) {
+        if ty.is_array() {
+            map.insert(
+                name,
+                Placement {
+                    space: MemSpace::Shared,
+                    base_addr: cursor,
+                    size_bytes: ty.size_bytes(),
+                },
+            );
+            cursor += ty.size_bytes();
+        }
+    }
+    map
+}
+
+/// Costing tasks through one `TaskCoster` (an index of the entry's
+/// top-level statements and a callee table over the functions the entry
+/// reaches) gives, for every top-level task on every core, exactly what
+/// the one-shot `stmt_ids_wcet` gives over the whole-program
+/// `function_wcets` table; and the tasks sum to the entry body's WCET.
+/// Checked on the bus, the NoC and the cached bus, under the all-shared
+/// placement and under the placement of a finished run (which puts
+/// arrays in the scratchpads of non-zero cores).
+#[test]
+fn task_coster_matches_one_shot_stmt_ids_wcet() {
+    let mut spm_views = 0;
+    for uc in argo_apps::all_use_cases(42) {
+        for granularity in [Granularity::Loop, Granularity::Block, Granularity::Stmt] {
+            for cores in [1, 2, 4, 8] {
+                let cfg = ToolchainConfig {
+                    granularity,
+                    ..Default::default()
+                };
+                let bus = PlatformKind::Bus.build(cores, None);
+                let noc = PlatformKind::Noc.build(cores, None);
+                let cached = bus.clone().with_caches(CacheConfig::small());
+                let flow = |platform| {
+                    Toolflow::borrowed(&uc.program, uc.entry)
+                        .platform(platform)
+                        .config(cfg.clone())
+                };
+                let artifact = flow(&bus).run_frontend().expect("frontend");
+                let (program, bounds) = (&artifact.program, &artifact.bounds);
+                let symbols = program_symbols(program);
+                let coster = TaskCoster::new(program, uc.entry).expect("entry exists");
+                let shared = all_shared(program, uc.entry);
+                for platform in [&bus, &noc, &cached] {
+                    let finished = flow(platform)
+                        .run_backend(artifact.clone(), None)
+                        .expect("backend");
+                    for mem in [&shared, &finished.parallel.memory_map] {
+                        for core in 0..cores {
+                            if core > 0
+                                && mem
+                                    .iter()
+                                    .any(|(_, p)| p.space == MemSpace::Spm(CoreId(core)))
+                            {
+                                spm_views += 1;
+                            }
+                            let ctx = CostCtx::with_symbols(
+                                program,
+                                platform,
+                                CoreId(core),
+                                1,
+                                mem,
+                                &symbols,
+                            );
+                            let callees = coster.callee_wcets(&ctx, bounds).expect("callees");
+                            let all = function_wcets(&ctx, bounds).expect("all functions");
+                            let mut sum = 0u64;
+                            for &tid in &artifact.htg.top_level {
+                                let task = artifact.htg.task(tid);
+                                let new = coster.task_wcet(&ctx, bounds, &callees, &task.stmts);
+                                let old = stmt_ids_wcet(&ctx, bounds, &all, uc.entry, &task.stmts);
+                                assert_eq!(
+                                    new, old,
+                                    "{} {granularity:?} {} core {core} {}",
+                                    uc.name, platform.name, task.name
+                                );
+                                sum = sum.saturating_add(new.expect("cost"));
+                            }
+                            assert_eq!(sum, all[uc.entry], "{} tasks sum to the body", uc.name);
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        spm_views > 0,
+        "no finished run placed an array in a non-zero core's SPM"
+    );
 }
