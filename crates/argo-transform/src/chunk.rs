@@ -16,12 +16,13 @@
 //! e)`) get per-chunk accumulators initialised to the operator identity
 //! (or a copy of `s` for min/max) and a combine epilogue.
 
-use crate::{fresh_name, rename_var_stmt, taken_names, TransformError};
+use crate::{fresh_name, rename_stmt, taken_names, Renames, TransformError};
 use argo_htg::deps::{classify_loop, LoopParallelism};
 use argo_ir::ast::*;
 use argo_ir::types::{Scalar, Type};
 use argo_ir::validate::symbol_table;
 use argo_ir::StmtId;
+use std::collections::BTreeSet;
 
 /// Outcome of chunking one loop.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,6 +46,35 @@ pub fn chunk_loop(
     func: &str,
     loop_id: StmtId,
     k: usize,
+) -> Result<ChunkReport, TransformError> {
+    chunk_loop_with(program, func, loop_id, k, chunk_body)
+}
+
+/// The names one chunk copy of a loop body is renamed with.
+struct ChunkNames<'a> {
+    /// The loop's induction variable.
+    var: &'a str,
+    /// This chunk's fresh induction variable.
+    iv: &'a str,
+    /// The reduction accumulators, in classification order.
+    reductions: &'a [String],
+    /// This chunk's fresh partial accumulator per reduction.
+    partials: &'a [String],
+    /// The chunk index.
+    c: usize,
+}
+
+/// Builds the body of one chunk copy: `body` with every name of `names`
+/// and every body-local declaration renamed, registering the fresh
+/// names it invents in `taken`.
+type ChunkBody = fn(&Block, &ChunkNames<'_>, &mut BTreeSet<String>) -> Vec<Stmt>;
+
+fn chunk_loop_with(
+    program: &mut Program,
+    func: &str,
+    loop_id: StmtId,
+    k: usize,
+    chunk_body: ChunkBody,
 ) -> Result<ChunkReport, TransformError> {
     if k < 2 {
         return Err(TransformError::new("chunk count must be at least 2"));
@@ -154,36 +184,14 @@ pub fn chunk_loop(
                 Expr::int(k as i64),
             ),
         );
-        // Rename induction var and reduction accumulators in the body.
-        let mut new_body_stmts: Vec<Stmt> = Vec::new();
-        for s in &body.stmts {
-            let mut ns = rename_var_stmt(s, var, &iv);
-            for (r, pn) in reductions.iter().zip(&partial_names[c]) {
-                ns = rename_var_stmt(&ns, r, pn);
-            }
-            new_body_stmts.push(ns);
-        }
-        // Body-local declarations are duplicated per chunk: give them
-        // fresh per-chunk names so the function stays single-declaration.
-        // (Inner loop variables declared *outside* the loop stay shared —
-        // they are privatized at the task level, not re-declared.)
-        let mut local_decls: Vec<String> = Vec::new();
-        for s in &new_body_stmts {
-            argo_ir::visit::walk_stmts(&Block::of(vec![s.clone()]), &mut |st| {
-                if let StmtKind::Decl { name, .. } = &st.kind {
-                    local_decls.push(name.clone());
-                }
-            });
-        }
-        local_decls.sort();
-        local_decls.dedup();
-        for d in local_decls {
-            let fresh = fresh_name(&mut taken, &format!("{d}__k{c}"));
-            new_body_stmts = new_body_stmts
-                .iter()
-                .map(|s| rename_var_stmt(s, &d, &fresh))
-                .collect();
-        }
+        let names = ChunkNames {
+            var,
+            iv: &iv,
+            reductions: &reductions,
+            partials: &partial_names[c],
+            c,
+        };
+        let new_body_stmts = chunk_body(body, &names, &mut taken);
         chunk_loops.push(Stmt::new(StmtKind::For {
             var: iv,
             lo: lo_c,
@@ -238,6 +246,15 @@ pub fn chunk_all_parallel_loops(
     func: &str,
     k: usize,
 ) -> Result<usize, TransformError> {
+    chunk_all_with(program, func, k, chunk_body)
+}
+
+fn chunk_all_with(
+    program: &mut Program,
+    func: &str,
+    k: usize,
+    chunk_body: ChunkBody,
+) -> Result<usize, TransformError> {
     if k < 2 {
         return Ok(0);
     }
@@ -254,13 +271,48 @@ pub fn chunk_all_parallel_loops(
         });
         match candidate {
             Some(id) => {
-                chunk_loop(program, func, id, k)?;
+                chunk_loop_with(program, func, id, k, chunk_body)?;
                 chunked += 1;
             }
             None => break,
         }
     }
     Ok(chunked)
+}
+
+/// One chunk copy of `body`, renamed in one pass through one old→new
+/// map: the induction variable to the chunk's, each reduction
+/// accumulator to its partial, and each body-local declaration to a
+/// fresh per-chunk name, so the function stays single-declaration.
+/// (Inner loop variables declared *outside* the loop stay shared: they
+/// are privatized at the task level, not re-declared.) Every target is
+/// a fresh name, so the result equals renaming one name at a time:
+/// first the induction variable, then the accumulators, then the
+/// declarations as named after those renames, in sorted order.
+fn chunk_body(body: &Block, names: &ChunkNames<'_>, taken: &mut BTreeSet<String>) -> Vec<Stmt> {
+    let mut renames = Renames::new();
+    renames.insert(names.var, names.iv.to_string());
+    for (r, pn) in names.reductions.iter().zip(names.partials) {
+        renames.entry(r).or_insert_with(|| pn.clone());
+    }
+    // (name after the renames above, name in the body) per declaration.
+    let mut decls: Vec<(String, &str)> = Vec::new();
+    argo_ir::visit::walk_stmts(body, &mut |s| {
+        if let StmtKind::Decl { name, .. } = &s.kind {
+            let renamed = renames.get(name.as_str()).unwrap_or(name);
+            decls.push((renamed.clone(), name));
+        }
+    });
+    decls.sort();
+    decls.dedup();
+    for (renamed, name) in decls {
+        let fresh = fresh_name(taken, &format!("{renamed}__k{}", names.c));
+        renames.insert(name, fresh);
+    }
+    body.stmts
+        .iter()
+        .map(|s| rename_stmt(s, &renames))
+        .collect()
 }
 
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -491,6 +543,101 @@ mod tests {
             .filter(|s| matches!(s.kind, StmtKind::For { .. }))
             .count();
         assert_eq!(loops, 4);
+    }
+
+    /// The renaming [`chunk_body`] replaced, kept as its reference: one
+    /// clone of the body per renamed name, first the induction variable,
+    /// then each reduction accumulator, then each body-local declaration
+    /// as named after those renames, in sorted order.
+    fn chunk_body_chained(
+        body: &Block,
+        names: &ChunkNames<'_>,
+        taken: &mut BTreeSet<String>,
+    ) -> Vec<Stmt> {
+        let rename = |s: &Stmt, old: &str, new: &str| {
+            rename_stmt(s, &Renames::from([(old, new.to_string())]))
+        };
+        let mut new_body_stmts: Vec<Stmt> = Vec::new();
+        for s in &body.stmts {
+            let mut ns = rename(s, names.var, names.iv);
+            for (r, pn) in names.reductions.iter().zip(names.partials) {
+                ns = rename(&ns, r, pn);
+            }
+            new_body_stmts.push(ns);
+        }
+        let mut local_decls: Vec<String> = Vec::new();
+        for s in &new_body_stmts {
+            argo_ir::visit::walk_stmts(&Block::of(vec![s.clone()]), &mut |st| {
+                if let StmtKind::Decl { name, .. } = &st.kind {
+                    local_decls.push(name.clone());
+                }
+            });
+        }
+        local_decls.sort();
+        local_decls.dedup();
+        for d in local_decls {
+            let fresh = fresh_name(taken, &format!("{d}__k{}", names.c));
+            new_body_stmts = new_body_stmts
+                .iter()
+                .map(|s| rename(s, &d, &fresh))
+                .collect();
+        }
+        new_body_stmts
+    }
+
+    /// Loops with body-local declarations (nested ones too) and add,
+    /// mul, min and max reductions over real and int accumulators.
+    const RENAMING: &[&str] = &[
+        "real main(real a[64], real b[64]) { real s; real p; real lo; real hi; int i; \
+         s = 0.0; p = 1.0; lo = 0.0; hi = 0.0; \
+         for (i = 0; i < 64; i = i + 1) { real t; real u; t = a[i] * 2.0; u = t + 1.0; \
+         b[i] = u; s = s + t; p = p * u; lo = fmin(lo, t); hi = fmax(hi, u); } \
+         return s + p + lo + hi; }",
+        "int main(int a[40], int b[40][4]) { int m; int n; int i; int j; m = 0; n = 9; \
+         for (i = 3; i < 37; i = i + 1) { int t; t = a[i] * 3; \
+         for (j = 0; j < 4; j = j + 1) { int w; w = t + j; b[i][j] = w; } \
+         m = imax(m, t); n = imin(n, t - 1); } return m + n; }",
+        "real main(real a[16], int n) { real s; int i; int i__chunk0; s = 1.0; \
+         i__chunk0 = 0; for (i = 0; i < n; i = i + 1) { real t__k0; real t; \
+         t__k0 = a[i]; t = t__k0 * 0.5; if (t > 0.0) { real v; v = t; s = s * v; } } \
+         return s + i__chunk0; }",
+    ];
+
+    /// Chunks every parallel loop of `func` with body renamer `chunk_body`
+    /// and prints the result.
+    fn chunked_text(program: &Program, func: &str, k: usize, chunk_body: ChunkBody) -> String {
+        let mut p = program.clone();
+        let chunked = chunk_all_with(&mut p, func, k, chunk_body).unwrap();
+        assert!(chunked > 0, "nothing to chunk in {func}");
+        validate(&p).expect("chunked program must still validate");
+        argo_ir::printer::print_program(&p)
+    }
+
+    #[test]
+    fn one_pass_renaming_matches_the_rename_chain() {
+        let mut programs: Vec<(Program, &str)> = argo_apps::all_use_cases(42)
+            .into_iter()
+            .map(|uc| {
+                let mut p = uc.program;
+                crate::fold::fold_program(&mut p);
+                p.renumber();
+                (p, uc.entry)
+            })
+            .collect();
+        for src in RENAMING {
+            let p = parse_program(src).unwrap();
+            validate(&p).unwrap();
+            programs.push((p, "main"));
+        }
+        for (program, func) in &programs {
+            for k in 2..=8 {
+                assert_eq!(
+                    chunked_text(program, func, k, chunk_body),
+                    chunked_text(program, func, k, chunk_body_chained),
+                    "k = {k}"
+                );
+            }
+        }
     }
 
     #[test]

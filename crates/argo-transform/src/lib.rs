@@ -22,7 +22,7 @@ pub mod fold;
 pub mod spm;
 
 use argo_ir::ast::*;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// Error from a transformation pass.
@@ -114,13 +114,17 @@ pub fn subst_var(e: &Expr, var: &str, replacement: &Expr) -> Expr {
     }
 }
 
-/// Renames every occurrence of scalar `old` (reads **and** writes,
-/// declarations and loop headers, through the whole subtree — renaming is
-/// not substitution, so shadowing does not stop it) to `new`. Used by loop
+/// The old→new name map of [`rename_stmt`] and [`rename_expr`].
+pub type Renames<'a> = BTreeMap<&'a str, String>;
+
+/// Renames every occurrence of each variable in `renames` (reads **and**
+/// writes, declarations and loop headers, through the whole subtree —
+/// renaming is not substitution, so shadowing does not stop it) to its
+/// new name, in one pass. A new name is not renamed again. Used by loop
 /// chunking to give each copy private locals.
-pub fn rename_var_stmt(s: &Stmt, old: &str, new: &str) -> Stmt {
-    let rn = |n: &String| if n == old { new.to_string() } else { n.clone() };
-    let re = |e: &Expr| rename_expr(e, old, new);
+pub fn rename_stmt(s: &Stmt, renames: &Renames<'_>) -> Stmt {
+    let rn = |n: &String| renames.get(n.as_str()).unwrap_or(n).clone();
+    let re = |e: &Expr| rename_expr(e, renames);
     let kind = match &s.kind {
         StmtKind::Decl { name, ty, init } => StmtKind::Decl {
             name: rn(name),
@@ -143,8 +147,8 @@ pub fn rename_var_stmt(s: &Stmt, old: &str, new: &str) -> Stmt {
             else_blk,
         } => StmtKind::If {
             cond: re(cond),
-            then_blk: rename_block(then_blk, old, new),
-            else_blk: rename_block(else_blk, old, new),
+            then_blk: rename_block(then_blk, renames),
+            else_blk: rename_block(else_blk, renames),
         },
         StmtKind::For {
             var,
@@ -157,12 +161,12 @@ pub fn rename_var_stmt(s: &Stmt, old: &str, new: &str) -> Stmt {
             lo: re(lo),
             hi: re(hi),
             step: *step,
-            body: rename_block(body, old, new),
+            body: rename_block(body, renames),
         },
         StmtKind::While { cond, bound, body } => StmtKind::While {
             cond: re(cond),
             bound: *bound,
-            body: rename_block(body, old, new),
+            body: rename_block(body, renames),
         },
         StmtKind::Call { name, args } => StmtKind::Call {
             name: name.clone(),
@@ -175,46 +179,38 @@ pub fn rename_var_stmt(s: &Stmt, old: &str, new: &str) -> Stmt {
     Stmt { id: s.id, kind }
 }
 
-fn rename_block(b: &Block, old: &str, new: &str) -> Block {
-    Block::of(
-        b.stmts
-            .iter()
-            .map(|s| rename_var_stmt(s, old, new))
-            .collect(),
-    )
+fn rename_block(b: &Block, renames: &Renames<'_>) -> Block {
+    Block::of(b.stmts.iter().map(|s| rename_stmt(s, renames)).collect())
 }
 
-/// Renames variable `old` to `new` in an expression — both scalar reads
-/// and array bases (unlike [`subst_var`], which substitutes scalar reads
-/// only).
-pub fn rename_expr(e: &Expr, old: &str, new: &str) -> Expr {
+/// Renames each variable in `renames` in an expression, in one pass —
+/// both scalar reads and array bases (unlike [`subst_var`], which
+/// substitutes scalar reads only).
+pub fn rename_expr(e: &Expr, renames: &Renames<'_>) -> Expr {
+    let rn = |n: &String| renames.get(n.as_str()).unwrap_or(n).clone();
     match e {
-        Expr::Var(n) if n == old => Expr::Var(new.to_string()),
-        Expr::IntLit(_) | Expr::RealLit(_) | Expr::BoolLit(_) | Expr::Var(_) => e.clone(),
+        Expr::IntLit(_) | Expr::RealLit(_) | Expr::BoolLit(_) => e.clone(),
+        Expr::Var(n) => Expr::Var(rn(n)),
         Expr::ArrayElem { array, indices } => Expr::ArrayElem {
-            array: if array == old {
-                new.to_string()
-            } else {
-                array.clone()
-            },
-            indices: indices.iter().map(|i| rename_expr(i, old, new)).collect(),
+            array: rn(array),
+            indices: indices.iter().map(|i| rename_expr(i, renames)).collect(),
         },
         Expr::Unary { op, arg } => Expr::Unary {
             op: *op,
-            arg: Box::new(rename_expr(arg, old, new)),
+            arg: Box::new(rename_expr(arg, renames)),
         },
         Expr::Binary { op, lhs, rhs } => Expr::Binary {
             op: *op,
-            lhs: Box::new(rename_expr(lhs, old, new)),
-            rhs: Box::new(rename_expr(rhs, old, new)),
+            lhs: Box::new(rename_expr(lhs, renames)),
+            rhs: Box::new(rename_expr(rhs, renames)),
         },
         Expr::Call { name, args } => Expr::Call {
             name: name.clone(),
-            args: args.iter().map(|a| rename_expr(a, old, new)).collect(),
+            args: args.iter().map(|a| rename_expr(a, renames)).collect(),
         },
         Expr::Cast { to, arg } => Expr::Cast {
             to: *to,
-            arg: Box::new(rename_expr(arg, old, new)),
+            arg: Box::new(rename_expr(arg, renames)),
         },
     }
 }
@@ -243,7 +239,8 @@ mod tests {
     #[test]
     fn rename_touches_reads_and_writes() {
         let p = parse_program("void f() { int s; s = 0; s = s + 1; }").unwrap();
-        let s2 = rename_var_stmt(&p.functions[0].body.stmts[2], "s", "s_p");
+        let renames = Renames::from([("s", "s_p".to_string())]);
+        let s2 = rename_stmt(&p.functions[0].body.stmts[2], &renames);
         match &s2.kind {
             StmtKind::Assign {
                 target: LValue::Var(n),
@@ -254,6 +251,15 @@ mod tests {
             }
             _ => panic!(),
         }
+    }
+
+    #[test]
+    fn rename_is_one_pass() {
+        // `a → b` and `b → c` at once swap nothing into `c` twice: the
+        // `b` that `a` became stays `b`.
+        let e = parse_expr("a[b] + b * a").unwrap();
+        let renames = Renames::from([("a", "b".to_string()), ("b", "c".to_string())]);
+        assert_eq!(print_expr(&rename_expr(&e, &renames)), "(b[c] + (c * b))");
     }
 
     #[test]
