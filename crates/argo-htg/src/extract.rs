@@ -7,12 +7,12 @@
 //! siblings are derived from transitive read/write sets; flow edges carry
 //! the communication volume in bytes.
 
-use crate::deps::{classify_loop, LoopParallelism};
+use crate::deps::{array_access_range, classify_loop, AccessRange, LoopParallelism};
 use crate::{DepEdge, Granularity, Htg, Task, TaskId, TaskKind};
 use argo_ir::ast::*;
 use argo_ir::validate::{symbol_table, SymbolTable};
 use argo_ir::visit;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// Error from task extraction.
@@ -52,6 +52,7 @@ pub fn extract(
         symbols,
         granularity,
         task_bodies: Vec::new(),
+        ranges: Vec::new(),
     };
     let top = ex.extract_level(&f.body.stmts, None);
     ex.connect_siblings(&top);
@@ -60,21 +61,25 @@ pub fn extract(
     Ok(ex.htg)
 }
 
-struct Extractor {
+struct Extractor<'p> {
     htg: Htg,
     symbols: SymbolTable,
     granularity: Granularity,
-    /// Cloned statement bodies per task, kept only for the range-based
-    /// array-disjointness test during edge construction.
-    task_bodies: Vec<Vec<Stmt>>,
+    /// The statements of each task, borrowed from the program, kept only
+    /// for the range-based array-disjointness test during edge
+    /// construction.
+    task_bodies: Vec<Vec<&'p Stmt>>,
+    /// Per task, the `[read, write]` ranges of each array that edge
+    /// construction has asked for, so that each is computed once.
+    ranges: Vec<BTreeMap<String, [Option<AccessRange>; 2]>>,
 }
 
-impl Extractor {
+impl<'p> Extractor<'p> {
     fn new_task(
         &mut self,
         name: String,
         kind: TaskKind,
-        stmts: Vec<&Stmt>,
+        stmts: Vec<&'p Stmt>,
         parent: Option<TaskId>,
     ) -> TaskId {
         let id = TaskId(self.htg.tasks.len());
@@ -98,8 +103,8 @@ impl Extractor {
             parent,
             access_counts: Default::default(),
         });
-        self.task_bodies
-            .push(stmts.iter().map(|s| (*s).clone()).collect());
+        self.task_bodies.push(stmts);
+        self.ranges.push(BTreeMap::new());
         if let Some(p) = parent {
             self.htg.tasks[p.0].children.push(id);
         }
@@ -107,17 +112,21 @@ impl Extractor {
     }
 
     /// Range of leading subscripts task `t` uses on array `v` (reads or
-    /// writes).
-    fn range_of(&self, t: TaskId, v: &str, writes: bool) -> crate::deps::AccessRange {
-        let refs: Vec<&Stmt> = self.task_bodies[t.0].iter().collect();
-        crate::deps::array_access_range(&refs, v, writes)
+    /// writes), computed on first use.
+    fn range_of(&mut self, t: TaskId, v: &str, writes: bool) -> AccessRange {
+        let memo = &mut self.ranges[t.0];
+        if !memo.contains_key(v) {
+            memo.insert(v.to_string(), [None; 2]);
+        }
+        let slot = &mut memo.get_mut(v).expect("inserted above")[usize::from(writes)];
+        *slot.get_or_insert_with(|| array_access_range(&self.task_bodies[t.0], v, writes))
     }
 
     /// Extracts one hierarchy level from a statement list; returns sibling
     /// task ids in program order.
-    fn extract_level(&mut self, stmts: &[Stmt], parent: Option<TaskId>) -> Vec<TaskId> {
+    fn extract_level(&mut self, stmts: &'p [Stmt], parent: Option<TaskId>) -> Vec<TaskId> {
         let mut siblings: Vec<TaskId> = Vec::new();
-        let mut group: Vec<&Stmt> = Vec::new();
+        let mut group: Vec<&'p Stmt> = Vec::new();
 
         macro_rules! flush_group {
             () => {
