@@ -286,9 +286,7 @@ fn chunk_all_with(
 /// fresh per-chunk name, so the function stays single-declaration.
 /// (Inner loop variables declared *outside* the loop stay shared: they
 /// are privatized at the task level, not re-declared.) Every target is
-/// a fresh name, so the result equals renaming one name at a time:
-/// first the induction variable, then the accumulators, then the
-/// declarations as named after those renames, in sorted order.
+/// a fresh name, so one pass equals renaming one name at a time.
 fn chunk_body(body: &Block, names: &ChunkNames<'_>, taken: &mut BTreeSet<String>) -> Vec<Stmt> {
     let mut renames = Renames::new();
     renames.insert(names.var, names.iv.to_string());
