@@ -1,7 +1,8 @@
 //! Golden tests pinning `BackendResult::report()` byte-identical for the
-//! three use cases across all MHP modes, and the frontend and seed-cost
+//! three use cases across all MHP modes, the frontend and seed-cost
 //! stages digest by digest across granularities, core counts and
-//! chunking.
+//! chunking, and the stage fingerprints and store encodings that
+//! clients and the artifact store see.
 //!
 //! The golden files under `tests/golden/` were generated from the
 //! pre-slot-resolution tool-chain, so these tests prove the interning /
@@ -16,7 +17,10 @@
 //! ```
 
 use argo_adl::{CacheConfig, Platform};
-use argo_core::{FingerprintHasher, ToolchainConfig, Toolflow};
+use argo_core::{
+    Artifact, Codec, CollectingObserver, FingerprintHasher, SchedulerKind, Stage, StageEvent,
+    ToolchainConfig, Toolflow,
+};
 use argo_dse::PlatformKind;
 use argo_htg::Granularity;
 use argo_wcet::system::MhpMode;
@@ -125,4 +129,87 @@ fn frontend_and_seed_costs_match_digests() {
         }
     }
     check_or_update("frontend_digests.txt", &actual);
+}
+
+/// Pins the stage fingerprints and the store encodings on every app ×
+/// platform × MHP mode × scheduler. Each line holds the frontend
+/// artifact, seed-cost and backend-result fingerprints of the staged
+/// run, the frontend and backend fingerprints of the one-shot `run()`
+/// (as its observer saw them), and digests of the frontend artifact's
+/// and cost table's `Codec` bytes. Serve progress frames carry these
+/// fingerprints, and the artifact store validates every read against
+/// them.
+#[test]
+fn stage_fingerprints_and_encodings_match_golden() {
+    let platforms = [
+        ("bus1", Platform::xentium_manycore(1)),
+        ("bus4", Platform::xentium_manycore(4)),
+        ("noc2x2", Platform::kit_tile_noc(2, 2)),
+        (
+            "cached-bus4",
+            Platform::xentium_manycore(4).with_caches(CacheConfig::small()),
+        ),
+    ];
+    let bytes_digest = |bytes: &[u8]| {
+        FingerprintHasher::new()
+            .write_bytes(bytes)
+            .finish()
+            .to_hex()
+    };
+    let mut actual = String::new();
+    for uc in argo_apps::all_use_cases(42) {
+        for (label, platform) in &platforms {
+            for mhp in [MhpMode::Naive, MhpMode::Static, MhpMode::Windows] {
+                for scheduler in [SchedulerKind::List, SchedulerKind::Anneal] {
+                    let cfg = ToolchainConfig {
+                        mhp,
+                        scheduler,
+                        ..Default::default()
+                    };
+                    let flow = Toolflow::borrowed(&uc.program, uc.entry)
+                        .platform(platform)
+                        .config(cfg.clone());
+                    let artifact = flow.run_frontend().expect("frontend");
+                    let costs = flow.run_seed_costs(&artifact).expect("seed costs");
+                    let frontend_bytes = bytes_digest(&artifact.to_bytes());
+                    let frontend_fp = artifact.fingerprint();
+                    let staged = flow.run_backend(artifact, Some(&costs)).expect("backend");
+
+                    let obs = CollectingObserver::new();
+                    let one_shot = Toolflow::borrowed(&uc.program, uc.entry)
+                        .platform(platform)
+                        .config(cfg)
+                        .observer(&obs)
+                        .run()
+                        .expect("run");
+                    let observed = |stage: Stage| {
+                        obs.events()
+                            .iter()
+                            .find_map(|e| match e {
+                                StageEvent::Finished(s) if s.stage == stage => Some(s.fingerprint),
+                                _ => None,
+                            })
+                            .expect("stage finished")
+                    };
+                    assert_eq!(observed(Stage::Backend), one_shot.fingerprint());
+                    writeln!(
+                        actual,
+                        "{} {label} {mhp} {} frontend={} seed={} backend={} \
+                         run_frontend={} run_backend={} frontend_bytes={frontend_bytes} \
+                         seed_bytes={}",
+                        uc.name,
+                        scheduler.label(),
+                        frontend_fp.to_hex(),
+                        costs.fingerprint().to_hex(),
+                        staged.fingerprint().to_hex(),
+                        observed(Stage::Frontend).to_hex(),
+                        one_shot.fingerprint().to_hex(),
+                        bytes_digest(&costs.to_bytes()),
+                    )
+                    .expect("write to String");
+                }
+            }
+        }
+    }
+    check_or_update("stage_fingerprints.txt", &actual);
 }
