@@ -361,7 +361,7 @@ pub fn e8_parmerasa() -> String {
         let manual = argo_wcet::system::manual_fork_join_bound(
             &r.parallel.graph,
             &platform,
-            &r.iso_costs,
+            &r.system.iso_wcet,
             &r.shared_accesses,
         );
         let _ = writeln!(
@@ -395,7 +395,7 @@ pub fn e8_parmerasa() -> String {
     let manual = argo_wcet::system::manual_fork_join_bound(
         &r.parallel.graph,
         &platform,
-        &r.iso_costs,
+        &r.system.iso_wcet,
         &r.shared_accesses,
     );
     let _ = writeln!(

@@ -1,13 +1,19 @@
 //! The typed stage artifacts of the toolflow pipeline and the common
 //! [`Artifact`] trait.
 //!
-//! Each pipeline stage yields one owned artifact:
+//! Each pipeline stage yields one artifact:
 //!
 //! | stage                              | artifact           |
 //! |------------------------------------|--------------------|
 //! | [`Stage::Frontend`]   | [`FrontendArtifact`] |
 //! | [`Stage::SeedCosts`]  | [`CostTable`]        |
 //! | [`Stage::Backend`]    | [`BackendResult`]    |
+//!
+//! The frontend artifact is the one owner of the transformed program,
+//! its resolution, its loop bounds and its HTG, each behind an `Arc`:
+//! cloning it bumps reference counts, and the backend result's
+//! [`ParallelProgram`] shares the same program and HTG instead of
+//! copying them.
 //!
 //! All three implement [`Artifact`], whose `fingerprint()` is the
 //! canonical content hash caches key on (see [`crate::fingerprint`]).
@@ -24,12 +30,10 @@ use argo_parir::ParallelProgram;
 use argo_wcet::system::SystemWcet;
 use argo_wcet::value::LoopBounds;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A typed pipeline artifact with a canonical content fingerprint.
 pub trait Artifact {
-    /// Stable artifact-kind label (`"frontend-artifact"`, …).
-    fn kind(&self) -> &'static str;
-
     /// Canonical content hash: equal contents hash equal across
     /// processes and runs.
     fn fingerprint(&self) -> Fingerprint;
@@ -46,23 +50,22 @@ pub trait Artifact {
 /// regardless of platform, scheduler or memory configuration — which is
 /// what makes them cacheable across a design-space sweep (see the
 /// `argo-dse` crate and [`crate::Toolflow::frontend_fingerprint`]).
+/// Every part sits behind an `Arc`, so a clone shares them.
 #[derive(Debug, Clone)]
 pub struct FrontendArtifact {
     /// The program after predictability transformations.
-    pub program: Program,
+    pub program: Arc<Program>,
     /// The slot resolution of the transformed program: interned
     /// symbols, per-function frame layouts and the resolved statement
-    /// mirror. Computed once per frontend run, reused by the value
-    /// analysis and by every interpreter the artifact's consumers
-    /// spawn ([`argo_ir::interp::Interp::with_resolution`]) — and,
-    /// because the artifact is what the `argo-dse` first-tier cache
-    /// stores, shared across all design points with equal frontend
-    /// fingerprints.
-    pub resolution: Resolution,
+    /// mirror. Computed once per frontend run; the frontend's value
+    /// analysis reads it, and [`Artifact::fingerprint`] hashes it.
+    /// Downstream interpreters (the simulator, `argo-verify`'s lint)
+    /// resolve the program again themselves.
+    pub resolution: Arc<Resolution>,
     /// Loop bounds from the value analysis.
-    pub bounds: LoopBounds,
+    pub bounds: Arc<LoopBounds>,
     /// The extracted, access-annotated HTG.
-    pub htg: Htg,
+    pub htg: Arc<Htg>,
 }
 
 impl Fingerprintable for Htg {
@@ -99,17 +102,13 @@ impl Fingerprintable for Htg {
 }
 
 impl Artifact for FrontendArtifact {
-    fn kind(&self) -> &'static str {
-        "frontend-artifact"
-    }
-
     fn fingerprint(&self) -> Fingerprint {
         let mut h = FingerprintHasher::new();
         h.write_str("frontend-artifact");
         h.write_str(&argo_ir::printer::print_program(&self.program));
         self.resolution.feed(&mut h);
         h.write_u64(self.bounds.len() as u64);
-        for (sid, bound) in &self.bounds {
+        for (sid, bound) in self.bounds.iter() {
             h.write_u64(sid.0 as u64).write_u64(*bound);
         }
         self.htg.feed(&mut h);
@@ -164,10 +163,6 @@ impl std::ops::DerefMut for CostTable {
 }
 
 impl Artifact for CostTable {
-    fn kind(&self) -> &'static str {
-        "cost-table"
-    }
-
     fn fingerprint(&self) -> Fingerprint {
         let mut h = FingerprintHasher::new();
         h.write_str("cost-table");
@@ -188,7 +183,9 @@ impl Artifact for CostTable {
 }
 
 /// Everything the backend produced for one program/platform pair — the
-/// final pipeline artifact.
+/// final pipeline artifact. The program and HTG are those of
+/// [`ParallelProgram`], and the final round's isolated task WCETs are
+/// `system.iso_wcet`.
 #[derive(Debug, Clone)]
 pub struct BackendResult {
     /// The explicitly parallel program (schedule, plans, memory map).
@@ -199,14 +196,8 @@ pub struct BackendResult {
     /// WCET bound of the same task set executed sequentially on one core
     /// (with the same memory map) — the speedup baseline.
     pub sequential_bound: u64,
-    /// Per-task isolated WCETs (final feedback round).
-    pub iso_costs: Vec<u64>,
     /// Per-task worst-case shared-access counts.
     pub shared_accesses: Vec<u64>,
-    /// Loop bounds used by the code-level analysis.
-    pub bounds: LoopBounds,
-    /// The HTG (post-transformation).
-    pub htg: Htg,
     /// Feedback iterations actually performed.
     pub feedback_iterations: u32,
 }
@@ -225,7 +216,7 @@ impl BackendResult {
         let _ = writeln!(
             s,
             "ARGO tool-chain report — entry `{}`",
-            self.parallel.entry
+            self.parallel.entry()
         );
         let _ = writeln!(
             s,
@@ -262,19 +253,17 @@ impl BackendResult {
 }
 
 impl Artifact for BackendResult {
-    fn kind(&self) -> &'static str {
-        "backend-result"
-    }
-
     fn fingerprint(&self) -> Fingerprint {
         let mut h = FingerprintHasher::new();
         h.write_str("backend-result");
-        h.write_str(&self.parallel.entry);
+        h.write_str(self.parallel.entry());
         h.write_u64(self.system.bound)
             .write_u64(self.sequential_bound)
             .write_u64(self.feedback_iterations as u64);
+        // The isolated WCETs are hashed twice, as before the backend
+        // stopped keeping its own copy of them, so the value is unchanged.
         for series in [
-            &self.iso_costs,
+            &self.system.iso_wcet,
             &self.shared_accesses,
             &self.system.iso_wcet,
             &self.system.task_wcet,

@@ -12,10 +12,16 @@
 //! this layer can assume well-formed input and simply report
 //! [`DecodeError`] when that assumption fails.
 //!
+//! Only what the store writes is encoded: [`FrontendArtifact`] and
+//! [`CostTable`] (the first two `argo-dse` cache tiers), [`Schedule`]
+//! (the schedule tier) and [`Diagnostic`] (inside the point archive's
+//! per-point outcomes, which `argo-dse` encodes), with the ids,
+//! scalars and collections they are built from.
+//!
 //! Two encoding strategies coexist:
 //!
 //! * **structural** — most types write their fields directly
-//!   ([`Schedule`], [`Htg`], [`CostTable`], [`SystemWcet`], …);
+//!   ([`Schedule`], [`Htg`], [`CostTable`], [`Diagnostic`], …);
 //! * **canonical-text** — [`Program`] is encoded as its printed source
 //!   (`argo_ir::printer`) and decoded by re-parsing and renumbering.
 //!   The printed text is already the program's canonical identity (the
@@ -33,20 +39,19 @@
 //! stored fingerprint, so any round-trip infidelity surfaces as a
 //! counted store corruption, never as a silently wrong artifact.
 
-use crate::artifact::{BackendResult, CostTable, FrontendArtifact};
+use crate::artifact::{CostTable, FrontendArtifact};
 use crate::diag::{Diagnostic, ErrorCode, Stage};
 use crate::fingerprint::Fingerprint;
-use argo_adl::{CoreId, MemSpace, MemoryMap, Placement};
+use argo_adl::CoreId;
 use argo_htg::deps::LoopParallelism;
 use argo_htg::{DepEdge, Htg, Task, TaskId, TaskKind};
 use argo_ir::ast::Program;
 use argo_ir::resolve::Resolution;
 use argo_ir::StmtId;
-use argo_parir::{CorePlan, ParallelProgram, SignalId, Step};
-use argo_sched::{Schedule, TaskGraph};
-use argo_wcet::system::SystemWcet;
+use argo_sched::Schedule;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::Arc;
 
 /// A payload failed to decode (truncated, malformed, or semantically
 /// inconsistent — e.g. embedded program text that no longer parses).
@@ -280,15 +285,6 @@ impl Codec for u64 {
     }
 }
 
-impl Codec for u32 {
-    fn encode(&self, e: &mut Encoder) {
-        e.u32(*self);
-    }
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        d.u32()
-    }
-}
-
 impl Codec for usize {
     fn encode(&self, e: &mut Encoder) {
         e.usize(*self);
@@ -383,27 +379,6 @@ impl<T: Codec, U: Codec> Codec for Result<T, U> {
     }
 }
 
-impl<A: Codec, B: Codec> Codec for (A, B) {
-    fn encode(&self, e: &mut Encoder) {
-        self.0.encode(e);
-        self.1.encode(e);
-    }
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok((A::decode(d)?, B::decode(d)?))
-    }
-}
-
-impl<A: Codec, B: Codec, C: Codec> Codec for (A, B, C) {
-    fn encode(&self, e: &mut Encoder) {
-        self.0.encode(e);
-        self.1.encode(e);
-        self.2.encode(e);
-    }
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok((A::decode(d)?, B::decode(d)?, C::decode(d)?))
-    }
-}
-
 impl<K: Codec + Ord, V: Codec> Codec for BTreeMap<K, V> {
     fn encode(&self, e: &mut Encoder) {
         e.usize(self.len());
@@ -467,15 +442,6 @@ impl Codec for CoreId {
     }
     fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
         Ok(CoreId(d.usize()?))
-    }
-}
-
-impl Codec for SignalId {
-    fn encode(&self, e: &mut Encoder) {
-        e.usize(self.0);
-    }
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(SignalId(d.usize()?))
     }
 }
 
@@ -724,24 +690,7 @@ impl Codec for Htg {
     }
 }
 
-// --- scheduling / memory / parallel model ------------------------------
-
-impl Codec for TaskGraph {
-    fn encode(&self, e: &mut Encoder) {
-        self.cost.encode(e);
-        self.edges.encode(e);
-        self.names.encode(e);
-        self.htg_ids.encode(e);
-    }
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(TaskGraph {
-            cost: Vec::decode(d)?,
-            edges: Vec::decode(d)?,
-            names: Vec::decode(d)?,
-            htg_ids: Vec::decode(d)?,
-        })
-    }
-}
+// --- scheduling ----------------------------------------------------------
 
 impl Codec for Schedule {
     fn encode(&self, e: &mut Encoder) {
@@ -754,162 +703,6 @@ impl Codec for Schedule {
             assignment: Vec::decode(d)?,
             start: Vec::decode(d)?,
             finish: Vec::decode(d)?,
-        })
-    }
-}
-
-impl Codec for MemSpace {
-    fn encode(&self, e: &mut Encoder) {
-        match self {
-            MemSpace::Local => e.u8(0),
-            MemSpace::Spm(core) => {
-                e.u8(1);
-                core.encode(e);
-            }
-            MemSpace::Shared => e.u8(2),
-        }
-    }
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        match d.u8()? {
-            0 => Ok(MemSpace::Local),
-            1 => Ok(MemSpace::Spm(CoreId::decode(d)?)),
-            2 => Ok(MemSpace::Shared),
-            b => Err(DecodeError::new(format!("invalid MemSpace tag {b}"))),
-        }
-    }
-}
-
-impl Codec for Placement {
-    fn encode(&self, e: &mut Encoder) {
-        self.space.encode(e);
-        self.base_addr.encode(e);
-        self.size_bytes.encode(e);
-    }
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(Placement {
-            space: MemSpace::decode(d)?,
-            base_addr: u64::decode(d)?,
-            size_bytes: u64::decode(d)?,
-        })
-    }
-}
-
-impl Codec for MemoryMap {
-    fn encode(&self, e: &mut Encoder) {
-        e.usize(self.len());
-        for (var, placement) in self.iter() {
-            var.encode(e);
-            placement.encode(e);
-        }
-    }
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let n = d.read_len()?;
-        let mut map = MemoryMap::new();
-        for _ in 0..n {
-            let var = String::decode(d)?;
-            let placement = Placement::decode(d)?;
-            map.insert(var, placement);
-        }
-        Ok(map)
-    }
-}
-
-impl Codec for Step {
-    fn encode(&self, e: &mut Encoder) {
-        match self {
-            Step::Exec { task } => {
-                e.u8(0);
-                task.encode(e);
-            }
-            Step::Wait { signal, producer } => {
-                e.u8(1);
-                signal.encode(e);
-                producer.encode(e);
-            }
-            Step::Signal { signal, consumer } => {
-                e.u8(2);
-                signal.encode(e);
-                consumer.encode(e);
-            }
-        }
-    }
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        match d.u8()? {
-            0 => Ok(Step::Exec {
-                task: usize::decode(d)?,
-            }),
-            1 => Ok(Step::Wait {
-                signal: SignalId::decode(d)?,
-                producer: usize::decode(d)?,
-            }),
-            2 => Ok(Step::Signal {
-                signal: SignalId::decode(d)?,
-                consumer: usize::decode(d)?,
-            }),
-            b => Err(DecodeError::new(format!("invalid Step tag {b}"))),
-        }
-    }
-}
-
-impl Codec for CorePlan {
-    fn encode(&self, e: &mut Encoder) {
-        self.core.encode(e);
-        self.steps.encode(e);
-    }
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(CorePlan {
-            core: CoreId::decode(d)?,
-            steps: Vec::decode(d)?,
-        })
-    }
-}
-
-impl Codec for ParallelProgram {
-    fn encode(&self, e: &mut Encoder) {
-        self.program.encode(e);
-        self.entry.encode(e);
-        self.graph.encode(e);
-        self.schedule.encode(e);
-        self.plans.encode(e);
-        self.memory_map.encode(e);
-        self.privatized.encode(e);
-        self.task_stmts.encode(e);
-        self.signal_count.encode(e);
-    }
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(ParallelProgram {
-            program: Program::decode(d)?,
-            entry: String::decode(d)?,
-            graph: TaskGraph::decode(d)?,
-            schedule: Schedule::decode(d)?,
-            plans: Vec::decode(d)?,
-            memory_map: MemoryMap::decode(d)?,
-            privatized: BTreeSet::decode(d)?,
-            task_stmts: Vec::decode(d)?,
-            signal_count: usize::decode(d)?,
-        })
-    }
-}
-
-impl Codec for SystemWcet {
-    fn encode(&self, e: &mut Encoder) {
-        self.bound.encode(e);
-        self.iso_wcet.encode(e);
-        self.task_wcet.encode(e);
-        self.contenders.encode(e);
-        self.start.encode(e);
-        self.finish.encode(e);
-        self.iterations.encode(e);
-    }
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(SystemWcet {
-            bound: u64::decode(d)?,
-            iso_wcet: Vec::decode(d)?,
-            task_wcet: Vec::decode(d)?,
-            contenders: Vec::decode(d)?,
-            start: Vec::decode(d)?,
-            finish: Vec::decode(d)?,
-            iterations: u32::decode(d)?,
         })
     }
 }
@@ -941,35 +734,10 @@ impl Codec for FrontendArtifact {
         let htg = Htg::decode(d)?;
         let resolution = Resolution::of(&program);
         Ok(FrontendArtifact {
-            program,
-            resolution,
-            bounds,
-            htg,
-        })
-    }
-}
-
-impl Codec for BackendResult {
-    fn encode(&self, e: &mut Encoder) {
-        self.parallel.encode(e);
-        self.system.encode(e);
-        self.sequential_bound.encode(e);
-        self.iso_costs.encode(e);
-        self.shared_accesses.encode(e);
-        self.bounds.encode(e);
-        self.htg.encode(e);
-        self.feedback_iterations.encode(e);
-    }
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(BackendResult {
-            parallel: ParallelProgram::decode(d)?,
-            system: SystemWcet::decode(d)?,
-            sequential_bound: u64::decode(d)?,
-            iso_costs: Vec::decode(d)?,
-            shared_accesses: Vec::decode(d)?,
-            bounds: BTreeMap::decode(d)?,
-            htg: Htg::decode(d)?,
-            feedback_iterations: u32::decode(d)?,
+            program: Arc::new(program),
+            resolution: Arc::new(resolution),
+            bounds: Arc::new(bounds),
+            htg: Arc::new(htg),
         })
     }
 }
@@ -989,7 +757,7 @@ mod tests {
                        return s;\n\
                        }";
 
-    fn session_artifacts() -> (FrontendArtifact, CostTable, BackendResult) {
+    fn session_artifacts() -> (FrontendArtifact, CostTable) {
         let program = argo_ir::parse::parse_program(SRC).unwrap();
         let platform = Platform::xentium_manycore(2);
         let flow = Toolflow::new(program, "main")
@@ -997,17 +765,13 @@ mod tests {
             .config(ToolchainConfig::default());
         let artifact = flow.run_frontend().unwrap();
         let costs = flow.run_seed_costs(&artifact).unwrap();
-        let result = flow.run_backend(artifact.clone(), Some(&costs)).unwrap();
-        (artifact, costs, result)
+        (artifact, costs)
     }
 
     #[test]
     fn scalars_and_collections_round_trip() {
-        let v: Vec<(usize, usize, u64)> = vec![(1, 2, 3), (4, 5, 6)];
-        assert_eq!(
-            Vec::<(usize, usize, u64)>::from_bytes(&v.to_bytes()).unwrap(),
-            v
-        );
+        let v: Vec<usize> = vec![1, 2, 3];
+        assert_eq!(Vec::<usize>::from_bytes(&v.to_bytes()).unwrap(), v);
         let m: BTreeMap<String, u64> = [("a".to_string(), 1), ("b".to_string(), 2)].into();
         assert_eq!(
             BTreeMap::<String, u64>::from_bytes(&m.to_bytes()).unwrap(),
@@ -1021,7 +785,7 @@ mod tests {
 
     #[test]
     fn frontend_artifact_round_trips_with_equal_fingerprint() {
-        let (artifact, _, _) = session_artifacts();
+        let (artifact, _) = session_artifacts();
         let bytes = artifact.to_bytes();
         let back = FrontendArtifact::from_bytes(&bytes).unwrap();
         assert_eq!(back.fingerprint(), artifact.fingerprint());
@@ -1032,24 +796,10 @@ mod tests {
 
     #[test]
     fn cost_table_round_trips() {
-        let (_, costs, _) = session_artifacts();
+        let (_, costs) = session_artifacts();
         let back = CostTable::from_bytes(&costs.to_bytes()).unwrap();
         assert_eq!(back, costs);
         assert_eq!(back.fingerprint(), costs.fingerprint());
-    }
-
-    #[test]
-    fn backend_result_round_trips_with_equal_fingerprint() {
-        let (_, _, result) = session_artifacts();
-        let bytes = result.to_bytes();
-        let back = BackendResult::from_bytes(&bytes).unwrap();
-        assert_eq!(back.fingerprint(), result.fingerprint());
-        assert_eq!(back.parallel.schedule, result.parallel.schedule);
-        assert_eq!(back.parallel.plans, result.parallel.plans);
-        assert_eq!(back.parallel.memory_map, result.parallel.memory_map);
-        assert_eq!(back.system, result.system);
-        assert_eq!(back.htg, result.htg);
-        assert_eq!(back.report(), result.report(), "reports byte-identical");
     }
 
     #[test]
@@ -1063,7 +813,7 @@ mod tests {
 
     #[test]
     fn truncation_and_garbage_fail_loudly() {
-        let (artifact, _, _) = session_artifacts();
+        let (artifact, _) = session_artifacts();
         let bytes = artifact.to_bytes();
         for cut in [0, 1, bytes.len() / 2, bytes.len() - 1] {
             assert!(

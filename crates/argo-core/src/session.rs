@@ -5,8 +5,8 @@
 //! [`ToolchainConfig`] and (optionally) a [`StageObserver`], then runs
 //! the pipeline either whole ([`Toolflow::run`]) or stage by stage
 //! ([`Toolflow::run_frontend`] → [`Toolflow::run_seed_costs`] →
-//! [`Toolflow::run_backend`]), each stage yielding an owned
-//! [`Artifact`] type. Stage input fingerprints
+//! [`Toolflow::run_backend`]), each stage yielding an [`Artifact`]
+//! type. Stage input fingerprints
 //! ([`Toolflow::frontend_fingerprint`],
 //! [`Toolflow::seed_cost_fingerprint`]) are API-owned content hashes —
 //! two sessions with equal stage fingerprints produce identical stage
@@ -18,9 +18,10 @@ use crate::diag::{Diagnostic, ErrorCode, Stage};
 use crate::fingerprint::{Fingerprint, FingerprintHasher, Fingerprintable};
 use crate::observer::{FeedbackSnapshot, StageObserver, StageSummary};
 use crate::ToolchainConfig;
-use argo_adl::{MemSpace, MemoryMap, Placement, Platform};
+use argo_adl::{CoreId, MemSpace, MemoryMap, Placement, Platform};
 use argo_htg::accesses::AnnotateCtx;
 use argo_htg::extract::extract;
+use argo_htg::TaskId;
 use argo_ir::ast::Program;
 use argo_parir::ParallelProgram;
 use argo_sched::anneal::SimulatedAnnealing;
@@ -29,14 +30,16 @@ use argo_sched::list::ListScheduler;
 use argo_sched::{evaluate_assignment, CommModel, SchedCtx, Schedule, Scheduler, TaskGraph};
 use argo_transform::chunk::chunk_all_parallel_loops;
 use argo_transform::fold::fold_program;
-use argo_wcet::cost::{program_symbols, CostCtx};
+use argo_wcet::cost::{program_symbols, CostCtx, ProgramSymbols};
 use argo_wcet::schema::TaskCoster;
 use argo_wcet::system::{analyze, task_shared_accesses};
 use argo_wcet::value::loop_bounds_resolved;
+use argo_wcet::WcetError;
 use std::borrow::Cow;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Feeds the configuration fields the *frontend* stage observes —
@@ -381,8 +384,8 @@ impl<'a> Toolflow<'a> {
                 .map_err(|e| frontend_err(ErrorCode::InvalidProgram, e))?;
 
             // --- Slot resolution of the final (transformed, renumbered)
-            // program: one pass, reused by the value analysis below,
-            // stored in the artifact for every downstream interpreter.
+            // program: one pass, read by the value analysis below and
+            // kept in the artifact, whose fingerprint hashes it.
             let resolution = argo_ir::resolve::Resolution::of(&program);
 
             // --- Loop bounds (value analysis).
@@ -407,10 +410,10 @@ impl<'a> Toolflow<'a> {
             }
 
             Ok(FrontendArtifact {
-                program,
-                resolution,
-                bounds,
-                htg,
+                program: Arc::new(program),
+                resolution: Arc::new(resolution),
+                bounds: Arc::new(bounds),
+                htg: Arc::new(htg),
             })
         })
     }
@@ -432,20 +435,13 @@ impl<'a> Toolflow<'a> {
             let program = &artifact.program;
             let mem = all_shared_map(program, entry);
             let symbols = program_symbols(program);
-            let ctx =
-                CostCtx::with_symbols(program, platform, argo_adl::CoreId(0), 1, &mem, &symbols);
             let coster = TaskCoster::new(program, entry).map_err(seed_err)?;
-            let fw = coster
-                .callee_wcets(&ctx, &artifact.bounds)
-                .map_err(seed_err)?;
-            let mut costs: BTreeMap<argo_htg::TaskId, u64> = BTreeMap::new();
-            for &tid in &artifact.htg.top_level {
-                let task = artifact.htg.task(tid);
-                let w = coster
-                    .task_wcet(&ctx, &artifact.bounds, &fw, &task.stmts)
-                    .map_err(|e| seed_err(e).with_entity(task.name.clone()))?;
-                costs.insert(tid, w.max(1));
-            }
+            let costs = task_costs(artifact, &coster, &symbols, platform, &mem, None).map_err(
+                |(e, task)| match task {
+                    Some(task) => seed_err(e).with_entity(task),
+                    None => seed_err(e),
+                },
+            )?;
             Ok(CostTable::from(costs))
         })
     }
@@ -460,6 +456,10 @@ impl<'a> Toolflow<'a> {
     /// platform), skipping the first code-level WCET pass; the result
     /// is identical either way.
     ///
+    /// The result's parallel program shares the artifact's program and
+    /// HTG. A caller that keeps the artifact (a cache) passes a clone,
+    /// which only bumps reference counts.
+    ///
     /// # Errors
     ///
     /// Returns a [`Diagnostic`] naming the failing step.
@@ -473,13 +473,7 @@ impl<'a> Toolflow<'a> {
         let entry = self.entry.as_str();
         let cfg = &self.cfg;
         self.observed_stage(Stage::Backend, move || {
-            let FrontendArtifact {
-                program,
-                bounds,
-                htg,
-                ..
-            } = artifact;
-            if htg.top_level.is_empty() {
+            if artifact.htg.top_level.is_empty() {
                 return Err(Diagnostic::new(
                     Stage::Backend,
                     ErrorCode::EmptyHtg,
@@ -489,61 +483,37 @@ impl<'a> Toolflow<'a> {
             }
 
             // --- Iterative schedule ↔ placement ↔ WCET loop (§ II-E).
+            let (program, htg) = (&*artifact.program, &*artifact.htg);
             let platform_fp = platform.fingerprint();
-            let mut mem = all_shared_map(&program, entry);
-            let mut assignment: Option<Vec<argo_adl::CoreId>> = None;
+            let mut mem = all_shared_map(program, entry);
             let mut schedule: Option<Schedule> = None;
             // Hoisted out of the feedback loop: the symbol tables, the
             // index of the entry's top-level statements with the set of
             // functions it reaches, and the task-graph skeleton (names,
             // ids, edges) depend only on the program/HTG, not on the
             // round — each round only re-costs.
-            let symbols = program_symbols(&program);
-            let coster = TaskCoster::new(&program, entry)
+            let symbols = program_symbols(program);
+            let coster = TaskCoster::new(program, entry)
                 .map_err(|e| backend_err(ErrorCode::CodeWcetFailed, e))?;
-            let mut graph = TaskGraph::skeleton_from_htg(&htg);
-            let mut iso_costs: Vec<u64> = Vec::new();
+            let mut graph = TaskGraph::skeleton_from_htg(htg);
             let mut iterations = 0;
             for round in 0..cfg.feedback_rounds.max(1) {
                 let _round_span = argo_trace::span("backend.round");
                 iterations = round + 1;
                 // Code-level WCET per task, on its (current) core,
-                // isolated: the sum of its top-level statements' costs.
-                // The callee table depends only on the core, so it is
-                // computed once per distinct core rather than once per
-                // task, and only over the functions the entry reaches.
-                let costs: BTreeMap<argo_htg::TaskId, u64> = match (round, seed) {
-                    (0, Some(seeded)) => (**seeded).clone(),
+                // isolated, under the current placement.
+                let computed;
+                let costs = match (round, seed) {
+                    (0, Some(seeded)) => &**seeded,
                     _ => {
-                        let mut costs = BTreeMap::new();
-                        let mut fw_by_core: BTreeMap<argo_adl::CoreId, _> = BTreeMap::new();
-                        for (idx, &tid) in htg.top_level.iter().enumerate() {
-                            let core = match &assignment {
-                                Some(a) => a[idx],
-                                None => argo_adl::CoreId(0),
-                            };
-                            let ctx =
-                                CostCtx::with_symbols(&program, platform, core, 1, &mem, &symbols);
-                            if let std::collections::btree_map::Entry::Vacant(e) =
-                                fw_by_core.entry(core)
-                            {
-                                let fw = coster
-                                    .callee_wcets(&ctx, &bounds)
-                                    .map_err(|e| backend_err(ErrorCode::CodeWcetFailed, e))?;
-                                e.insert(fw);
-                            }
-                            let fw = &fw_by_core[&core];
-                            let task = htg.task(tid);
-                            let w = coster
-                                .task_wcet(&ctx, &bounds, fw, &task.stmts)
-                                .map_err(|e| backend_err(ErrorCode::CodeWcetFailed, e))?;
-                            costs.insert(tid, w.max(1));
-                        }
-                        costs
+                        let assignment = schedule.as_ref().map(|s| s.assignment.as_slice());
+                        computed =
+                            task_costs(&artifact, &coster, &symbols, platform, &mem, assignment)
+                                .map_err(|(e, _)| backend_err(ErrorCode::CodeWcetFailed, e))?;
+                        &computed
                     }
                 };
-                graph.set_costs(&costs);
-                iso_costs = graph.cost.clone();
+                graph.set_costs(costs);
 
                 // Mapping/scheduling stage, routed through the schedule
                 // cache when one is bound (third `argo-dse` cache tier):
@@ -574,20 +544,14 @@ impl<'a> Toolflow<'a> {
                     }
                     None => build(),
                 };
-                let stable = assignment.as_ref() == Some(&sched.assignment);
-                assignment = Some(sched.assignment.clone());
-                let makespan = sched.makespan();
-                schedule = Some(sched);
+                let stable = schedule
+                    .as_ref()
+                    .is_some_and(|s| s.assignment == sched.assignment);
 
                 // Memory placement for the new mapping (WCET fed back).
-                mem = argo_parir::mem_assign::assign(
-                    &program,
-                    &htg,
-                    &graph,
-                    schedule.as_ref().expect("just set"),
-                    platform,
-                )
-                .map_err(|e| backend_err(ErrorCode::MemAssignFailed, e))?;
+                // The last round's placement is the final one.
+                mem = argo_parir::mem_assign::assign(program, htg, &graph, &sched, platform)
+                    .map_err(|e| backend_err(ErrorCode::MemAssignFailed, e))?;
 
                 if let Some(obs) = self.observer {
                     let spm_resident = mem
@@ -597,13 +561,14 @@ impl<'a> Toolflow<'a> {
                     obs.on_feedback_round(&FeedbackSnapshot {
                         seq: self.next_observer_seq(),
                         round,
-                        assignment: assignment.clone().expect("just set"),
-                        makespan,
+                        assignment: sched.assignment.clone(),
+                        makespan: sched.makespan(),
                         spm_resident,
                         shared_resident: mem.len() - spm_resident,
                         stable,
                     });
                 }
+                schedule = Some(sched);
                 if stable {
                     break;
                 }
@@ -626,13 +591,29 @@ impl<'a> Toolflow<'a> {
                 }
             }
 
-            // --- Parallel program model (§ II-C).
-            let parallel = ParallelProgram::build(program, &htg, graph, schedule, platform)
-                .map_err(|e| backend_err(ErrorCode::ParallelModelFailed, e))?;
+            // --- Parallel program model (§ II-C), sharing the artifact's
+            // program and HTG.
+            let parallel = ParallelProgram::build(
+                artifact.program,
+                artifact.htg,
+                graph,
+                schedule,
+                mem,
+                platform,
+            )
+            .map_err(|e| backend_err(ErrorCode::ParallelModelFailed, e))?;
 
-            // --- System-level WCET (§ II-D).
-            let shared_accesses = task_shared_accesses(&htg, &parallel.graph, &parallel.memory_map);
-            let system = analyze(&parallel, platform, &iso_costs, &shared_accesses, cfg.mhp);
+            // --- System-level WCET (§ II-D), on the final round's
+            // isolated costs.
+            let shared_accesses =
+                task_shared_accesses(&parallel.htg, &parallel.graph, &parallel.memory_map);
+            let system = analyze(
+                &parallel,
+                platform,
+                &parallel.graph.cost,
+                &shared_accesses,
+                cfg.mhp,
+            );
 
             // --- Sequential baseline: same tasks, one core, no overlap.
             let seq_ctx = SchedCtx {
@@ -642,7 +623,7 @@ impl<'a> Toolflow<'a> {
             let seq = evaluate_assignment(
                 &parallel.graph,
                 &seq_ctx,
-                &vec![argo_adl::CoreId(0); parallel.graph.len()],
+                &vec![CoreId(0); parallel.graph.len()],
             );
             let sequential_bound = seq.makespan();
 
@@ -650,10 +631,7 @@ impl<'a> Toolflow<'a> {
                 parallel,
                 system,
                 sequential_bound,
-                iso_costs,
                 shared_accesses,
-                bounds,
-                htg,
                 feedback_iterations: iterations,
             })
         })
@@ -694,6 +672,44 @@ fn seed_err(e: impl std::fmt::Display) -> Diagnostic {
 
 fn backend_err(code: ErrorCode, e: impl std::fmt::Display) -> Diagnostic {
     Diagnostic::new(Stage::Backend, code, e.to_string())
+}
+
+/// Isolated code-level WCET of every top-level task of `artifact`: the
+/// task at index `i` of `htg.top_level` runs on `assignment[i]` (core 0
+/// when `assignment` is `None`) under the placement `mem`. This is
+/// round 0 of the § II-E loop (the seed costs) and every later round.
+/// The callee table depends only on the core, so it is built once per
+/// distinct core, over the functions the entry reaches; a task costs
+/// the sum of its top-level statements, at least 1 cycle. An error
+/// names the task when the task's own statements failed.
+fn task_costs<'a>(
+    artifact: &'a FrontendArtifact,
+    coster: &TaskCoster<'_>,
+    symbols: &ProgramSymbols,
+    platform: &Platform,
+    mem: &MemoryMap,
+    assignment: Option<&[CoreId]>,
+) -> Result<BTreeMap<TaskId, u64>, (WcetError, Option<&'a str>)> {
+    let (htg, bounds) = (&*artifact.htg, &*artifact.bounds);
+    let mut by_core = BTreeMap::new();
+    let mut costs = BTreeMap::new();
+    for (idx, &tid) in htg.top_level.iter().enumerate() {
+        let core = assignment.map_or(CoreId(0), |a| a[idx]);
+        let (ctx, fw) = match by_core.entry(core) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
+                let ctx = CostCtx::with_symbols(&artifact.program, platform, core, 1, mem, symbols);
+                let fw = coster.callee_wcets(&ctx, bounds).map_err(|e| (e, None))?;
+                e.insert((ctx, fw))
+            }
+        };
+        let task = htg.task(tid);
+        let w = coster
+            .task_wcet(ctx, bounds, fw, &task.stmts)
+            .map_err(|e| (e, Some(task.name.as_str())))?;
+        costs.insert(tid, w.max(1));
+    }
+    Ok(costs)
 }
 
 /// The conservative round-0 placement: every array in shared memory.

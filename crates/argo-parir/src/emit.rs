@@ -15,7 +15,7 @@ pub fn emit_pseudo_c(pp: &ParallelProgram) -> String {
     let _ = writeln!(
         out,
         "/* ARGO parallel program model — entry `{}` */",
-        pp.entry
+        pp.entry()
     );
     let _ = writeln!(
         out,
@@ -40,8 +40,8 @@ pub fn emit_pseudo_c(pp: &ParallelProgram) -> String {
             p.base_addr, p.size_bytes
         );
     }
-    if !pp.privatized.is_empty() {
-        let vars: Vec<&str> = pp.privatized.iter().map(|s| s.as_str()).collect();
+    if !pp.privatized().is_empty() {
+        let vars: Vec<&str> = pp.privatized().iter().map(|s| s.as_str()).collect();
         let _ = writeln!(out, "/* privatized scalars: {} */", vars.join(", "));
     }
     out.push('\n');
@@ -98,7 +98,10 @@ mod tests {
         let platform = argo_adl::Platform::xentium_manycore(2);
         let ctx = SchedCtx::new(&platform);
         let schedule = ListScheduler::new().schedule(&graph, &ctx);
-        let pp = crate::ParallelProgram::build(program, &htg, graph, schedule, &platform).unwrap();
+        let mem = crate::mem_assign::assign(&program, &htg, &graph, &schedule, &platform).unwrap();
+        let (program, htg) = (std::sync::Arc::new(program), std::sync::Arc::new(htg));
+        let pp =
+            crate::ParallelProgram::build(program, htg, graph, schedule, mem, &platform).unwrap();
         let text = emit_pseudo_c(&pp);
         assert!(text.contains("core0_main"));
         assert!(text.contains("core1_main"));

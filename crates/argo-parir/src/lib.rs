@@ -6,14 +6,21 @@
 //! address mapping of the variables and the buffers is obtained." (paper
 //! § II-C)
 //!
-//! A [`ParallelProgram`] bundles:
+//! A [`ParallelProgram`] is the frontend's program and HTG, shared
+//! behind `Arc`s rather than copied, plus the mapping:
 //!
+//! * the scheduled task graph and its [`Schedule`];
 //! * per-core [`CorePlan`]s — ordered task executions interleaved with
 //!   explicit [`Step::Signal`]/[`Step::Wait`] operations, one signal per
 //!   cross-core dependence edge;
 //! * the final [`argo_adl::MemoryMap`] assigning every variable to a
-//!   memory space and address ([`mem_assign`]);
-//! * the privatized-scalar set the executor must honour.
+//!   memory space and address, as computed by [`mem_assign::assign`]
+//!   for that schedule.
+//!
+//! The entry function, the privatized-scalar set the executor must
+//! honour and each task's statements are read from the HTG
+//! ([`ParallelProgram::entry`], [`ParallelProgram::privatized`],
+//! [`ParallelProgram::task_stmts`]).
 //!
 //! The platform simulator (`argo-sim`) executes this object; the
 //! system-level WCET analysis (`argo-wcet`) analyses it. [`emit`] renders
@@ -25,9 +32,11 @@ pub mod mem_assign;
 use argo_adl::{CoreId, MemoryMap, Platform};
 use argo_htg::Htg;
 use argo_ir::ast::Program;
+use argo_ir::StmtId;
 use argo_sched::{Schedule, TaskGraph};
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of a synchronization signal (one per cross-core edge).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -76,10 +85,11 @@ pub struct CorePlan {
 /// A fully constructed explicitly parallel program.
 #[derive(Debug, Clone)]
 pub struct ParallelProgram {
-    /// The (transformed) IR the tasks refer to.
-    pub program: Program,
-    /// Entry function name.
-    pub entry: String,
+    /// The (transformed) IR the tasks refer to, shared with the
+    /// frontend artifact it came from.
+    pub program: Arc<Program>,
+    /// The HTG the task graph was built from, shared likewise.
+    pub htg: Arc<Htg>,
     /// The task graph that was scheduled.
     pub graph: TaskGraph,
     /// The schedule (mapping + times).
@@ -88,11 +98,6 @@ pub struct ParallelProgram {
     pub plans: Vec<CorePlan>,
     /// Final variable placement.
     pub memory_map: MemoryMap,
-    /// Scalars the executor must privatize per task (reset to their
-    /// program-initial value before each task executes).
-    pub privatized: BTreeSet<String>,
-    /// Statement ids of each task (indexed like [`ParallelProgram::graph`]).
-    pub task_stmts: Vec<Vec<argo_ir::StmtId>>,
     /// Total number of signals allocated.
     pub signal_count: usize,
 }
@@ -113,22 +118,22 @@ impl fmt::Display for ParirError {
 impl std::error::Error for ParirError {}
 
 impl ParallelProgram {
-    /// Builds the explicit parallel model from the scheduling artefacts.
+    /// Builds the explicit parallel model from the scheduling artefacts
+    /// and the memory map [`mem_assign::assign`] computed for them.
     ///
     /// One signal is allocated per dependence edge whose endpoints are on
     /// different cores; the producer raises it immediately after the task,
-    /// the consumer waits immediately before. The memory map is built by
-    /// [`mem_assign::assign`].
+    /// the consumer waits immediately before.
     ///
     /// # Errors
     ///
-    /// Returns [`ParirError`] if the schedule and graph disagree, or if
-    /// memory assignment overflows the platform.
+    /// Returns [`ParirError`] if the schedule and graph disagree.
     pub fn build(
-        program: Program,
-        htg: &Htg,
+        program: Arc<Program>,
+        htg: Arc<Htg>,
         graph: TaskGraph,
         schedule: Schedule,
+        memory_map: MemoryMap,
         platform: &Platform,
     ) -> Result<ParallelProgram, ParirError> {
         if schedule.assignment.len() != graph.len() {
@@ -140,7 +145,6 @@ impl ParallelProgram {
                 ),
             });
         }
-        let entry = htg.function.clone();
         // Signals for cross-core edges.
         let mut signals: Vec<(usize, usize, SignalId)> = Vec::new(); // (from, to, id)
         for &(f, t, _) in &graph.edges {
@@ -176,24 +180,31 @@ impl ParallelProgram {
             }
             plans.push(CorePlan { core, steps });
         }
-        let memory_map = mem_assign::assign(&program, htg, &graph, &schedule, platform)
-            .map_err(|e| ParirError { msg: e })?;
-        let task_stmts = graph
-            .htg_ids
-            .iter()
-            .map(|&tid| htg.task(tid).stmts.clone())
-            .collect();
         Ok(ParallelProgram {
             program,
-            entry,
+            htg,
             graph,
             schedule,
             plans,
             memory_map,
-            privatized: htg.privatizable.clone(),
-            task_stmts,
             signal_count: signals.len(),
         })
+    }
+
+    /// Entry function name.
+    pub fn entry(&self) -> &str {
+        &self.htg.function
+    }
+
+    /// Scalars the executor must privatize per task (reset to their
+    /// program-initial value before each task executes).
+    pub fn privatized(&self) -> &BTreeSet<String> {
+        &self.htg.privatizable
+    }
+
+    /// Statement ids of task `t` (indexed like [`ParallelProgram::graph`]).
+    pub fn task_stmts(&self, t: usize) -> &[StmtId] {
+        &self.htg.task(self.graph.htg_ids[t]).stmts
     }
 
     /// Checks plan sanity: every task appears exactly once, every signal
@@ -265,7 +276,9 @@ mod tests {
         let platform = argo_adl::Platform::xentium_manycore(cores);
         let ctx = SchedCtx::new(&platform);
         let schedule = ListScheduler::new().schedule(&graph, &ctx);
-        ParallelProgram::build(program, &htg, graph, schedule, &platform).unwrap()
+        let mem = mem_assign::assign(&program, &htg, &graph, &schedule, &platform).unwrap();
+        let (program, htg) = (Arc::new(program), Arc::new(htg));
+        ParallelProgram::build(program, htg, graph, schedule, mem, &platform).unwrap()
     }
 
     #[test]
@@ -306,7 +319,7 @@ mod tests {
     #[test]
     fn induction_variable_is_privatized() {
         let pp = build_pipe(2);
-        assert!(pp.privatized.contains("i"));
+        assert!(pp.privatized().contains("i"));
     }
 
     #[test]
@@ -321,6 +334,8 @@ mod tests {
             start: vec![0],
             finish: vec![10],
         };
-        assert!(ParallelProgram::build(program, &htg, graph, bad, &platform).is_err());
+        let (program, htg) = (Arc::new(program), Arc::new(htg));
+        let built = ParallelProgram::build(program, htg, graph, bad, MemoryMap::new(), &platform);
+        assert!(built.is_err());
     }
 }

@@ -302,6 +302,7 @@ mod tests {
     use argo_adl::Platform;
     use argo_sched::evaluate_assignment;
     use argo_sched::{CommModel, SchedCtx};
+    use std::sync::Arc;
 
     /// Builds a 2-task parallel program (producer on core 0, consumer on
     /// core 1, one signal) whose traces the tests then override.
@@ -334,7 +335,10 @@ mod tests {
             })
             .collect();
         let schedule = evaluate_assignment(&graph, &ctx, &assignment);
-        ParallelProgram::build(program, &htg, graph, schedule, platform).unwrap()
+        let mem =
+            argo_parir::mem_assign::assign(&program, &htg, &graph, &schedule, platform).unwrap();
+        let (program, htg) = (Arc::new(program), Arc::new(htg));
+        ParallelProgram::build(program, htg, graph, schedule, mem, platform).unwrap()
     }
 
     fn traces_for(pp: &ParallelProgram, per_task: TaskTrace) -> Vec<TaskTrace> {

@@ -131,8 +131,8 @@ pub fn simulate(
     let replay = bus::replay(pp, platform, &traced.traces)?;
 
     // Collect outputs (entry array parameters).
-    let entry = pp.program.function(&pp.entry).ok_or_else(|| SimError {
-        msg: format!("no entry `{}`", pp.entry),
+    let entry = pp.program.function(pp.entry()).ok_or_else(|| SimError {
+        msg: format!("no entry `{}`", pp.entry()),
     })?;
     let mut outputs = Vec::new();
     for p in &entry.params {

@@ -52,15 +52,15 @@ pub fn trace_tasks(
     args: Vec<ArgVal>,
     cfg: &SimConfig,
 ) -> Result<Traced, SimError> {
-    let entry = pp.program.function(&pp.entry).ok_or_else(|| SimError {
-        msg: format!("no entry `{}`", pp.entry),
+    let entry = pp.program.function(pp.entry()).ok_or_else(|| SimError {
+        msg: format!("no entry `{}`", pp.entry()),
     })?;
     let mut frame = interp.make_frame(entry, args)?;
 
     // Scalar types of privatized vars (for resets).
     let symbols = argo_ir::validate::symbol_table(entry);
     let privatized: Vec<(String, Scalar)> = pp
-        .privatized
+        .privatized()
         .iter()
         .filter_map(|v| symbols.get(v).map(|t| (v.clone(), t.elem())))
         .collect();
@@ -96,7 +96,7 @@ pub fn trace_tasks(
             cache: caches[core.0].take(),
             rng: rng.as_mut(),
         };
-        for sid in &pp.task_stmts[t] {
+        for sid in pp.task_stmts(t) {
             // Statements are replayed through the slot-resolved mirror
             // by id — no AST lookup, no statement clone. A stale id
             // (plan out of sync with the program) is attributed to the
@@ -262,6 +262,7 @@ mod tests {
     use argo_adl::Platform;
     use argo_sched::evaluate_assignment;
     use argo_sched::{CommModel, SchedCtx, TaskGraph};
+    use std::sync::Arc;
 
     fn build_pp(src: &str, platform: &Platform) -> ParallelProgram {
         let program = argo_ir::parse::parse_program(src).unwrap();
@@ -275,7 +276,10 @@ mod tests {
             comm: CommModel::Free,
         };
         let schedule = evaluate_assignment(&graph, &ctx, &vec![CoreId(0); graph.len()]);
-        ParallelProgram::build(program, &htg, graph, schedule, platform).unwrap()
+        let mem =
+            argo_parir::mem_assign::assign(&program, &htg, &graph, &schedule, platform).unwrap();
+        let (program, htg) = (Arc::new(program), Arc::new(htg));
+        ParallelProgram::build(program, htg, graph, schedule, mem, platform).unwrap()
     }
 
     const SRC: &str = r#"

@@ -220,10 +220,6 @@ impl VerifyReport {
 }
 
 impl Artifact for VerifyReport {
-    fn kind(&self) -> &'static str {
-        "verify-report"
-    }
-
     fn fingerprint(&self) -> Fingerprint {
         let mut h = FingerprintHasher::new();
         h.write_str("verify-report");

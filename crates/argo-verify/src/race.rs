@@ -124,7 +124,7 @@ fn conflict_kinds(
 /// under `mode`, in deterministic (pair, variable) order.
 pub fn check_races(result: &BackendResult, mode: MhpMode) -> Vec<Finding> {
     let pp = &result.parallel;
-    let htg = &result.htg;
+    let htg = &pp.htg;
     let graph: &TaskGraph = &pp.graph;
     let n = graph.len();
     if n == 0 {
@@ -137,7 +137,7 @@ pub fn check_races(result: &BackendResult, mode: MhpMode) -> Vec<Finding> {
     // carries.
     let entry_fn = pp
         .program
-        .function(&pp.entry)
+        .function(pp.entry())
         .expect("parallel program entry exists");
     let mut by_id: BTreeMap<StmtId, &Stmt> = BTreeMap::new();
     argo_ir::visit::walk_stmts(&entry_fn.body, &mut |s| {
@@ -166,7 +166,7 @@ pub fn check_races(result: &BackendResult, mode: MhpMode) -> Vec<Finding> {
                 .iter()
                 .filter(|v| tb.reads.contains(*v) || tb.writes.contains(*v))
                 .chain(tb.writes.iter().filter(|v| ta.reads.contains(*v)))
-                .filter(|v| !pp.privatized.contains(*v))
+                .filter(|v| !pp.privatized().contains(*v))
                 .collect();
             vars.sort();
             vars.dedup();

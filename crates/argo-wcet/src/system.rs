@@ -342,6 +342,7 @@ mod tests {
     use argo_sched::list::ListScheduler;
     use argo_sched::Scheduler;
     use std::collections::BTreeMap;
+    use std::sync::Arc;
 
     /// Two independent loops + a join loop, on 2 cores.
     fn fixture() -> (ParallelProgram, Platform, Vec<u64>, Vec<u64>) {
@@ -368,9 +369,12 @@ mod tests {
             comm: CommModel::SignalOnly,
         };
         let schedule = ListScheduler::new().schedule(&graph, &ctx);
-        let pp = ParallelProgram::build(program, &htg, graph, schedule, &platform).unwrap();
+        let mem =
+            argo_parir::mem_assign::assign(&program, &htg, &graph, &schedule, &platform).unwrap();
+        let (program, htg) = (Arc::new(program), Arc::new(htg));
+        let pp = ParallelProgram::build(program, htg, graph, schedule, mem, &platform).unwrap();
         let iso: Vec<u64> = pp.graph.cost.clone();
-        let acc = task_shared_accesses(&htg, &pp.graph, &pp.memory_map);
+        let acc = task_shared_accesses(&pp.htg, &pp.graph, &pp.memory_map);
         (pp, platform, iso, acc)
     }
 
@@ -442,7 +446,10 @@ mod tests {
         let schedule = ListScheduler::new().schedule(&graph, &ctx);
         let iso = graph.cost.clone();
         let acc_src = task_shared_accesses(&htg, &graph, &MemoryMap::new());
-        let pp = ParallelProgram::build(program, &htg, graph, schedule, &platform).unwrap();
+        let mem =
+            argo_parir::mem_assign::assign(&program, &htg, &graph, &schedule, &platform).unwrap();
+        let (program, htg) = (Arc::new(program), Arc::new(htg));
+        let pp = ParallelProgram::build(program, htg, graph, schedule, mem, &platform).unwrap();
         let r = analyze(&pp, &platform, &iso, &acc_src, MhpMode::Static);
         assert_eq!(
             r.task_wcet, r.iso_wcet,

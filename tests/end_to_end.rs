@@ -243,7 +243,7 @@ fn observed_contention_waits_within_analysis_budget() {
     )
     .unwrap();
     // Total inflation budget the analysis reserved:
-    let budget: u64 = (0..r.iso_costs.len())
+    let budget: u64 = (0..r.system.iso_wcet.len())
         .map(|t| r.system.task_wcet[t] - r.system.iso_wcet[t])
         .sum();
     assert!(

@@ -14,6 +14,9 @@
 //! 4. **Code-level WCET** — per-task costs through one `TaskCoster`
 //!    equal the one-shot `stmt_ids_wcet`, and functions the entry never
 //!    calls are not costed.
+//! 5. **One owner per fact** — the parallel program shares the frontend
+//!    artifact's program and HTG, and carries the feedback loop's last
+//!    placement, equal to a fresh one of the final schedule.
 
 use argo_adl::{CacheConfig, CoreId, MemSpace, MemoryMap, Placement, Platform};
 use argo_core::{
@@ -21,10 +24,12 @@ use argo_core::{
 };
 use argo_dse::PlatformKind;
 use argo_htg::Granularity;
+use argo_parir::mem_assign;
 use argo_wcet::cost::{program_symbols, CostCtx};
 use argo_wcet::schema::{function_wcets, stmt_ids_wcet, TaskCoster};
 use argo_wcet::system::MhpMode;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Staged session output (with seeded round-0 costs) is bit-identical
 /// to the one-shot `Toolflow::run()` on all three bundled apps (egpws,
@@ -327,4 +332,63 @@ fn task_coster_matches_one_shot_stmt_ids_wcet() {
         spm_views > 0,
         "no finished run placed an array in a non-zero core's SPM"
     );
+}
+
+/// The backend shares the frontend artifact's program and HTG instead
+/// of copying them, and the parallel model takes the placement the
+/// feedback loop's last round computed instead of placing again: its
+/// memory map equals a fresh `mem_assign::assign` of the final program,
+/// HTG, graph and schedule. One-round runs are included because there
+/// an earlier round's placement (the all-shared one) differs from the
+/// final one on every platform with a scratchpad.
+#[test]
+fn parallel_program_shares_the_artifact_and_the_last_placement() {
+    for uc in argo_apps::all_use_cases(42) {
+        for granularity in [Granularity::Loop, Granularity::Block, Granularity::Stmt] {
+            for cores in [1, 2, 4, 8] {
+                let bus = PlatformKind::Bus.build(cores, None);
+                let noc = PlatformKind::Noc.build(cores, None);
+                let cached = bus.clone().with_caches(CacheConfig::small());
+                let artifact = Toolflow::borrowed(&uc.program, uc.entry)
+                    .platform(&bus)
+                    .config(ToolchainConfig {
+                        granularity,
+                        ..Default::default()
+                    })
+                    .run_frontend()
+                    .expect("frontend");
+                for platform in [&bus, &noc, &cached] {
+                    for feedback_rounds in [1, 3] {
+                        let flow = Toolflow::borrowed(&uc.program, uc.entry)
+                            .platform(platform)
+                            .config(ToolchainConfig {
+                                granularity,
+                                feedback_rounds,
+                                ..Default::default()
+                            });
+                        let costs = flow.run_seed_costs(&artifact).expect("seed costs");
+                        let result = flow
+                            .run_backend(artifact.clone(), Some(&costs))
+                            .expect("backend");
+                        let pp = &result.parallel;
+                        let at = format!(
+                            "{} {granularity:?} {} {feedback_rounds} rounds",
+                            uc.name, platform.name
+                        );
+                        assert!(Arc::ptr_eq(&artifact.program, &pp.program), "{at}");
+                        assert!(Arc::ptr_eq(&artifact.htg, &pp.htg), "{at}");
+                        let fresh = mem_assign::assign(
+                            &pp.program,
+                            &pp.htg,
+                            &pp.graph,
+                            &pp.schedule,
+                            platform,
+                        )
+                        .expect("placement");
+                        assert_eq!(pp.memory_map, fresh, "{at}");
+                    }
+                }
+            }
+        }
+    }
 }
