@@ -260,8 +260,9 @@ impl Artifact for BackendResult {
         h.write_u64(self.system.bound)
             .write_u64(self.sequential_bound)
             .write_u64(self.feedback_iterations as u64);
-        // The isolated WCETs are hashed twice, as before the backend
-        // stopped keeping its own copy of them, so the value is unchanged.
+        // `system.iso_wcet` fills two slots: the first keeps the layout,
+        // and so the values, of fingerprints that clients and stores
+        // have already recorded.
         for series in [
             &self.system.iso_wcet,
             &self.shared_accesses,
