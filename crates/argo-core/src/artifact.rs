@@ -43,7 +43,8 @@ pub trait Artifact {
 }
 
 /// The reusable result of the program-side compilation stages: the
-/// transformed program, its loop bounds and the annotated HTG.
+/// transformed program, its loop bounds and the HTG with each task's
+/// worst-case access counts.
 ///
 /// Two sessions that share `(program, entry, granularity, chunking,
 /// core count, value context)` produce *identical* frontend artifacts
@@ -64,7 +65,9 @@ pub struct FrontendArtifact {
     pub resolution: Arc<Resolution>,
     /// Loop bounds from the value analysis.
     pub bounds: Arc<LoopBounds>,
-    /// The extracted, access-annotated HTG.
+    /// The extracted HTG. Extraction counts each task's worst-case
+    /// accesses under `bounds` as it creates the task, so every task
+    /// carries its `access_counts`.
     pub htg: Arc<Htg>,
 }
 

@@ -19,7 +19,6 @@ use crate::fingerprint::{Fingerprint, FingerprintHasher, Fingerprintable};
 use crate::observer::{FeedbackSnapshot, StageObserver, StageSummary};
 use crate::ToolchainConfig;
 use argo_adl::{CoreId, MemSpace, MemoryMap, Placement, Platform};
-use argo_htg::accesses::AnnotateCtx;
 use argo_htg::extract::extract;
 use argo_htg::TaskId;
 use argo_ir::ast::Program;
@@ -346,9 +345,9 @@ impl<'a> Toolflow<'a> {
 
     /// Runs the frontend stage: validation, predictability
     /// transformations (§ II-B), loop-bound value analysis and HTG task
-    /// extraction with access annotation. The platform's core count is
-    /// the only platform property the frontend observes: it controls
-    /// DOALL chunking.
+    /// extraction, which counts each task's worst-case accesses. The
+    /// platform's core count is the only platform property the frontend
+    /// observes: it controls DOALL chunking.
     ///
     /// # Errors
     ///
@@ -392,14 +391,9 @@ impl<'a> Toolflow<'a> {
             let bounds = loop_bounds_resolved(&resolution, entry, &cfg.value_ctx)
                 .map_err(|e| frontend_err(ErrorCode::UnboundedLoop, e).with_entity(entry))?;
 
-            // --- Task extraction (HTG) + access annotation.
-            let mut htg = extract(&program, entry, cfg.granularity)
+            // --- Task extraction (HTG), each task with its access counts.
+            let htg = extract(&program, entry, cfg.granularity, &bounds)
                 .map_err(|e| frontend_err(ErrorCode::ExtractionFailed, e))?;
-            let actx = AnnotateCtx {
-                bounds: bounds.clone(),
-                default_bound: 1,
-            };
-            argo_htg::accesses::annotate(&mut htg, &program, &actx);
             if htg.top_level.is_empty() {
                 return Err(Diagnostic::new(
                     Stage::Frontend,

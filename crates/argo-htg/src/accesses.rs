@@ -2,93 +2,53 @@
 //!
 //! Every HTG task node carries "additional information on possible shared
 //! resource accesses (list of shared resources, and worst case number of
-//! accesses)" (§ II-B). This pass computes, per task and per variable, an
-//! upper bound on the number of accesses, by walking the task's statements
-//! and multiplying by enclosing loop bounds. Conditionals contribute the
-//! per-variable *maximum* over their branches.
+//! accesses)" (§ II-B). [`crate::extract::extract`] counts them as it
+//! creates each task: per variable, an upper bound on the number of
+//! accesses, found by walking the task's statements and multiplying by
+//! enclosing loop bounds. Conditionals contribute the per-variable
+//! *maximum* over their branches.
 //!
-//! Loop bounds come from three sources, in priority order: the caller-
-//! provided bound map (filled by the value analysis in `argo-wcet`),
-//! constant trip counts, and a configurable default for loops neither
-//! source can bound.
+//! Loop bounds come from three sources, in priority order: the loop-bound
+//! map of the value analysis in `argo-wcet`, constant trip counts, and 1.
+//! On the pipeline path the value analysis bounds every loop the counter
+//! can reach, or the frontend fails.
 
-use crate::{Htg, TaskId};
 use argo_ir::ast::*;
-use argo_ir::visit;
 use argo_ir::StmtId;
 use std::collections::BTreeMap;
 
 /// Per-variable access counts.
 pub type AccessCounts = BTreeMap<String, u64>;
 
-/// Context for the counting pass.
-#[derive(Debug, Clone, Default)]
-pub struct AnnotateCtx {
-    /// Loop bounds by loop statement id (from the value analysis).
-    pub bounds: BTreeMap<StmtId, u64>,
-    /// Fallback bound for loops with no other source (defaults to 1 via
-    /// `Default`; set this explicitly for meaningful results on
-    /// non-constant loops).
-    pub default_bound: u64,
-}
+/// Loop bounds by loop statement id.
+type Bounds = BTreeMap<StmtId, u64>;
 
-impl AnnotateCtx {
-    /// Creates a context with the given fallback bound.
-    pub fn with_default_bound(default_bound: u64) -> AnnotateCtx {
-        AnnotateCtx {
-            bounds: BTreeMap::new(),
-            default_bound,
-        }
+/// Worst-case access counts of one task's statements.
+pub(crate) fn count_task(stmts: &[&Stmt], program: &Program, bounds: &Bounds) -> AccessCounts {
+    let mut counts = AccessCounts::new();
+    for s in stmts {
+        count_stmt(s, 1, program, bounds, &mut counts);
     }
-}
-
-/// Annotates every task of `htg` with its worst-case access counts.
-pub fn annotate(htg: &mut Htg, program: &Program, ctx: &AnnotateCtx) {
-    let f = program
-        .function(&htg.function)
-        .expect("HTG function must exist in program");
-    // Index statements by id for task lookup.
-    let mut stmt_index: BTreeMap<StmtId, &Stmt> = BTreeMap::new();
-    visit::walk_stmts(&f.body, &mut |s| {
-        stmt_index.insert(s.id, s);
-    });
-    let ids: Vec<TaskId> = htg.tasks.iter().map(|t| t.id).collect();
-    for id in ids {
-        let mut counts = AccessCounts::new();
-        let stmt_ids = htg.task(id).stmts.clone();
-        for sid in stmt_ids {
-            if let Some(s) = stmt_index.get(&sid) {
-                count_stmt(s, 1, program, ctx, &mut counts);
-            }
-        }
-        htg.task_mut(id).access_counts = counts;
-    }
+    counts
 }
 
 /// Counts worst-case accesses of a single statement subtree with an
-/// iteration multiplier. Exposed for the WCET engine, which needs the same
-/// accounting for contention inflation.
-pub fn count_stmt(
-    s: &Stmt,
-    mult: u64,
-    program: &Program,
-    ctx: &AnnotateCtx,
-    out: &mut AccessCounts,
-) {
+/// iteration multiplier.
+fn count_stmt(s: &Stmt, mult: u64, program: &Program, bounds: &Bounds, out: &mut AccessCounts) {
     match &s.kind {
         StmtKind::Decl { name, init, .. } => {
             if let Some(e) = init {
-                count_expr(e, mult, program, ctx, out);
+                count_expr(e, mult, program, bounds, out);
                 bump(out, name, mult);
             }
         }
         StmtKind::Assign { target, value } => {
-            count_expr(value, mult, program, ctx, out);
+            count_expr(value, mult, program, bounds, out);
             match target {
                 LValue::Var(n) => bump(out, n, mult),
                 LValue::ArrayElem { array, indices } => {
                     for i in indices {
-                        count_expr(i, mult, program, ctx, out);
+                        count_expr(i, mult, program, bounds, out);
                     }
                     bump(out, array, mult);
                 }
@@ -99,14 +59,14 @@ pub fn count_stmt(
             then_blk,
             else_blk,
         } => {
-            count_expr(cond, mult, program, ctx, out);
+            count_expr(cond, mult, program, bounds, out);
             let mut then_counts = AccessCounts::new();
             for st in &then_blk.stmts {
-                count_stmt(st, mult, program, ctx, &mut then_counts);
+                count_stmt(st, mult, program, bounds, &mut then_counts);
             }
             let mut else_counts = AccessCounts::new();
             for st in &else_blk.stmts {
-                count_stmt(st, mult, program, ctx, &mut else_counts);
+                count_stmt(st, mult, program, bounds, &mut else_counts);
             }
             // Worst case per variable: max over branches.
             for (k, v) in then_counts {
@@ -126,49 +86,49 @@ pub fn count_stmt(
         StmtKind::For {
             var, lo, hi, body, ..
         } => {
-            count_expr(lo, mult, program, ctx, out);
-            count_expr(hi, mult, program, ctx, out);
-            let b = loop_bound(s, ctx);
+            count_expr(lo, mult, program, bounds, out);
+            count_expr(hi, mult, program, bounds, out);
+            let b = loop_bound(s, bounds);
             bump(out, var, mult * (b + 1)); // induction variable updates
             for st in &body.stmts {
-                count_stmt(st, mult * b, program, ctx, out);
+                count_stmt(st, mult * b, program, bounds, out);
             }
         }
         StmtKind::While { cond, body, bound } => {
-            let b = ctx.bounds.get(&s.id).copied().unwrap_or(*bound);
-            count_expr(cond, mult * (b + 1), program, ctx, out);
+            let b = bounds.get(&s.id).copied().unwrap_or(*bound);
+            count_expr(cond, mult * (b + 1), program, bounds, out);
             for st in &body.stmts {
-                count_stmt(st, mult * b, program, ctx, out);
+                count_stmt(st, mult * b, program, bounds, out);
             }
         }
         StmtKind::Call { name, args } => {
-            count_call(name, args, mult, program, ctx, out);
+            count_call(name, args, mult, program, bounds, out);
         }
         StmtKind::Return { value } => {
             if let Some(e) = value {
-                count_expr(e, mult, program, ctx, out);
+                count_expr(e, mult, program, bounds, out);
             }
         }
     }
 }
 
-fn count_expr(e: &Expr, mult: u64, program: &Program, ctx: &AnnotateCtx, out: &mut AccessCounts) {
+fn count_expr(e: &Expr, mult: u64, program: &Program, bounds: &Bounds, out: &mut AccessCounts) {
     match e {
         Expr::Var(n) => bump(out, n, mult),
         Expr::ArrayElem { array, indices } => {
             for i in indices {
-                count_expr(i, mult, program, ctx, out);
+                count_expr(i, mult, program, bounds, out);
             }
             bump(out, array, mult);
         }
         Expr::Unary { arg, .. } | Expr::Cast { arg, .. } => {
-            count_expr(arg, mult, program, ctx, out)
+            count_expr(arg, mult, program, bounds, out)
         }
         Expr::Binary { lhs, rhs, .. } => {
-            count_expr(lhs, mult, program, ctx, out);
-            count_expr(rhs, mult, program, ctx, out);
+            count_expr(lhs, mult, program, bounds, out);
+            count_expr(rhs, mult, program, bounds, out);
         }
-        Expr::Call { name, args } => count_call(name, args, mult, program, ctx, out),
+        Expr::Call { name, args } => count_call(name, args, mult, program, bounds, out),
         _ => {}
     }
 }
@@ -178,18 +138,18 @@ fn count_call(
     args: &[Expr],
     mult: u64,
     program: &Program,
-    ctx: &AnnotateCtx,
+    bounds: &Bounds,
     out: &mut AccessCounts,
 ) {
     if argo_ir::intrinsics::is_intrinsic(name) {
         for a in args {
-            count_expr(a, mult, program, ctx, out);
+            count_expr(a, mult, program, bounds, out);
         }
         return;
     }
     let Some(callee) = program.function(name) else {
         for a in args {
-            count_expr(a, mult, program, ctx, out);
+            count_expr(a, mult, program, bounds, out);
         }
         return;
     };
@@ -197,14 +157,14 @@ fn count_call(
     // by reference — no element access happens at the call site itself.
     for (a, p) in args.iter().zip(&callee.params) {
         if !p.ty.is_array() {
-            count_expr(a, mult, program, ctx, out);
+            count_expr(a, mult, program, bounds, out);
         }
     }
     // Count the callee body with array parameters renamed to the caller's
     // argument arrays (arrays alias across the call).
     let mut inner = AccessCounts::new();
     for st in &callee.body.stmts {
-        count_stmt(st, mult, program, ctx, &mut inner);
+        count_stmt(st, mult, program, bounds, &mut inner);
     }
     let mut rename: BTreeMap<&str, &str> = BTreeMap::new();
     for (p, a) in callee.params.iter().zip(args) {
@@ -225,8 +185,8 @@ fn count_call(
     }
 }
 
-fn loop_bound(s: &Stmt, ctx: &AnnotateCtx) -> u64 {
-    if let Some(b) = ctx.bounds.get(&s.id) {
+fn loop_bound(s: &Stmt, bounds: &Bounds) -> u64 {
+    if let Some(b) = bounds.get(&s.id) {
         return *b;
     }
     if let StmtKind::For { lo, hi, step, .. } = &s.kind {
@@ -237,7 +197,7 @@ fn loop_bound(s: &Stmt, ctx: &AnnotateCtx) -> u64 {
             return 0;
         }
     }
-    ctx.default_bound.max(1)
+    1
 }
 
 fn bump(out: &mut AccessCounts, var: &str, n: u64) {
@@ -252,8 +212,11 @@ mod tests {
 
     fn counts_of(src: &str, task_name_frag: &str) -> AccessCounts {
         let p = parse_program(src).unwrap();
-        let mut h = extract(&p, "main", Granularity::Loop).unwrap();
-        annotate(&mut h, &p, &AnnotateCtx::with_default_bound(1));
+        task_counts(&p, &Bounds::new(), task_name_frag)
+    }
+
+    fn task_counts(p: &Program, bounds: &Bounds, task_name_frag: &str) -> AccessCounts {
+        let h = extract(p, "main", Granularity::Loop, bounds).unwrap();
         h.tasks
             .iter()
             .find(|t| t.name.contains(task_name_frag))
@@ -312,19 +275,16 @@ mod tests {
         let src = "void main(real a[64], int n) { int i; \
              for (i=0;i<n;i=i+1) { a[i] = 0.0; } }";
         let p = parse_program(src).unwrap();
-        let mut h = extract(&p, "main", Granularity::Loop).unwrap();
-        // Find the loop's stmt id.
-        let loop_task = h.tasks.iter().find(|t| t.name.starts_with("for")).unwrap();
-        let loop_sid = loop_task.stmts[0];
-        let mut ctx = AnnotateCtx::with_default_bound(1);
-        ctx.bounds.insert(loop_sid, 40);
-        annotate(&mut h, &p, &ctx);
-        let c = &h
-            .tasks
-            .iter()
-            .find(|t| t.name.starts_with("for"))
+        let loop_sid = p
+            .function("main")
             .unwrap()
-            .access_counts;
+            .body
+            .stmts
+            .iter()
+            .find(|s| matches!(s.kind, StmtKind::For { .. }))
+            .unwrap()
+            .id;
+        let c = task_counts(&p, &Bounds::from([(loop_sid, 40)]), "for");
         assert_eq!(c["a"], 40);
     }
 

@@ -1,26 +1,23 @@
-//! Dependence analysis: sibling-task edges and loop parallelism.
+//! Dependence analysis: loop parallelism and array access ranges.
 //!
 //! Two analyses live here:
 //!
-//! 1. **Task-level dependences** — between sibling tasks, using transitively
-//!    collected read/write sets. Array variables are treated as single
-//!    cells: any write to `a[i]` conflicts with any access of `a[j]`,
-//!    regardless of the subscripts. That over-approximation is the
-//!    *sound* direction for this pass — it can only add precedence
-//!    edges, never miss one — at the cost of serializing tasks that
-//!    touch provably disjoint slices. Consumers that need the finer
-//!    answer (the `argo-verify` race detector refining whether an
-//!    *unordered* pair can really collide) re-analyze subscripts with
-//!    [`array_access_range`] and [`AccessRange::disjoint`]; the edge
-//!    construction here deliberately does not, because a bug in the
-//!    interval reasoning would silently drop ordering constraints
-//!    (exactly the class of bug the PR 1 decl-before-use fix patched,
-//!    where a whole-array declaration had to count as a write).
-//! 2. **Loop parallelism classification** — the affine-subscript DOALL test
+//! 1. **Loop parallelism classification** — the affine-subscript DOALL test
 //!    plus reduction recognition. This is what lets the transform stage
 //!    chunk a loop into parallel tasks, the core enabler of the paper's
 //!    "predictability oriented task parallelism extraction through loop
 //!    transformations" (§ II-B).
+//! 2. **Array access ranges** — [`array_access_range`] bounds the
+//!    leading subscripts with which a statement list reads or writes an
+//!    array, and [`AccessRange::disjoint`] tells whether two such ranges
+//!    can touch the same element.
+//!
+//! The task-level dependence edges are built during extraction
+//! (`extract::connect_siblings`), from each task's transitive read and
+//! write sets: an array that both tasks touch yields an edge unless the
+//! access ranges prove the accesses disjoint (chunked loops). The
+//! `argo-verify` race detector re-derives ranges on its own to refine
+//! whether an *unordered* pair can really collide.
 
 use argo_ir::ast::*;
 use argo_ir::visit;
@@ -710,7 +707,8 @@ mod tests {
             }
         "#;
         let p = parse_program(src).unwrap();
-        let htg = crate::extract::extract(&p, "main", crate::Granularity::Loop).unwrap();
+        let htg = crate::extract::extract(&p, "main", crate::Granularity::Loop, &BTreeMap::new())
+            .unwrap();
         let decl_task = htg
             .top_level
             .iter()

@@ -3,15 +3,19 @@
 //! Extraction walks the entry function's statement list, grouping
 //! statements into tasks according to the chosen [`Granularity`], and
 //! recursing into loop bodies to build the hierarchy ("loops are enclosed
-//! in an additional hierarchy level", § II-B). Dependence edges between
-//! siblings are derived from transitive read/write sets; flow edges carry
+//! in an additional hierarchy level", § II-B). Each task is created with
+//! its worst-case access counts ([`crate::accesses`]). Dependence edges
+//! between siblings are derived from transitive read/write sets, with
+//! array accesses refined by [`AccessRange::disjoint`]; flow edges carry
 //! the communication volume in bytes.
 
+use crate::accesses::count_task;
 use crate::deps::{array_access_range, classify_loop, AccessRange, LoopParallelism};
 use crate::{DepEdge, Granularity, Htg, Task, TaskId, TaskKind};
 use argo_ir::ast::*;
 use argo_ir::validate::{symbol_table, SymbolTable};
 use argo_ir::visit;
+use argo_ir::StmtId;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -30,7 +34,11 @@ impl fmt::Display for ExtractError {
 
 impl std::error::Error for ExtractError {}
 
-/// Extracts the HTG of function `func` at the given granularity.
+/// Extracts the HTG of function `func` at the given granularity, every
+/// task carrying its worst-case access counts ([`Task::access_counts`]).
+/// `bounds` maps loop statement ids to iteration bounds (the value
+/// analysis's loop-bound map); the counter falls back to a loop's
+/// constant trip count, then to 1.
 ///
 /// # Errors
 ///
@@ -39,6 +47,7 @@ pub fn extract(
     program: &Program,
     func: &str,
     granularity: Granularity,
+    bounds: &BTreeMap<StmtId, u64>,
 ) -> Result<Htg, ExtractError> {
     let f = program.function(func).ok_or_else(|| ExtractError {
         msg: format!("no function `{func}`"),
@@ -51,6 +60,8 @@ pub fn extract(
         },
         symbols,
         granularity,
+        program,
+        bounds,
         task_bodies: Vec::new(),
         ranges: Vec::new(),
     };
@@ -65,6 +76,8 @@ struct Extractor<'p> {
     htg: Htg,
     symbols: SymbolTable,
     granularity: Granularity,
+    program: &'p Program,
+    bounds: &'p BTreeMap<StmtId, u64>,
     /// The statements of each task, borrowed from the program, kept only
     /// for the range-based array-disjointness test during edge
     /// construction.
@@ -91,6 +104,7 @@ impl<'p> Extractor<'p> {
             writes.extend(w);
         }
         let live_reads = visit::live_in_reads(stmts.iter().copied());
+        let access_counts = count_task(&stmts, self.program, self.bounds);
         self.htg.tasks.push(Task {
             id,
             name,
@@ -101,7 +115,7 @@ impl<'p> Extractor<'p> {
             writes,
             children: Vec::new(),
             parent,
-            access_counts: Default::default(),
+            access_counts,
         });
         self.task_bodies.push(stmts);
         self.ranges.push(BTreeMap::new());
@@ -330,7 +344,7 @@ mod tests {
     fn htg_of(src: &str, g: Granularity) -> Htg {
         let p = parse_program(src).unwrap();
         argo_ir::validate::validate(&p).unwrap();
-        extract(&p, "main", g).unwrap()
+        extract(&p, "main", g, &BTreeMap::new()).unwrap()
     }
 
     #[test]
@@ -497,7 +511,7 @@ mod tests {
     #[test]
     fn unknown_function_errors() {
         let p = parse_program("void main() { }").unwrap();
-        assert!(extract(&p, "nope", Granularity::Loop).is_err());
+        assert!(extract(&p, "nope", Granularity::Loop, &BTreeMap::new()).is_err());
     }
 
     #[test]

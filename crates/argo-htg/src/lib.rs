@@ -12,12 +12,14 @@
 //! This crate implements exactly that object:
 //!
 //! * [`extract`] builds the HTG from a mini-C function at a configurable
-//!   [`Granularity`] — the "very fine grain task decomposition" of § III-C;
-//! * [`deps`] computes the dependence edges (scalar def-use plus
-//!   conservative array dependences) and classifies loops as DOALL /
-//!   reduction / sequential via an affine-subscript test;
-//! * [`accesses`] annotates every task with its worst-case shared-resource
-//!   access counts.
+//!   [`Granularity`] — the "very fine grain task decomposition" of § III-C
+//!   — with the dependence edges between sibling tasks (scalar def-use
+//!   plus array dependences refined by access ranges);
+//! * [`deps`] classifies loops as DOALL / reduction / sequential via an
+//!   affine-subscript test, and holds the array access-range analysis
+//!   the edges are refined with;
+//! * [`accesses`] counts each task's worst-case shared-resource accesses,
+//!   which extraction stores on the task as it creates it.
 //!
 //! # Examples
 //!
@@ -31,9 +33,12 @@
 //!     }
 //! "#;
 //! let program = argo_ir::parse::parse_program(src)?;
-//! let htg = argo_htg::extract::extract(&program, "main", argo_htg::Granularity::Loop)?;
+//! let bounds = std::collections::BTreeMap::new();
+//! let htg = argo_htg::extract::extract(&program, "main", argo_htg::Granularity::Loop, &bounds)?;
 //! // Two top-level loop tasks with a flow dependence through `b`.
 //! assert!(htg.edges.iter().any(|e| e.vars.contains("b")));
+//! // Each task carries its worst-case access counts.
+//! assert_eq!(htg.task(htg.top_level[1]).access_counts["a"], 64);
 //! # Ok(()) }
 //! ```
 
@@ -111,10 +116,10 @@ pub struct Task {
     pub children: Vec<TaskId>,
     /// Parent task, `None` for top-level tasks.
     pub parent: Option<TaskId>,
-    /// Worst-case number of accesses per shared variable, filled by
-    /// [`accesses::annotate`]. Keys are variable names; this is the
-    /// "list of shared resources, and worst case number of accesses" of
-    /// § II-B.
+    /// Worst-case number of accesses per shared variable, counted by
+    /// [`extract::extract`] when it creates the task (see [`accesses`]).
+    /// Keys are variable names; this is the "list of shared resources,
+    /// and worst case number of accesses" of § II-B.
     pub access_counts: BTreeMap<String, u64>,
 }
 
@@ -163,15 +168,6 @@ impl Htg {
     /// Panics if `id` is out of range.
     pub fn task(&self, id: TaskId) -> &Task {
         &self.tasks[id.0]
-    }
-
-    /// Mutable task lookup.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn task_mut(&mut self, id: TaskId) -> &mut Task {
-        &mut self.tasks[id.0]
     }
 
     /// Number of tasks across all hierarchy levels.

@@ -602,7 +602,9 @@ mod tests {
         let y = m.add_map("y", "sqrt(u) + 1.0", x).unwrap();
         m.mark_output(y);
         let p = m.lower().unwrap();
-        let htg = argo_htg::extract::extract(&p, "m", argo_htg::Granularity::Loop).unwrap();
+        let htg =
+            argo_htg::extract::extract(&p, "m", argo_htg::Granularity::Loop, &Default::default())
+                .unwrap();
         let any_doall = htg.tasks.iter().any(|t| {
             matches!(
                 &t.kind,

@@ -92,7 +92,7 @@ mod tests {
             }
         "#;
         let program = parse_program(src).unwrap();
-        let htg = extract(&program, "main", Granularity::Loop).unwrap();
+        let htg = extract(&program, "main", Granularity::Loop, &BTreeMap::new()).unwrap();
         let costs: BTreeMap<_, _> = htg.top_level.iter().map(|&t| (t, 100u64)).collect();
         let graph = TaskGraph::from_htg(&htg, &costs);
         let platform = argo_adl::Platform::xentium_manycore(2);

@@ -270,7 +270,7 @@ mod tests {
 
     fn build_pipe(cores: usize) -> ParallelProgram {
         let program = parse_program(PIPE).unwrap();
-        let htg = extract(&program, "main", Granularity::Loop).unwrap();
+        let htg = extract(&program, "main", Granularity::Loop, &BTreeMap::new()).unwrap();
         let costs: BTreeMap<_, _> = htg.top_level.iter().map(|&t| (t, 1000u64)).collect();
         let graph = TaskGraph::from_htg(&htg, &costs);
         let platform = argo_adl::Platform::xentium_manycore(cores);
@@ -325,7 +325,7 @@ mod tests {
     #[test]
     fn mismatched_schedule_is_rejected() {
         let program = parse_program(PIPE).unwrap();
-        let htg = extract(&program, "main", Granularity::Loop).unwrap();
+        let htg = extract(&program, "main", Granularity::Loop, &BTreeMap::new()).unwrap();
         let costs: BTreeMap<_, _> = htg.top_level.iter().map(|&t| (t, 10u64)).collect();
         let graph = TaskGraph::from_htg(&htg, &costs);
         let platform = argo_adl::Platform::xentium_manycore(2);

@@ -15,7 +15,6 @@
 //!   space) so the cache model has concrete addresses.
 
 use argo_adl::{CoreId, MemSpace, MemoryMap, Placement, Platform};
-use argo_htg::accesses::AnnotateCtx;
 use argo_htg::Htg;
 use argo_ir::ast::Program;
 use argo_ir::validate::symbol_table;
@@ -42,14 +41,21 @@ pub fn assign(
         .ok_or_else(|| format!("no function `{}`", htg.function))?;
     let symbols = symbol_table(f);
 
-    // Which cores touch each array? Use task read/write sets.
+    // Which cores touch each array (task read/write sets), and its
+    // worst-case access count per core (the SPM gain estimate).
     let mut cores_of: BTreeMap<&str, BTreeSet<CoreId>> = BTreeMap::new();
+    let mut access_gain: BTreeMap<(&str, CoreId), u64> = BTreeMap::new();
     for (idx, &tid) in graph.htg_ids.iter().enumerate() {
         let task = htg.task(tid);
         let core = schedule.assignment[idx];
         for v in task.reads.union(&task.writes) {
             if symbols.get(v).is_some_and(|t| t.is_array()) {
                 cores_of.entry(v.as_str()).or_default().insert(core);
+            }
+        }
+        for (v, n) in &task.access_counts {
+            if symbols.get(v).is_some_and(|t| t.is_array()) {
+                *access_gain.entry((v.as_str(), core)).or_insert(0) += n;
             }
         }
     }
@@ -59,36 +65,6 @@ pub fn assign(
         for (v, ty) in &symbols {
             if ty.is_array() {
                 cores_of.entry(v.as_str()).or_default().insert(CoreId(0));
-            }
-        }
-    }
-
-    // Worst-case access counts per array per core (gain estimation).
-    let mut access_gain: BTreeMap<(&str, CoreId), u64> = BTreeMap::new();
-    {
-        // Ensure annotation exists; re-annotate into a scratch HTG if the
-        // caller did not run the pass (counts default to footprint).
-        let mut counts_available = htg.tasks.iter().any(|t| !t.access_counts.is_empty());
-        let scratch;
-        let htg_ref: &Htg = if counts_available {
-            htg
-        } else {
-            let mut h = htg.clone();
-            argo_htg::accesses::annotate(&mut h, program, &AnnotateCtx::with_default_bound(16));
-            scratch = h;
-            counts_available = true;
-            &scratch
-        };
-        let _ = counts_available;
-        for (idx, &tid) in graph.htg_ids.iter().enumerate() {
-            let task = htg_ref.task(tid);
-            let core = schedule.assignment[idx];
-            for (v, n) in &task.access_counts {
-                if symbols.get(v).is_some_and(|t| t.is_array()) {
-                    *access_gain
-                        .entry((leak_name(v, &symbols), core))
-                        .or_insert(0) += n;
-                }
             }
         }
     }
@@ -169,16 +145,6 @@ pub fn assign(
     Ok(map)
 }
 
-// BTreeMap key borrowing helper: the candidate name string lives in
-// `symbols`; return a reference with the map's lifetime.
-fn leak_name<'a>(v: &str, symbols: &'a argo_ir::validate::SymbolTable) -> &'a str {
-    symbols
-        .keys()
-        .find(|k| k.as_str() == v)
-        .map(|k| k.as_str())
-        .unwrap_or("")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,8 +165,7 @@ mod tests {
 
     fn setup(cores: usize, split: bool) -> (Program, Htg, TaskGraph, Schedule, Platform) {
         let program = parse_program(TWO_KERNELS).unwrap();
-        let mut htg = extract(&program, "main", Granularity::Loop).unwrap();
-        argo_htg::accesses::annotate(&mut htg, &program, &AnnotateCtx::with_default_bound(16));
+        let htg = extract(&program, "main", Granularity::Loop, &BTreeMap::new()).unwrap();
         let costs: BTreeMap<TaskId, u64> = htg.top_level.iter().map(|&t| (t, 500u64)).collect();
         let graph = TaskGraph::from_htg(&htg, &costs);
         let platform = Platform::xentium_manycore(cores);
@@ -245,7 +210,7 @@ mod tests {
         "#;
         // 4096 reals = 32 KiB > 16 KiB SPM.
         let program = parse_program(src).unwrap();
-        let htg = extract(&program, "main", Granularity::Loop).unwrap();
+        let htg = extract(&program, "main", Granularity::Loop, &BTreeMap::new()).unwrap();
         let costs: BTreeMap<TaskId, u64> = htg.top_level.iter().map(|&t| (t, 1u64)).collect();
         let graph = TaskGraph::from_htg(&htg, &costs);
         let platform = Platform::xentium_manycore(1);
@@ -265,7 +230,7 @@ mod tests {
             }
         "#;
         let program = parse_program(src).unwrap();
-        let htg = extract(&program, "main", Granularity::Loop).unwrap();
+        let htg = extract(&program, "main", Granularity::Loop, &BTreeMap::new()).unwrap();
         let costs: BTreeMap<TaskId, u64> = htg.top_level.iter().map(|&t| (t, 1u64)).collect();
         let graph = TaskGraph::from_htg(&htg, &costs);
         let platform = Platform::xentium_manycore(2);

@@ -315,8 +315,13 @@ mod tests {
             }
         "#;
         let program = argo_ir::parse::parse_program(src).unwrap();
-        let htg =
-            argo_htg::extract::extract(&program, "main", argo_htg::Granularity::Loop).unwrap();
+        let htg = argo_htg::extract::extract(
+            &program,
+            "main",
+            argo_htg::Granularity::Loop,
+            &Default::default(),
+        )
+        .unwrap();
         let costs: std::collections::BTreeMap<_, _> =
             htg.top_level.iter().map(|&t| (t, 100u64)).collect();
         let graph = argo_sched::TaskGraph::from_htg(&htg, &costs);

@@ -266,8 +266,13 @@ mod tests {
 
     fn build_pp(src: &str, platform: &Platform) -> ParallelProgram {
         let program = argo_ir::parse::parse_program(src).unwrap();
-        let htg =
-            argo_htg::extract::extract(&program, "main", argo_htg::Granularity::Loop).unwrap();
+        let htg = argo_htg::extract::extract(
+            &program,
+            "main",
+            argo_htg::Granularity::Loop,
+            &Default::default(),
+        )
+        .unwrap();
         let costs: std::collections::BTreeMap<_, _> =
             htg.top_level.iter().map(|&t| (t, 10u64)).collect();
         let graph = TaskGraph::from_htg(&htg, &costs);

@@ -7,8 +7,8 @@
 //! against shared-memory-only placement.
 //!
 //! The *gain* of placing a variable is
-//! `accesses × (shared_cost − spm_cost)`: access counts come from the HTG
-//! annotation pass (worst-case counts, § II-B), costs from the ADL.
+//! `accesses × (shared_cost − spm_cost)`: access counts are the HTG
+//! tasks' worst-case counts (§ II-B), costs come from the ADL.
 
 /// One placement candidate.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -68,8 +68,8 @@ pub struct SystemWcet {
     pub iterations: u32,
 }
 
-/// Per-task worst-case number of *shared-memory* accesses, derived from
-/// the HTG access annotations filtered by the memory map.
+/// Per-task worst-case number of *shared-memory* accesses: the HTG
+/// tasks' access counts, filtered by the memory map.
 pub fn task_shared_accesses(htg: &Htg, graph: &TaskGraph, mem: &MemoryMap) -> Vec<u64> {
     graph
         .htg_ids
@@ -355,12 +355,7 @@ mod tests {
             }
         "#;
         let program = parse_program(src).unwrap();
-        let mut htg = extract(&program, "main", Granularity::Loop).unwrap();
-        argo_htg::accesses::annotate(
-            &mut htg,
-            &program,
-            &argo_htg::accesses::AnnotateCtx::with_default_bound(64),
-        );
+        let htg = extract(&program, "main", Granularity::Loop, &BTreeMap::new()).unwrap();
         let costs: BTreeMap<_, _> = htg.top_level.iter().map(|&t| (t, 5000u64)).collect();
         let graph = TaskGraph::from_htg(&htg, &costs);
         let platform = Platform::xentium_manycore(4);
@@ -433,12 +428,7 @@ mod tests {
             }
         "#;
         let program = parse_program(src).unwrap();
-        let mut htg = extract(&program, "main", Granularity::Loop).unwrap();
-        argo_htg::accesses::annotate(
-            &mut htg,
-            &program,
-            &argo_htg::accesses::AnnotateCtx::with_default_bound(32),
-        );
+        let htg = extract(&program, "main", Granularity::Loop, &BTreeMap::new()).unwrap();
         let costs: BTreeMap<_, _> = htg.top_level.iter().map(|&t| (t, 100u64)).collect();
         let graph = TaskGraph::from_htg(&htg, &costs);
         let platform = Platform::xentium_manycore(1);

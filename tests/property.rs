@@ -243,7 +243,8 @@ proptest! {
             argo_htg::Granularity::Block,
             argo_htg::Granularity::Loop,
         ][g];
-        let htg = argo_htg::extract::extract(&p, "main", gran).expect("extracts");
+        let htg = argo_htg::extract::extract(&p, "main", gran, &Default::default())
+            .expect("extracts");
         prop_assert!(htg.edges_are_acyclic());
         let costs: std::collections::BTreeMap<_, _> =
             htg.top_level.iter().map(|&t| (t, 10u64)).collect();
@@ -315,7 +316,9 @@ fn generated_programs_have_expected_shape() {
              }";
     let p = parse_program(src).unwrap();
     argo_ir::validate::validate(&p).unwrap();
-    let htg = argo_htg::extract::extract(&p, "main", argo_htg::Granularity::Loop).unwrap();
+    let htg =
+        argo_htg::extract::extract(&p, "main", argo_htg::Granularity::Loop, &Default::default())
+            .unwrap();
     assert!(!htg.is_empty());
     let _ = (Expr::int(1), BinOp::Add); // exercise re-exports used above
 }
