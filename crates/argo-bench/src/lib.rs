@@ -326,7 +326,7 @@ pub fn e7_granularity() -> String {
         let _ = writeln!(
             out,
             "{:<12} {:>5} {:>8} {:>9} {:>8.2}x",
-            argo_dse::space::granularity_label(row.point.granularity),
+            row.point.granularity.label(),
             m.tasks,
             m.signals,
             m.par_bound,

@@ -367,11 +367,7 @@ impl Fingerprintable for ToolchainConfig {
         h.write_str("toolchain-config");
         crate::feed_frontend_config(self, h);
         h.write_str(self.scheduler.label());
-        h.write_str(match self.mhp {
-            argo_wcet::system::MhpMode::Naive => "naive",
-            argo_wcet::system::MhpMode::Static => "static",
-            argo_wcet::system::MhpMode::Windows => "windows",
-        });
+        h.write_str(self.mhp.label());
         h.write_u64(self.feedback_rounds as u64);
     }
 }

@@ -112,6 +112,22 @@ impl SchedulerKind {
             SchedulerKind::Anneal => "anneal",
         }
     }
+
+    /// Parses a [`SchedulerKind::label`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the accepted labels.
+    pub fn parse(s: &str) -> Result<SchedulerKind, String> {
+        match s {
+            "list" => Ok(SchedulerKind::List),
+            "bnb" => Ok(SchedulerKind::BranchAndBound),
+            "anneal" => Ok(SchedulerKind::Anneal),
+            other => Err(format!(
+                "unknown scheduler `{other}` (expected list|bnb|anneal)"
+            )),
+        }
+    }
 }
 
 /// Tool-chain configuration.

@@ -45,11 +45,7 @@ use std::time::Instant;
 /// shared between the full config fingerprint and the frontend stage
 /// fingerprint so the two can never drift apart.
 pub(crate) fn feed_frontend_config(cfg: &ToolchainConfig, h: &mut FingerprintHasher) {
-    h.write_str(match cfg.granularity {
-        argo_htg::Granularity::Loop => "loop",
-        argo_htg::Granularity::Block => "block",
-        argo_htg::Granularity::Stmt => "stmt",
-    });
+    h.write_str(cfg.granularity.label());
     h.write_bool(cfg.chunk_loops);
     cfg.value_ctx.feed(h);
 }

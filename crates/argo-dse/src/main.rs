@@ -10,9 +10,11 @@
 //! Exits 0 on a clean sweep, 1 if any exploration point failed, 2 on
 //! usage errors.
 
-use argo_dse::space::{parse_granularity, parse_mhp, parse_scheduler};
+use argo_core::SchedulerKind;
 use argo_dse::{DesignSpace, Explorer, PlatformKind};
+use argo_htg::Granularity;
 use argo_search::{parse_strategy, Budget, SearchStrategy};
+use argo_wcet::system::MhpMode;
 use std::process::ExitCode;
 
 const USAGE: &str = "argo-dse — WCET-aware design-space exploration (ARGO toolflow)
@@ -161,26 +163,26 @@ fn parse_explore_args(args: &[String]) -> Result<Options, String> {
                 let v = value()?;
                 space.schedulers = if v == "all" {
                     vec![
-                        argo_core::SchedulerKind::List,
-                        argo_core::SchedulerKind::BranchAndBound,
-                        argo_core::SchedulerKind::Anneal,
+                        SchedulerKind::List,
+                        SchedulerKind::BranchAndBound,
+                        SchedulerKind::Anneal,
                     ]
                 } else {
                     split_list(v)
                         .into_iter()
-                        .map(parse_scheduler)
+                        .map(SchedulerKind::parse)
                         .collect::<Result<Vec<_>, _>>()?
                 };
             }
             "--granularities" => {
                 space.granularities = split_list(value()?)
                     .into_iter()
-                    .map(parse_granularity)
+                    .map(Granularity::parse)
                     .collect::<Result<Vec<_>, _>>()?;
             }
             "--chunk" => space.chunking = parse_chunk(value()?)?,
             "--spm" => space.spm_capacities = parse_spm(value()?)?,
-            "--mhp" => space.mhp = parse_mhp(value()?)?,
+            "--mhp" => space.mhp = MhpMode::parse(value()?)?,
             "--feedback-rounds" => {
                 space.feedback_rounds = value()?
                     .parse()

@@ -16,7 +16,7 @@
 use crate::cache::CacheStats;
 use crate::observe::{StageTimings, TierTiming};
 use crate::pareto::Objectives;
-use crate::space::{granularity_label, scheduler_label, ExplorationPoint};
+use crate::space::ExplorationPoint;
 use argo_core::codec::{Codec, DecodeError, Decoder, Encoder};
 use argo_core::Diagnostic;
 use argo_search::Budget;
@@ -257,8 +257,8 @@ impl ExplorationReport {
                         row.point.app,
                         row.point.platform.label(),
                         row.point.cores,
-                        scheduler_label(row.point.scheduler),
-                        granularity_label(row.point.granularity),
+                        row.point.scheduler.label(),
+                        row.point.granularity.label(),
                         fmt_spm(row),
                         m.tasks,
                         m.seq_bound,
@@ -274,8 +274,8 @@ impl ExplorationReport {
                         row.point.app,
                         row.point.platform.label(),
                         row.point.cores,
-                        scheduler_label(row.point.scheduler),
-                        granularity_label(row.point.granularity),
+                        row.point.scheduler.label(),
+                        row.point.granularity.label(),
                         fmt_spm(row),
                     );
                 }
@@ -365,8 +365,8 @@ impl ExplorationReport {
                 csv_escape(&p.app),
                 p.platform.label(),
                 p.cores,
-                scheduler_label(p.scheduler),
-                granularity_label(p.granularity),
+                p.scheduler.label(),
+                p.granularity.label(),
                 p.chunk_loops,
                 row.spm_effective,
             );
@@ -406,8 +406,8 @@ impl ExplorationReport {
                 escape(&p.app),
                 p.platform.label(),
                 p.cores,
-                scheduler_label(p.scheduler),
-                granularity_label(p.granularity),
+                p.scheduler.label(),
+                p.granularity.label(),
                 p.chunk_loops,
                 row.spm_effective,
                 self.pareto.contains(&i),

@@ -74,57 +74,6 @@ fn near_square_grid(n: usize) -> (usize, usize) {
     (rows.max(1), n / rows.max(1))
 }
 
-/// Report/CLI label for a scheduler kind (the canonical
-/// [`SchedulerKind::label`]).
-pub fn scheduler_label(kind: SchedulerKind) -> &'static str {
-    kind.label()
-}
-
-/// Parses a scheduler CLI label.
-pub fn parse_scheduler(s: &str) -> Result<SchedulerKind, String> {
-    match s {
-        "list" => Ok(SchedulerKind::List),
-        "bnb" => Ok(SchedulerKind::BranchAndBound),
-        "anneal" => Ok(SchedulerKind::Anneal),
-        other => Err(format!(
-            "unknown scheduler `{other}` (expected list|bnb|anneal)"
-        )),
-    }
-}
-
-/// Report/CLI label for a task granularity.
-pub fn granularity_label(g: Granularity) -> &'static str {
-    match g {
-        Granularity::Loop => "loop",
-        Granularity::Block => "block",
-        Granularity::Stmt => "stmt",
-    }
-}
-
-/// Parses a granularity CLI label.
-pub fn parse_granularity(s: &str) -> Result<Granularity, String> {
-    match s {
-        "loop" => Ok(Granularity::Loop),
-        "block" => Ok(Granularity::Block),
-        "stmt" => Ok(Granularity::Stmt),
-        other => Err(format!(
-            "unknown granularity `{other}` (expected loop|block|stmt)"
-        )),
-    }
-}
-
-/// Parses an MHP-mode CLI label.
-pub fn parse_mhp(s: &str) -> Result<MhpMode, String> {
-    match s {
-        "naive" => Ok(MhpMode::Naive),
-        "static" => Ok(MhpMode::Static),
-        "windows" => Ok(MhpMode::Windows),
-        other => Err(format!(
-            "unknown MHP mode `{other}` (expected naive|static|windows)"
-        )),
-    }
-}
-
 /// One fully-specified toolflow configuration to compile and analyze.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExplorationPoint {
@@ -155,8 +104,8 @@ impl ExplorationPoint {
             self.app,
             self.platform,
             self.cores,
-            scheduler_label(self.scheduler),
-            granularity_label(self.granularity),
+            self.scheduler.label(),
+            self.granularity.label(),
             if self.chunk_loops { "chunk" } else { "nochunk" },
             match self.spm_bytes {
                 Some(b) => b.to_string(),
@@ -383,15 +332,18 @@ mod tests {
             SchedulerKind::BranchAndBound,
             SchedulerKind::Anneal,
         ] {
-            assert_eq!(parse_scheduler(scheduler_label(k)).unwrap(), k);
+            assert_eq!(SchedulerKind::parse(k.label()).unwrap(), k);
         }
         for g in [Granularity::Loop, Granularity::Block, Granularity::Stmt] {
-            assert_eq!(parse_granularity(granularity_label(g)).unwrap(), g);
+            assert_eq!(Granularity::parse(g.label()).unwrap(), g);
+        }
+        for m in [MhpMode::Naive, MhpMode::Static, MhpMode::Windows] {
+            assert_eq!(MhpMode::parse(m.label()).unwrap(), m);
         }
         for p in [PlatformKind::Bus, PlatformKind::Noc] {
             assert_eq!(PlatformKind::parse(p.label()).unwrap(), p);
         }
-        assert!(parse_scheduler("heft").is_err());
+        assert!(SchedulerKind::parse("heft").is_err());
     }
 
     #[test]

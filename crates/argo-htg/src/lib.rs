@@ -74,6 +74,34 @@ pub enum Granularity {
     Loop,
 }
 
+impl Granularity {
+    /// Stable lower-case label, shared by reports, CLI flags, wire
+    /// requests and fingerprints.
+    pub fn label(&self) -> &'static str {
+        match self {
+            Granularity::Loop => "loop",
+            Granularity::Block => "block",
+            Granularity::Stmt => "stmt",
+        }
+    }
+
+    /// Parses a [`Granularity::label`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the accepted labels.
+    pub fn parse(s: &str) -> Result<Granularity, String> {
+        match s {
+            "loop" => Ok(Granularity::Loop),
+            "block" => Ok(Granularity::Block),
+            "stmt" => Ok(Granularity::Stmt),
+            other => Err(format!(
+                "unknown granularity `{other}` (expected loop|block|stmt)"
+            )),
+        }
+    }
+}
+
 /// What a task contains.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TaskKind {

@@ -12,23 +12,10 @@
 //! single-flight layer no matter how their JSON was formatted.
 
 use argo_core::{Diagnostic, Fingerprint, FingerprintHasher, SchedulerKind};
-use argo_dse::space::{
-    granularity_label, parse_granularity, parse_mhp, parse_scheduler, scheduler_label,
-};
 use argo_dse::{DesignSpace, ExplorationPoint, PlatformKind, PointMetrics};
 use argo_htg::Granularity;
 use argo_trace::json::{escape, Value};
 use argo_wcet::system::MhpMode;
-
-/// Wire label of an MHP mode (the request vocabulary, which matches the
-/// CLI labels rather than the longer `Display` forms).
-pub fn mhp_label(mhp: MhpMode) -> &'static str {
-    match mhp {
-        MhpMode::Naive => "naive",
-        MhpMode::Static => "static",
-        MhpMode::Windows => "windows",
-    }
-}
 
 /// One fully-specified point request (`compile` / `verify`).
 #[derive(Debug, Clone, PartialEq)]
@@ -83,12 +70,12 @@ impl PointSpec {
         h.write_str(&self.app)
             .write_str(self.platform.label())
             .write_u64(self.cores as u64)
-            .write_str(scheduler_label(self.scheduler))
-            .write_str(granularity_label(self.granularity))
+            .write_str(self.scheduler.label())
+            .write_str(self.granularity.label())
             .write_bool(self.chunk);
         h.write_bool(self.spm.is_some());
         h.write_u64(self.spm.unwrap_or(0));
-        h.write_str(mhp_label(self.mhp))
+        h.write_str(self.mhp.label())
             .write_u64(self.seed)
             .write_u64(self.rounds as u64);
     }
@@ -151,11 +138,11 @@ impl SweepSpec {
         }
         h.write_u64(self.schedulers.len() as u64);
         for &s in &self.schedulers {
-            h.write_str(scheduler_label(s));
+            h.write_str(s.label());
         }
         h.write_u64(self.granularities.len() as u64);
         for &g in &self.granularities {
-            h.write_str(granularity_label(g));
+            h.write_str(g.label());
         }
         h.write_u64(self.chunking.len() as u64);
         for &c in &self.chunking {
@@ -166,7 +153,7 @@ impl SweepSpec {
             h.write_bool(spm.is_some());
             h.write_u64(spm.unwrap_or(0));
         }
-        h.write_str(mhp_label(self.mhp))
+        h.write_str(self.mhp.label())
             .write_u64(self.seed)
             .write_u64(self.rounds as u64);
     }
@@ -310,11 +297,11 @@ fn point_spec(obj: &Value) -> Result<PointSpec, String> {
         app: field_str(obj, "app", "egpws")?.to_string(),
         platform: PlatformKind::parse(field_str(obj, "platform", "bus")?)?,
         cores: field_u64(obj, "cores", 4)? as usize,
-        scheduler: parse_scheduler(field_str(obj, "scheduler", "list")?)?,
-        granularity: parse_granularity(field_str(obj, "granularity", "loop")?)?,
+        scheduler: SchedulerKind::parse(field_str(obj, "scheduler", "list")?)?,
+        granularity: Granularity::parse(field_str(obj, "granularity", "loop")?)?,
         chunk: field_bool(obj, "chunk", true)?,
         spm: field_spm(obj, "spm")?,
-        mhp: parse_mhp(field_str(obj, "mhp", "static")?)?,
+        mhp: MhpMode::parse(field_str(obj, "mhp", "static")?)?,
         seed: field_u64(obj, "seed", 42)?,
         rounds: field_u64(obj, "rounds", 3)? as u32,
     })
@@ -353,10 +340,10 @@ fn sweep_spec(obj: &Value) -> Result<SweepSpec, String> {
                 .ok_or_else(|| "`cores` entries must be integers".to_string())
         })?,
         schedulers: list_of(obj, "schedulers", vec![SchedulerKind::List], |v| {
-            parse_scheduler(v.as_str().ok_or("`schedulers` entries must be strings")?)
+            SchedulerKind::parse(v.as_str().ok_or("`schedulers` entries must be strings")?)
         })?,
         granularities: list_of(obj, "granularities", vec![Granularity::Loop], |v| {
-            parse_granularity(
+            Granularity::parse(
                 v.as_str()
                     .ok_or("`granularities` entries must be strings")?,
             )
@@ -372,7 +359,7 @@ fn sweep_spec(obj: &Value) -> Result<SweepSpec, String> {
                 .map(Some)
                 .ok_or_else(|| "`spms` entries must be null or integers".to_string()),
         })?,
-        mhp: parse_mhp(field_str(obj, "mhp", "static")?)?,
+        mhp: MhpMode::parse(field_str(obj, "mhp", "static")?)?,
         seed: field_u64(obj, "seed", 42)?,
         rounds: field_u64(obj, "rounds", 3)? as u32,
     })

@@ -41,11 +41,8 @@ fn parse_mhp_list(spec: &str) -> Result<Vec<MhpMode>, String> {
     let mut out = Vec::new();
     for part in spec.split(',').map(str::trim).filter(|p| !p.is_empty()) {
         match part {
-            "naive" => out.push(MhpMode::Naive),
-            "static" => out.push(MhpMode::Static),
-            "windows" => out.push(MhpMode::Windows),
             "all" => out.extend([MhpMode::Naive, MhpMode::Static, MhpMode::Windows]),
-            other => return Err(format!("unknown MHP mode `{other}`")),
+            mode => out.push(MhpMode::parse(mode)?),
         }
     }
     if out.is_empty() {

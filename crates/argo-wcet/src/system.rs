@@ -39,6 +39,34 @@ pub enum MhpMode {
     Windows,
 }
 
+impl MhpMode {
+    /// Stable short label, shared by CLI flags, wire requests and
+    /// fingerprints (`Display` gives the longer report names).
+    pub fn label(&self) -> &'static str {
+        match self {
+            MhpMode::Naive => "naive",
+            MhpMode::Static => "static",
+            MhpMode::Windows => "windows",
+        }
+    }
+
+    /// Parses a [`MhpMode::label`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the accepted labels.
+    pub fn parse(s: &str) -> Result<MhpMode, String> {
+        match s {
+            "naive" => Ok(MhpMode::Naive),
+            "static" => Ok(MhpMode::Static),
+            "windows" => Ok(MhpMode::Windows),
+            other => Err(format!(
+                "unknown MHP mode `{other}` (expected naive|static|windows)"
+            )),
+        }
+    }
+}
+
 impl std::fmt::Display for MhpMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
