@@ -519,13 +519,4 @@ mod tests {
         let h = htg_of(PIPE, Granularity::Stmt);
         assert!(h.edges_are_acyclic());
     }
-
-    #[test]
-    fn dot_output_mentions_all_top_tasks() {
-        let h = htg_of(PIPE, Granularity::Loop);
-        let dot = h.to_dot();
-        for &t in &h.top_level {
-            assert!(dot.contains(&h.task(t).name));
-        }
-    }
 }

@@ -208,58 +208,12 @@ impl Htg {
         self.tasks.is_empty()
     }
 
-    /// Edges whose endpoints are both top-level tasks.
-    pub fn top_level_edges(&self) -> impl Iterator<Item = &DepEdge> {
-        let top: BTreeSet<TaskId> = self.top_level.iter().copied().collect();
-        self.edges
-            .iter()
-            .filter(move |e| top.contains(&e.from) && top.contains(&e.to))
-    }
-
-    /// Direct predecessors of `id` among its siblings.
-    pub fn preds(&self, id: TaskId) -> Vec<TaskId> {
-        self.edges
-            .iter()
-            .filter(|e| e.to == id)
-            .map(|e| e.from)
-            .collect()
-    }
-
-    /// Direct successors of `id` among its siblings.
-    pub fn succs(&self, id: TaskId) -> Vec<TaskId> {
-        self.edges
-            .iter()
-            .filter(|e| e.from == id)
-            .map(|e| e.to)
-            .collect()
-    }
-
     /// Checks that sibling edges form a DAG consistent with program order
     /// (`from < to` in extraction ordering). Used by property tests.
     pub fn edges_are_acyclic(&self) -> bool {
         // Edges always point from an earlier-extracted task to a later
         // one, so id order is a topological order.
         self.edges.iter().all(|e| e.from.0 < e.to.0)
-    }
-
-    /// A GraphViz dot rendering of the top level (debugging aid).
-    pub fn to_dot(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::from("digraph htg {\n");
-        for &t in &self.top_level {
-            let task = self.task(t);
-            let _ = writeln!(s, "  {} [label=\"{}\"];", t.0, task.name);
-        }
-        for e in self.top_level_edges() {
-            let style = if e.ordering_only {
-                " [style=dashed]"
-            } else {
-                ""
-            };
-            let _ = writeln!(s, "  {} -> {}{};", e.from.0, e.to.0, style);
-        }
-        s.push_str("}\n");
-        s
     }
 }
 
@@ -277,6 +231,5 @@ mod tests {
         let h = Htg::default();
         assert!(h.is_empty());
         assert!(h.edges_are_acyclic());
-        assert_eq!(h.top_level_edges().count(), 0);
     }
 }

@@ -128,30 +128,6 @@ impl TaskGraph {
         }
     }
 
-    /// Predecessor list per task as `(pred, bytes)`.
-    ///
-    /// Convenience allocation; hot paths should use
-    /// [`TaskGraph::index`] instead, which builds CSR adjacency once.
-    pub fn preds(&self) -> Vec<Vec<(usize, u64)>> {
-        let mut p = vec![Vec::new(); self.len()];
-        for &(f, t, b) in &self.edges {
-            p[t].push((f, b));
-        }
-        p
-    }
-
-    /// Successor list per task as `(succ, bytes)`.
-    ///
-    /// Convenience allocation; hot paths should use
-    /// [`TaskGraph::index`].
-    pub fn succs(&self) -> Vec<Vec<(usize, u64)>> {
-        let mut s = vec![Vec::new(); self.len()];
-        for &(f, t, b) in &self.edges {
-            s[f].push((t, b));
-        }
-        s
-    }
-
     /// A topological order of the tasks.
     ///
     /// # Panics
@@ -200,11 +176,9 @@ impl TaskGraph {
 /// Precomputed adjacency index of a [`TaskGraph`]: CSR predecessor and
 /// successor lists, initial indegrees and a cached topological order.
 ///
-/// Every scheduler used to rebuild `preds()`/`succs()`/`topo_order()`
-/// `Vec<Vec<_>>` adjacency on each call — the annealer did so once per
-/// *proposal*. Building the index once per graph and sharing it across
-/// the schedulers and [`Evaluator::new`] removes those allocations from
-/// the inner loops entirely.
+/// Built once per graph and shared by the schedulers and
+/// [`Evaluator::new`], so their inner loops (the annealer's runs once
+/// per *proposal*) allocate no adjacency.
 #[derive(Debug, Clone)]
 pub struct TaskGraphIndex {
     pred_off: Vec<u32>,

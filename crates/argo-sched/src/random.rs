@@ -118,13 +118,12 @@ mod tests {
         };
         let g = random_task_graph(9, &p);
         let layer_of: Vec<usize> = (0..20).map(|i| i * 5 / 20).collect();
-        let preds = g.preds();
-        for t in 0..20 {
-            if layer_of[t] > 0 {
+        let idx = g.index();
+        for (t, &layer) in layer_of.iter().enumerate() {
+            if layer > 0 {
                 assert!(
-                    !preds[t].is_empty(),
-                    "task {t} in layer {} has no preds",
-                    layer_of[t]
+                    !idx.preds(t).is_empty(),
+                    "task {t} in layer {layer} has no preds"
                 );
             }
         }

@@ -175,7 +175,7 @@ pub fn analyze(
         }
         MhpMode::Static => {
             let mhp = static_mhp(pp);
-            let contenders = contenders_from_mhp(pp, shared_accesses, &mhp);
+            let contenders = contenders_from_mhp_sets(pp, shared_accesses, &mhp);
             let task_wcet = inflate(&contenders);
             let s = evaluate(&task_wcet);
             SystemWcet {
@@ -276,14 +276,6 @@ fn windows_mhp(pp: &ParallelProgram, start: &[u64], finish: &[u64]) -> Vec<Vec<b
         }
     }
     mhp
-}
-
-fn contenders_from_mhp(
-    pp: &ParallelProgram,
-    shared_accesses: &[u64],
-    mhp: &[Vec<bool>],
-) -> Vec<usize> {
-    contenders_from_mhp_sets(pp, shared_accesses, mhp)
 }
 
 fn contenders_from_mhp_sets(
