@@ -367,6 +367,8 @@ impl<'a> Toolflow<'a> {
             }
 
             // --- Program analysis & predictability transformations (§ II-B).
+            // Fold before chunking too: `classify_loop` reads an unfolded
+            // subscript such as `b[2 * 1 * i]` as non-affine.
             fold_program(&mut program);
             program.renumber();
             if cfg.chunk_loops && core_count > 1 {

@@ -17,6 +17,8 @@
 //! 5. **One owner per fact** — the parallel program shares the frontend
 //!    artifact's program and HTG, and carries the feedback loop's last
 //!    placement, equal to a fresh one of the final schedule.
+//! 6. **Frontend transformations** — constant subscripts are folded
+//!    before DOALL chunking, so the chunker sees them as affine.
 
 use argo_adl::{CacheConfig, CoreId, MemSpace, MemoryMap, Placement, Platform};
 use argo_core::{
@@ -391,4 +393,27 @@ fn parallel_program_shares_the_artifact_and_the_last_placement() {
             }
         }
     }
+}
+
+/// `classify_loop` reads `b[2 * 1 * i]` as non-affine until the
+/// subscript is folded, so the frontend folds before chunking as well
+/// as after: this loop must split into one chunk per core.
+#[test]
+fn constant_subscripts_are_folded_before_chunking() {
+    let src = "void main(real a[128], real b[128]) { int i; \
+               for (i = 0; i < 4 * 16; i = i + 1) { b[2 * 1 * i] = a[i] * 2.0; } }";
+    let program = argo_ir::parse::parse_program(src).unwrap();
+    let platform = Platform::xentium_manycore(4);
+    let artifact = Toolflow::new(program, "main")
+        .platform(&platform)
+        .run_frontend()
+        .expect("frontend");
+    let htg = &artifact.htg;
+    let loops = htg
+        .top_level
+        .iter()
+        .filter(|&&t| matches!(htg.task(t).kind, argo_htg::TaskKind::LoopNode { .. }))
+        .count();
+    assert_eq!(htg.top_level.len(), 5, "init task plus the chunk loops");
+    assert_eq!(loops, 4, "one chunk loop per core");
 }
