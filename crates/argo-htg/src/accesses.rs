@@ -68,19 +68,14 @@ fn count_stmt(s: &Stmt, mult: u64, program: &Program, bounds: &Bounds, out: &mut
             for st in &else_blk.stmts {
                 count_stmt(st, mult, program, bounds, &mut else_counts);
             }
-            // Worst case per variable: max over branches.
+            // Worst case per variable: max over the union of both
+            // branches' variables.
             for (k, v) in then_counts {
-                let e = else_counts.get(&k).copied().unwrap_or(0);
+                let e = else_counts.remove(&k).unwrap_or(0);
                 bump(out, &k, v.max(e));
             }
             for (k, v) in else_counts {
-                if !out.contains_key(&k) {
-                    bump(out, &k, v);
-                } else {
-                    // Already merged via then-branch max unless absent
-                    // there; handled above, so only add missing keys.
-                }
-                let _ = v;
+                bump(out, &k, v);
             }
         }
         StmtKind::For {
@@ -256,6 +251,17 @@ mod tests {
         let c = counts_of(src, "for(i)");
         // Worst case: then-branch touches a twice per iteration, else
         // touches b once; per-var max gives both.
+        assert_eq!(c["a"], 32);
+        assert_eq!(c["b"], 16);
+    }
+
+    #[test]
+    fn else_branch_counts_variables_accessed_before_the_branch() {
+        let src = "void main(real a[16], real b[16], int k) { int i; real y; \
+             for (i=0;i<16;i=i+1) { \
+               y = a[i]; if (k > 0) { b[i] = 1.0; } else { b[i] = a[i]; } } }";
+        let c = counts_of(src, "for(i)");
+        // `a` is read once before the branch and once in the else branch.
         assert_eq!(c["a"], 32);
         assert_eq!(c["b"], 16);
     }

@@ -112,8 +112,13 @@ pub use backend::{DirEntryInfo, IoBackend, RealIo};
 
 /// Current on-disk schema version. Bump whenever the entry header or
 /// any [`Codec`] encoding changes shape; old entries then read as
-/// `version_skew` misses and are rewritten, never misread.
-pub const SCHEMA_VERSION: u32 = 1;
+/// `version_skew` misses and are rewritten, never misread. Bump it too
+/// when a fix changes what unchanged inputs produce: entries are keyed
+/// by input fingerprints, so without the bump a store written before
+/// the fix would replay the artifacts and archived points the fixed
+/// code no longer computes. Version 2 is the first such fix: worst-case
+/// access counts that take both branches of a conditional.
+pub const SCHEMA_VERSION: u32 = 2;
 
 /// Entry file magic, the first four bytes of every valid entry.
 pub const MAGIC: [u8; 4] = *b"ARGO";

@@ -19,6 +19,8 @@
 //!    placement, equal to a fresh one of the final schedule.
 //! 6. **Frontend transformations** — constant subscripts are folded
 //!    before DOALL chunking, so the chunker sees them as affine.
+//! 7. **Access counts** — a task's worst-case accesses to a shared
+//!    array count both branches of a conditional.
 
 use argo_adl::{CacheConfig, CoreId, MemSpace, MemoryMap, Placement, Platform};
 use argo_core::{
@@ -416,4 +418,32 @@ fn constant_subscripts_are_folded_before_chunking() {
         .count();
     assert_eq!(htg.top_level.len(), 5, "init task plus the chunk loops");
     assert_eq!(loops, 4, "one chunk loop per core");
+}
+
+/// Two loops read the shared array `a` on different cores, once before
+/// and once in the `else` branch of a conditional: each loop's
+/// worst-case count of shared accesses is 2 × 64, not just the 64
+/// before the branch.
+#[test]
+fn shared_accesses_count_accesses_in_both_branches() {
+    let src = "void main(real a[64], real b[64], real c[64], int k) { int i; real y; \
+               for (i = 0; i < 64; i = i + 1) { \
+                 y = a[i]; if (k > 0) { b[i] = 1.0; } else { b[i] = a[i]; } } \
+               for (i = 0; i < 64; i = i + 1) { \
+                 y = a[i]; if (k > 0) { c[i] = 1.0; } else { c[i] = a[i]; } } }";
+    let program = argo_ir::parse::parse_program(src).unwrap();
+    let platform = Platform::xentium_manycore(4);
+    let result = Toolflow::new(program, "main")
+        .platform(&platform)
+        .config(ToolchainConfig {
+            chunk_loops: false,
+            mhp: MhpMode::Static,
+            ..Default::default()
+        })
+        .run()
+        .expect("toolflow");
+    let pp = &result.parallel;
+    assert_ne!(pp.schedule.assignment[1], pp.schedule.assignment[2]);
+    assert_eq!(pp.memory_map.space_of("a"), MemSpace::Shared);
+    assert_eq!(result.shared_accesses, [0, 128, 128]);
 }
