@@ -12,9 +12,9 @@
 //! This crate implements exactly that object:
 //!
 //! * [`extract`] builds the HTG from a mini-C function at a configurable
-//!   [`Granularity`] — the "very fine grain task decomposition" of § III-C
-//!   — with the dependence edges between sibling tasks (scalar def-use
-//!   plus array dependences refined by access ranges);
+//!   [`Granularity`] (the "very fine grain task decomposition" of
+//!   § III-C), with the dependence edges between sibling tasks: scalar
+//!   def-use plus array dependences refined by access ranges;
 //! * [`deps`] classifies loops as DOALL / reduction / sequential via an
 //!   affine-subscript test, and holds the array access-range analysis
 //!   the edges are refined with;
