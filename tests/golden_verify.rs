@@ -8,6 +8,13 @@
 //! (fresh pipeline each time) and must agree with itself before being
 //! compared against the pinned golden.
 //!
+//! Every report above reads `clean`, so a second golden pins the race
+//! detector's *racy* output: `verify_races.txt` holds, per seed app ×
+//! MHP mode × 4- and 8-core bus, every finding `check_races` reports
+//! once the task graph's dependence edges are cleared (the PR 1 bug
+//! class `tests/verify_oracle.rs` re-seeds), one per line, in the
+//! detector's own order.
+//!
 //! Regenerate (only after an *intentional* behaviour change) with:
 //!
 //! ```text
@@ -15,8 +22,8 @@
 //! ```
 
 use argo_adl::Platform;
-use argo_core::{ToolchainConfig, Toolflow};
-use argo_verify::{verify_backend, VerifyConfig};
+use argo_core::{BackendResult, ToolchainConfig, Toolflow};
+use argo_verify::{race::check_races, verify_backend, VerifyConfig};
 use argo_wcet::system::MhpMode;
 use std::path::PathBuf;
 
@@ -41,7 +48,9 @@ fn check_or_update(name: &str, actual: &str) {
     );
 }
 
-fn rendered(name: &str, mhp: MhpMode, platform: &Platform) -> String {
+const ALL_MODES: [MhpMode; 3] = [MhpMode::Naive, MhpMode::Static, MhpMode::Windows];
+
+fn compile(name: &str, mhp: MhpMode, platform: &Platform) -> BackendResult {
     let uc = argo_apps::all_use_cases(42)
         .into_iter()
         .find(|u| u.name == name)
@@ -50,11 +59,15 @@ fn rendered(name: &str, mhp: MhpMode, platform: &Platform) -> String {
         mhp,
         ..Default::default()
     };
-    let r = Toolflow::new(uc.program, uc.entry)
+    Toolflow::new(uc.program, uc.entry)
         .platform(platform)
         .config(cfg)
         .run()
-        .expect("compile");
+        .expect("compile")
+}
+
+fn rendered(name: &str, mhp: MhpMode, platform: &Platform) -> String {
+    let r = compile(name, mhp, platform);
     let report = verify_backend(&r, platform, &VerifyConfig { mhp, allow: vec![] });
     report.render_text()
 }
@@ -63,11 +76,40 @@ fn rendered(name: &str, mhp: MhpMode, platform: &Platform) -> String {
 fn verify_reports_match_goldens_and_are_run_to_run_stable() {
     let platform = Platform::xentium_manycore(4);
     for app in ["egpws", "weaa", "polka"] {
-        for mhp in [MhpMode::Naive, MhpMode::Static, MhpMode::Windows] {
+        for mhp in ALL_MODES {
             let first = rendered(app, mhp, &platform);
             let second = rendered(app, mhp, &platform);
             assert_eq!(first, second, "{app} [{mhp}] not run-to-run stable");
             check_or_update(&format!("verify_{app}_{mhp}.txt"), &first);
         }
     }
+}
+
+#[test]
+fn race_findings_on_edgeless_task_graphs_match_the_golden() {
+    let mut out = String::new();
+    for cores in [4, 8] {
+        let platform = Platform::xentium_manycore(cores);
+        for app in ["egpws", "weaa", "polka"] {
+            for mhp in ALL_MODES {
+                let mut r = compile(app, mhp, &platform);
+                r.parallel.graph.edges.clear();
+                if mhp == MhpMode::Windows {
+                    // The published windows of an unmutated schedule
+                    // never overlap across an edge; opening them all
+                    // at cycle 0 lets this mode report races too.
+                    r.system.start.iter_mut().for_each(|s| *s = 0);
+                }
+                let findings = check_races(&r, mhp);
+                out.push_str(&format!(
+                    "== {app} {mhp} {cores}-core bus: {} findings\n",
+                    findings.len()
+                ));
+                for f in &findings {
+                    out.push_str(&format!("{f}\n"));
+                }
+            }
+        }
+    }
+    check_or_update("verify_races.txt", &out);
 }
