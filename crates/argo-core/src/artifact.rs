@@ -12,8 +12,8 @@
 //! The frontend artifact is the one owner of the transformed program,
 //! its resolution, its loop bounds and its HTG, each behind an `Arc`:
 //! cloning it bumps reference counts, and the backend result's
-//! [`ParallelProgram`] shares the same program and HTG instead of
-//! copying them.
+//! [`ParallelProgram`] shares the same program, resolution and HTG
+//! instead of copying them.
 //!
 //! All three implement [`Artifact`], whose `fingerprint()` is the
 //! canonical content hash caches key on (see [`crate::fingerprint`]).
@@ -59,9 +59,10 @@ pub struct FrontendArtifact {
     /// The slot resolution of the transformed program: interned
     /// symbols, per-function frame layouts and the resolved statement
     /// mirror. Computed once per frontend run; the frontend's value
-    /// analysis reads it, and [`Artifact::fingerprint`] hashes it.
-    /// Downstream interpreters (the simulator, `argo-verify`'s lint)
-    /// resolve the program again themselves.
+    /// analysis reads it, and [`Artifact::fingerprint`] hashes it. The
+    /// backend's [`ParallelProgram`] shares it, so the simulator's
+    /// interpreter and `argo-verify`'s lint read it too instead of
+    /// resolving the program again.
     pub resolution: Arc<Resolution>,
     /// Loop bounds from the value analysis.
     pub bounds: Arc<LoopBounds>,
@@ -186,8 +187,8 @@ impl Artifact for CostTable {
 }
 
 /// Everything the backend produced for one program/platform pair — the
-/// final pipeline artifact. The program and HTG are those of
-/// [`ParallelProgram`], and the final round's isolated task WCETs are
+/// final pipeline artifact. The program, its resolution and the HTG
+/// are those of [`ParallelProgram`], and the final round's isolated task WCETs are
 /// `system.iso_wcet`.
 #[derive(Debug, Clone)]
 pub struct BackendResult {

@@ -30,7 +30,8 @@
 //! stage yields an [`Artifact`]:
 //! [`FrontendArtifact`] → [`CostTable`] → [`BackendResult`], every one
 //! carrying a canonical content [`Fingerprint`] (the backend result
-//! shares the frontend artifact's program and HTG through `Arc`s);
+//! shares the frontend artifact's program, resolution and HTG through
+//! `Arc`s);
 //! [`Platform`](argo_adl::Platform) and [`ToolchainConfig`] are
 //! [`Fingerprintable`] too, so caches (see `argo-dse`) key on API-owned
 //! hashes instead of `Debug` formatting. Observers receive paired

@@ -584,9 +584,10 @@ impl<'a> Toolflow<'a> {
             }
 
             // --- Parallel program model (§ II-C), sharing the artifact's
-            // program and HTG.
+            // program, resolution and HTG.
             let parallel = ParallelProgram::build(
                 artifact.program,
+                artifact.resolution,
                 artifact.htg,
                 graph,
                 schedule,

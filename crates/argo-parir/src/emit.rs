@@ -78,6 +78,7 @@ mod tests {
     use super::*;
     use argo_htg::{extract::extract, Granularity};
     use argo_ir::parse::parse_program;
+    use argo_ir::resolve::Resolution;
     use argo_sched::list::ListScheduler;
     use argo_sched::{SchedCtx, Scheduler, TaskGraph};
     use std::collections::BTreeMap;
@@ -100,8 +101,11 @@ mod tests {
         let schedule = ListScheduler::new().schedule(&graph, &ctx);
         let mem = crate::mem_assign::assign(&program, &htg, &graph, &schedule, &platform).unwrap();
         let (program, htg) = (std::sync::Arc::new(program), std::sync::Arc::new(htg));
-        let pp =
-            crate::ParallelProgram::build(program, htg, graph, schedule, mem, &platform).unwrap();
+        let resolution = std::sync::Arc::new(Resolution::of(&program));
+        let pp = crate::ParallelProgram::build(
+            program, resolution, htg, graph, schedule, mem, &platform,
+        )
+        .unwrap();
         let text = emit_pseudo_c(&pp);
         assert!(text.contains("core0_main"));
         assert!(text.contains("core1_main"));

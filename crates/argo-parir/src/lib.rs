@@ -6,8 +6,9 @@
 //! address mapping of the variables and the buffers is obtained." (paper
 //! § II-C)
 //!
-//! A [`ParallelProgram`] is the frontend's program and HTG, shared
-//! behind `Arc`s rather than copied, plus the mapping:
+//! A [`ParallelProgram`] is the frontend's program, its slot
+//! resolution and its HTG, shared behind `Arc`s rather than copied,
+//! plus the mapping:
 //!
 //! * the scheduled task graph and its [`Schedule`];
 //! * per-core [`CorePlan`]s — ordered task executions interleaved with
@@ -32,6 +33,7 @@ pub mod mem_assign;
 use argo_adl::{CoreId, MemoryMap, Platform};
 use argo_htg::Htg;
 use argo_ir::ast::Program;
+use argo_ir::resolve::Resolution;
 use argo_ir::StmtId;
 use argo_sched::{Schedule, TaskGraph};
 use std::collections::BTreeSet;
@@ -88,6 +90,9 @@ pub struct ParallelProgram {
     /// The (transformed) IR the tasks refer to, shared with the
     /// frontend artifact it came from.
     pub program: Arc<Program>,
+    /// The slot resolution of `program`, shared likewise; the
+    /// simulator's interpreter and `argo-verify`'s lint execute it.
+    pub resolution: Arc<Resolution>,
     /// The HTG the task graph was built from, shared likewise.
     pub htg: Arc<Htg>,
     /// The task graph that was scheduled.
@@ -120,6 +125,7 @@ impl std::error::Error for ParirError {}
 impl ParallelProgram {
     /// Builds the explicit parallel model from the scheduling artefacts
     /// and the memory map [`mem_assign::assign`] computed for them.
+    /// `resolution` must be [`Resolution::of`] an equal `program`.
     ///
     /// One signal is allocated per dependence edge whose endpoints are on
     /// different cores; the producer raises it immediately after the task,
@@ -130,6 +136,7 @@ impl ParallelProgram {
     /// Returns [`ParirError`] if the schedule and graph disagree.
     pub fn build(
         program: Arc<Program>,
+        resolution: Arc<Resolution>,
         htg: Arc<Htg>,
         graph: TaskGraph,
         schedule: Schedule,
@@ -182,6 +189,7 @@ impl ParallelProgram {
         }
         Ok(ParallelProgram {
             program,
+            resolution,
             htg,
             graph,
             schedule,
@@ -278,7 +286,8 @@ mod tests {
         let schedule = ListScheduler::new().schedule(&graph, &ctx);
         let mem = mem_assign::assign(&program, &htg, &graph, &schedule, &platform).unwrap();
         let (program, htg) = (Arc::new(program), Arc::new(htg));
-        ParallelProgram::build(program, htg, graph, schedule, mem, &platform).unwrap()
+        let resolution = Arc::new(Resolution::of(&program));
+        ParallelProgram::build(program, resolution, htg, graph, schedule, mem, &platform).unwrap()
     }
 
     #[test]
@@ -335,7 +344,16 @@ mod tests {
             finish: vec![10],
         };
         let (program, htg) = (Arc::new(program), Arc::new(htg));
-        let built = ParallelProgram::build(program, htg, graph, bad, MemoryMap::new(), &platform);
+        let resolution = Arc::new(Resolution::of(&program));
+        let built = ParallelProgram::build(
+            program,
+            resolution,
+            htg,
+            graph,
+            bad,
+            MemoryMap::new(),
+            &platform,
+        );
         assert!(built.is_err());
     }
 }

@@ -300,6 +300,7 @@ mod tests {
     use super::*;
     use crate::trace::Ev;
     use argo_adl::Platform;
+    use argo_ir::resolve::Resolution;
     use argo_sched::evaluate_assignment;
     use argo_sched::{CommModel, SchedCtx};
     use std::sync::Arc;
@@ -343,7 +344,8 @@ mod tests {
         let mem =
             argo_parir::mem_assign::assign(&program, &htg, &graph, &schedule, platform).unwrap();
         let (program, htg) = (Arc::new(program), Arc::new(htg));
-        ParallelProgram::build(program, htg, graph, schedule, mem, platform).unwrap()
+        let resolution = Arc::new(Resolution::of(&program));
+        ParallelProgram::build(program, resolution, htg, graph, schedule, mem, platform).unwrap()
     }
 
     fn traces_for(pp: &ParallelProgram, per_task: TaskTrace) -> Vec<TaskTrace> {

@@ -124,7 +124,7 @@ pub fn simulate(
 ) -> Result<SimResult, SimError> {
     pp.validate().map_err(|msg| SimError { msg })?;
     // Phase 1: functional execution + per-task traces.
-    let mut interp = Interp::new(&pp.program);
+    let mut interp = Interp::with_resolution(&pp.program, &pp.resolution);
     let traced = trace::trace_tasks(&mut interp, pp, platform, args, cfg)?;
 
     // Phase 2: timed replay.

@@ -260,6 +260,7 @@ pub fn shared_count(trace: &TaskTrace) -> u64 {
 mod tests {
     use super::*;
     use argo_adl::Platform;
+    use argo_ir::resolve::Resolution;
     use argo_sched::evaluate_assignment;
     use argo_sched::{CommModel, SchedCtx, TaskGraph};
     use std::sync::Arc;
@@ -284,7 +285,8 @@ mod tests {
         let mem =
             argo_parir::mem_assign::assign(&program, &htg, &graph, &schedule, platform).unwrap();
         let (program, htg) = (Arc::new(program), Arc::new(htg));
-        ParallelProgram::build(program, htg, graph, schedule, mem, platform).unwrap()
+        let resolution = Arc::new(Resolution::of(&program));
+        ParallelProgram::build(program, resolution, htg, graph, schedule, mem, platform).unwrap()
     }
 
     const SRC: &str = r#"

@@ -278,7 +278,7 @@ pub fn verify_backend(
         Some(&pp.memory_map),
     ));
     findings.extend(schedule::check_plans(pp));
-    findings.extend(lint::lint_program(&pp.program));
+    findings.extend(lint::lint_resolution(&pp.resolution));
     findings.retain(|f| !cfg.allow.contains(&f.diagnostic.code));
     sort_findings(&mut findings);
     VerifyReport {

@@ -29,10 +29,17 @@ use argo_ir::resolve::{RArg, RCall, RExpr, RFunction, RLValue, RStmtKind, Resolu
 
 /// Lints every function of `program` on its slot-resolved mirror.
 pub fn lint_program(program: &Program) -> Vec<Finding> {
-    let res = Resolution::of(program);
+    lint_resolution(&Resolution::of(program))
+}
+
+/// Lints every function of an already resolved program: the
+/// resolution is a pure function of the program, so a caller holding
+/// one (a [`argo_parir::ParallelProgram`] shares the frontend's) skips
+/// resolving again and gets [`lint_program`]'s findings.
+pub fn lint_resolution(res: &Resolution) -> Vec<Finding> {
     let mut findings = Vec::new();
     for f in &res.functions {
-        FnLinter::new(&res, f).run(&mut findings);
+        FnLinter::new(res, f).run(&mut findings);
     }
     findings
 }

@@ -359,6 +359,7 @@ mod tests {
     use super::*;
     use argo_htg::{extract::extract, Granularity};
     use argo_ir::parse::parse_program;
+    use argo_ir::resolve::Resolution;
     use argo_sched::list::ListScheduler;
     use argo_sched::Scheduler;
     use std::collections::BTreeMap;
@@ -387,7 +388,9 @@ mod tests {
         let mem =
             argo_parir::mem_assign::assign(&program, &htg, &graph, &schedule, &platform).unwrap();
         let (program, htg) = (Arc::new(program), Arc::new(htg));
-        let pp = ParallelProgram::build(program, htg, graph, schedule, mem, &platform).unwrap();
+        let resolution = Arc::new(Resolution::of(&program));
+        let pp = ParallelProgram::build(program, resolution, htg, graph, schedule, mem, &platform)
+            .unwrap();
         let iso: Vec<u64> = pp.graph.cost.clone();
         let acc = task_shared_accesses(&pp.htg, &pp.graph, &pp.memory_map);
         (pp, platform, iso, acc)
@@ -459,7 +462,9 @@ mod tests {
         let mem =
             argo_parir::mem_assign::assign(&program, &htg, &graph, &schedule, &platform).unwrap();
         let (program, htg) = (Arc::new(program), Arc::new(htg));
-        let pp = ParallelProgram::build(program, htg, graph, schedule, mem, &platform).unwrap();
+        let resolution = Arc::new(Resolution::of(&program));
+        let pp = ParallelProgram::build(program, resolution, htg, graph, schedule, mem, &platform)
+            .unwrap();
         let r = analyze(&pp, &platform, &iso, &acc_src, MhpMode::Static);
         assert_eq!(
             r.task_wcet, r.iso_wcet,

@@ -15,7 +15,7 @@
 //!    equal the one-shot `stmt_ids_wcet`, and functions the entry never
 //!    calls are not costed.
 //! 5. **One owner per fact** — the parallel program shares the frontend
-//!    artifact's program and HTG, and carries the feedback loop's last
+//!    artifact's program, resolution and HTG, and carries the feedback loop's last
 //!    placement, equal to a fresh one of the final schedule.
 //! 6. **Frontend transformations** — constant subscripts are folded
 //!    before DOALL chunking, so the chunker sees them as affine.
@@ -338,8 +338,8 @@ fn task_coster_matches_one_shot_stmt_ids_wcet() {
     );
 }
 
-/// The backend shares the frontend artifact's program and HTG instead
-/// of copying them, and the parallel model takes the placement the
+/// The backend shares the frontend artifact's program, resolution and
+/// HTG instead of copying them, and the parallel model takes the placement the
 /// feedback loop's last round computed instead of placing again: its
 /// memory map equals a fresh `mem_assign::assign` of the final program,
 /// HTG, graph and schedule. One-round runs are included because there
@@ -380,6 +380,7 @@ fn parallel_program_shares_the_artifact_and_the_last_placement() {
                             uc.name, platform.name
                         );
                         assert!(Arc::ptr_eq(&artifact.program, &pp.program), "{at}");
+                        assert!(Arc::ptr_eq(&artifact.resolution, &pp.resolution), "{at}");
                         assert!(Arc::ptr_eq(&artifact.htg, &pp.htg), "{at}");
                         let fresh = mem_assign::assign(
                             &pp.program,
