@@ -261,6 +261,12 @@ pub fn sort_findings(findings: &mut [Finding]) {
 /// Runs all three verification passes over a finished backend result
 /// and returns the stably-ordered report.
 ///
+/// Race detection, schedule/placement validation, plan checking and
+/// the lint each run under their own span (`verify.race`,
+/// `verify.schedule`, `verify.plans`, `verify.lint`), inert unless
+/// tracing is on; they show in `--trace` files and flame summaries,
+/// never in the report.
+///
 /// This is the standalone entry point (CLI, DSE rows, tests); inside a
 /// session prefer [`ToolflowVerifyExt::run_verify`], which adds
 /// observer events.
@@ -270,15 +276,27 @@ pub fn verify_backend(
     cfg: &VerifyConfig,
 ) -> VerifyReport {
     let pp = &result.parallel;
-    let mut findings = race::check_races(result, cfg.mhp);
-    findings.extend(schedule::check_schedule(
-        &pp.graph,
-        platform,
-        &pp.schedule,
-        Some(&pp.memory_map),
-    ));
-    findings.extend(schedule::check_plans(pp));
-    findings.extend(lint::lint_resolution(&pp.resolution));
+    let mut findings = {
+        let _span = argo_trace::span("verify.race");
+        race::check_races(result, cfg.mhp)
+    };
+    {
+        let _span = argo_trace::span("verify.schedule");
+        findings.extend(schedule::check_schedule(
+            &pp.graph,
+            platform,
+            &pp.schedule,
+            Some(&pp.memory_map),
+        ));
+    }
+    {
+        let _span = argo_trace::span("verify.plans");
+        findings.extend(schedule::check_plans(pp));
+    }
+    {
+        let _span = argo_trace::span("verify.lint");
+        findings.extend(lint::lint_resolution(&pp.resolution));
+    }
     findings.retain(|f| !cfg.allow.contains(&f.diagnostic.code));
     sort_findings(&mut findings);
     VerifyReport {
