@@ -83,8 +83,12 @@ impl Client {
 
     /// Sends one request line (a complete JSON object, no newline).
     pub fn send_line(&mut self, line: &str) -> io::Result<()> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
+        // One write for the line and its newline: with TCP_NODELAY,
+        // two writes would leave as two segments.
+        let mut frame = Vec::with_capacity(line.len() + 1);
+        frame.extend_from_slice(line.as_bytes());
+        frame.push(b'\n');
+        self.writer.write_all(&frame)?;
         self.writer.flush()
     }
 

@@ -183,12 +183,14 @@ impl Write for Conn {
 struct SharedWriter(Arc<Mutex<Conn>>);
 
 impl SharedWriter {
-    /// Writes one frame; errors are swallowed (a client that hung up
-    /// mid-request loses its frames, nothing else).
-    fn line(&self, frame: &str) {
+    /// Writes one frame and its newline with a single write (with
+    /// `TCP_NODELAY`, two writes would leave as two segments); errors
+    /// are swallowed (a client that hung up mid-request loses its
+    /// frames, nothing else).
+    fn line(&self, mut frame: String) {
+        frame.push('\n');
         let mut conn = self.0.lock().unwrap();
         let _ = conn.write_all(frame.as_bytes());
-        let _ = conn.write_all(b"\n");
         let _ = conn.flush();
     }
 }
@@ -224,7 +226,7 @@ struct ForwardObserver {
 
 impl StageObserver for ForwardObserver {
     fn on_stage_start(&self, stage: Stage, seq: u64) {
-        self.writer.line(&format!(
+        self.writer.line(format!(
             "{{\"frame\":\"progress\",\"id\":{},\"seq\":{},\"event\":\"start\",\"stage\":\"{}\"}}",
             self.id,
             seq,
@@ -233,7 +235,7 @@ impl StageObserver for ForwardObserver {
     }
 
     fn on_stage_finish(&self, summary: &StageSummary) {
-        self.writer.line(&format!(
+        self.writer.line(format!(
             "{{\"frame\":\"progress\",\"id\":{},\"seq\":{},\"event\":\"finish\",\
              \"stage\":\"{}\",\"detail\":\"{}\",\"elapsed_us\":{},\"fingerprint\":\"{}\"}}",
             self.id,
@@ -246,7 +248,7 @@ impl StageObserver for ForwardObserver {
     }
 
     fn on_stage_error(&self, stage: Stage, seq: u64, diagnostic: &Diagnostic) {
-        self.writer.line(&format!(
+        self.writer.line(format!(
             "{{\"frame\":\"progress\",\"id\":{},\"seq\":{},\"event\":\"error\",\
              \"stage\":\"{}\",\"error\":{}}}",
             self.id,
@@ -257,7 +259,7 @@ impl StageObserver for ForwardObserver {
     }
 
     fn on_feedback_round(&self, snapshot: &FeedbackSnapshot) {
-        self.writer.line(&format!(
+        self.writer.line(format!(
             "{{\"frame\":\"progress\",\"id\":{},\"seq\":{},\"event\":\"feedback\",\
              \"round\":{},\"makespan\":{}}}",
             self.id, snapshot.seq, snapshot.round, snapshot.makespan
@@ -568,7 +570,7 @@ impl Inner {
             match proto::parse_request(&line) {
                 Err(message) => {
                     self.counters.rejected.fetch_add(1, Ordering::Relaxed);
-                    writer.line(&protocol_error(0, "bad-request", &message));
+                    writer.line(protocol_error(0, "bad-request", &message));
                 }
                 Ok(envelope) => self.dispatch(envelope, &writer, session),
             }
@@ -609,7 +611,7 @@ impl Inner {
             Request::Stats => {
                 self.counters.stats.fetch_add(1, Ordering::Relaxed);
                 let body = self.stats_body();
-                writer.line(&format!(
+                writer.line(format!(
                     "{{\"frame\":\"response\",\"id\":{},{}}}",
                     envelope.id, body
                 ));
@@ -618,14 +620,14 @@ impl Inner {
             Request::Metrics => {
                 self.counters.stats.fetch_add(1, Ordering::Relaxed);
                 let body = self.metrics_body();
-                writer.line(&format!(
+                writer.line(format!(
                     "{{\"frame\":\"response\",\"id\":{},{}}}",
                     envelope.id, body
                 ));
                 self.served(session);
             }
             Request::Shutdown => {
-                writer.line(&format!(
+                writer.line(format!(
                     "{{\"frame\":\"response\",\"id\":{},\"ok\":true,\"kind\":\"shutdown\"}}",
                     envelope.id
                 ));
@@ -634,7 +636,7 @@ impl Inner {
             }
             Request::Explore(sweep) if sweep.space().len() > self.cfg.max_points => {
                 self.counters.rejected.fetch_add(1, Ordering::Relaxed);
-                writer.line(&protocol_error(
+                writer.line(protocol_error(
                     envelope.id,
                     "space-too-large",
                     &format!(
@@ -646,7 +648,7 @@ impl Inner {
             }
             Request::Search(spec) if spec.sweep.space().len() > self.cfg.max_points => {
                 self.counters.rejected.fetch_add(1, Ordering::Relaxed);
-                writer.line(&protocol_error(
+                writer.line(protocol_error(
                     envelope.id,
                     "space-too-large",
                     &format!(
@@ -661,7 +663,7 @@ impl Inner {
                 // queued work still completes, but no new work enters.
                 if self.shutdown.load(Ordering::SeqCst) {
                     self.counters.rejected.fetch_add(1, Ordering::Relaxed);
-                    writer.line(&protocol_error(
+                    writer.line(protocol_error(
                         envelope.id,
                         "shutting-down",
                         "daemon is draining; resend to a fresh instance",
@@ -672,7 +674,7 @@ impl Inner {
                 if queue.len() >= self.cfg.queue_limit {
                     drop(queue);
                     self.counters.rejected.fetch_add(1, Ordering::Relaxed);
-                    writer.line(&protocol_error(
+                    writer.line(protocol_error(
                         envelope.id,
                         "over-capacity",
                         &format!("request queue is full ({} pending)", self.cfg.queue_limit),
@@ -734,7 +736,7 @@ impl Inner {
         };
         if token.is_expired() {
             self.deadlines.inc();
-            writer.line(&protocol_error(
+            writer.line(protocol_error(
                 envelope.id,
                 "deadline-exceeded",
                 "request deadline elapsed while queued",
@@ -814,7 +816,7 @@ impl Inner {
         } else {
             "response"
         };
-        writer.line(&format!(
+        writer.line(format!(
             "{{\"frame\":\"{frame}\",\"id\":{},{}}}",
             envelope.id, body
         ));
@@ -1000,7 +1002,7 @@ impl Inner {
                 loop {
                     let now = done.load(Ordering::Acquire);
                     if now != last {
-                        writer.line(&format!(
+                        writer.line(format!(
                             "{{\"frame\":\"progress\",\"id\":{id},\"done\":{now},\"total\":{total}}}"
                         ));
                         last = now;
