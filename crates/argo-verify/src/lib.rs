@@ -15,14 +15,16 @@
 //! * [`race`] — may-happen-in-parallel data-race detection: MHP task
 //!   pairs under each [`MhpMode`] (and from the concrete schedule),
 //!   intersected read/write sets, array conflicts refined with
-//!   [`argo_htg::deps::AccessRange`] disjointness;
+//!   [`argo_htg::deps::AccessRange`] disjointness; each task's access
+//!   summary is derived once per result, not once per pair;
 //! * [`schedule`] — schedule/placement validation: precedence edges
 //!   (via the `TaskGraphIndex`), timing consistency, per-core
 //!   exclusivity, SPM byte budgets, signal/wait comm ordering;
 //! * [`lint`] — IR lints on the slot-resolved mirror
-//!   ([`argo_ir::resolve`]): uninitialized read (def-before-use
-//!   dataflow over slot-indexed bitsets), dead store, unreachable
-//!   statement, unbounded loop.
+//!   ([`argo_ir::resolve`]; [`verify_backend`] reads the frontend's,
+//!   which the parallel program shares): uninitialized read
+//!   (def-before-use dataflow over slot-indexed bitsets), dead store,
+//!   unreachable statement, unbounded loop.
 //!
 //! ## Verify and lint codes
 //!

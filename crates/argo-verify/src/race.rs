@@ -38,6 +38,7 @@ use crate::{Finding, Severity};
 use argo_core::{BackendResult, Diagnostic, ErrorCode, Stage};
 use argo_htg::deps::{array_access_range, AccessRange};
 use argo_ir::ast::{Stmt, StmtId, StmtKind};
+use argo_parir::ParallelProgram;
 use argo_sched::TaskGraph;
 use argo_wcet::system::MhpMode;
 use std::collections::BTreeMap;
@@ -134,7 +135,7 @@ fn mhp_rows(result: &BackendResult, mode: MhpMode) -> BitRows {
         *dst = !o;
     }
     // Bits past `n` in each row's last word stay clear.
-    if n % 64 != 0 {
+    if !n.is_multiple_of(64) {
         let tail = (1u64 << (n % 64)) - 1;
         for a in 0..n {
             mhp.bits[a * words + words - 1] &= tail;
@@ -167,6 +168,7 @@ struct Ranges {
 
 /// The verifier's per-task access summaries for one result.
 struct Summaries<'a> {
+    pp: &'a ParallelProgram,
     /// Shared variables, name-sorted: bit `v` of a set is `vars[v]`.
     vars: Vec<&'a str>,
     /// Whether `vars[v]` is an array of the entry function.
@@ -231,6 +233,7 @@ impl<'a> Summaries<'a> {
             }
         });
         Summaries {
+            pp,
             vars,
             is_array,
             reads,
@@ -243,11 +246,11 @@ impl<'a> Summaries<'a> {
 
     /// Task `t`'s write and read ranges on array `vars[v]`, computed
     /// on first use.
-    fn ranges(&mut self, pp: &argo_parir::ParallelProgram, t: usize, v: usize) -> Ranges {
+    fn ranges(&mut self, t: usize, v: usize) -> Ranges {
         if let Some(&(_, r)) = self.ranges[t].iter().find(|(var, _)| *var == v) {
             return r;
         }
-        let by_id = &self.by_id;
+        let (pp, by_id) = (self.pp, &self.by_id);
         let stmts = self.stmts[t].get_or_insert_with(|| {
             pp.task_stmts(t)
                 .iter()
@@ -313,7 +316,7 @@ pub fn check_races(result: &BackendResult, mode: MhpMode) -> Vec<Finding> {
             let tb = pp.htg.task(graph.htg_ids[b]);
             for v in ones(&conflicts) {
                 let kinds = if sum.is_array[v] {
-                    conflict_kinds(sum.ranges(pp, a, v), sum.ranges(pp, b, v))
+                    conflict_kinds(sum.ranges(a, v), sum.ranges(b, v))
                 } else {
                     // Scalars are single cells; the set intersection
                     // already proved the conflict.
