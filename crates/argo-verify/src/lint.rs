@@ -302,3 +302,38 @@ impl<'a> FnLinter<'a> {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use argo_ir::parse::parse_program;
+
+    #[test]
+    fn each_lint_fires_and_a_shared_resolution_gives_the_same_findings() {
+        let program = parse_program(
+            "void main(real out[4]) { int x; int y; int k; \
+             y = x + 1; k = 3; \
+             #pragma bound 0\n while (y > 0) { y = y - 1; } \
+             out[0] = 1.0; return; out[1] = 2.0; }",
+        )
+        .unwrap();
+        let findings = lint_program(&program);
+        let entities: Vec<(&str, &str)> = findings
+            .iter()
+            .map(|f| {
+                let d = &f.diagnostic;
+                (d.code.label(), d.entity.as_deref().unwrap_or(""))
+            })
+            .collect();
+        for expected in [
+            ("uninit-read", "main::x"),
+            ("dead-store", "main::k"),
+            ("unbounded-loop", "main@s5"),
+            ("unreachable-stmt", "main@s9"),
+        ] {
+            assert!(entities.contains(&expected), "{expected:?} in {entities:?}");
+        }
+        assert!(findings.iter().all(|f| f.severity == Severity::Warning));
+        assert_eq!(findings, lint_resolution(&Resolution::of(&program)));
+    }
+}

@@ -66,10 +66,6 @@ impl BitRows {
         self.bits[r * self.words + c / 64] |= 1 << (c % 64);
     }
 
-    fn clear(&mut self, r: usize, c: usize) {
-        self.bits[r * self.words + c / 64] &= !(1 << (c % 64));
-    }
-
     fn get(&self, r: usize, c: usize) -> bool {
         self.bits[r * self.words + c / 64] & (1 << (c % 64)) != 0
     }
@@ -121,38 +117,20 @@ fn mhp_rows(result: &BackendResult, mode: MhpMode) -> BitRows {
             }
         }
     }
-    // Ordered in either direction, or the task itself.
-    let mut ordered = BitRows::new(n, n);
-    for a in 0..n {
-        ordered.set(a, a);
-        for b in ones(reach.row(a)) {
-            ordered.set(a, b);
-            ordered.set(b, a);
-        }
-    }
+    // Unordered pairs may run in parallel. Window MHP tightens this
+    // further: the analysis claims tasks only overlap when their
+    // published (inflated) time windows do and they sit on different
+    // cores.
+    let (start, finish) = (&result.system.start, &result.system.finish);
+    let core = &pp.schedule.assignment;
     let mut mhp = BitRows::new(n, n);
-    for (dst, &o) in mhp.bits.iter_mut().zip(&ordered.bits) {
-        *dst = !o;
-    }
-    // Bits past `n` in each row's last word stay clear.
-    if !n.is_multiple_of(64) {
-        let tail = (1u64 << (n % 64)) - 1;
-        for a in 0..n {
-            mhp.bits[a * words + words - 1] &= tail;
-        }
-    }
-    if mode == MhpMode::Windows {
-        // Tighten further: the analysis claims tasks only overlap when
-        // their published (inflated) time windows do and they sit on
-        // different cores.
-        let (start, finish) = (&result.system.start, &result.system.finish);
-        let core = &pp.schedule.assignment;
-        for a in 0..n {
-            for b in 0..n {
-                let apart = core[a] == core[b] || start[a] >= finish[b] || start[b] >= finish[a];
-                if apart && mhp.get(a, b) {
-                    mhp.clear(a, b);
-                }
+    for a in 0..n {
+        for b in 0..n {
+            let ordered = a == b || reach.get(a, b) || reach.get(b, a);
+            let apart = mode == MhpMode::Windows
+                && (core[a] == core[b] || start[a] >= finish[b] || start[b] >= finish[a]);
+            if !ordered && !apart {
+                mhp.set(a, b);
             }
         }
     }

@@ -11,8 +11,8 @@
 //! Every report above reads `clean`, so a second golden pins the race
 //! detector's *racy* output: `verify_races.txt` holds, per seed app ×
 //! MHP mode × 4- and 8-core bus, every finding `check_races` reports
-//! once the task graph's dependence edges are cleared (the PR 1 bug
-//! class `tests/verify_oracle.rs` re-seeds), one per line, in the
+//! once the task graph's dependence edges are cleared (the lost-edge
+//! bug class `tests/verify_oracle.rs` re-seeds), one per line, in the
 //! detector's own order.
 //!
 //! Regenerate (only after an *intentional* behaviour change) with:
