@@ -133,12 +133,6 @@ impl Arbitration {
             }
         }
     }
-
-    /// Returns `true` if this policy's bound is independent of the number
-    /// of contenders (fully time-compositional).
-    pub fn is_composition_friendly(&self) -> bool {
-        matches!(self, Arbitration::Tdma { .. })
-    }
 }
 
 /// Worst-case latency for a packet of `flits` flits to traverse `hops`
@@ -182,7 +176,6 @@ mod tests {
         let w4 = a.worst_wait(0, 4, 10);
         // The bound is identical regardless of how many cores actually
         // contend: full time compositionality (§ III-B).
-        assert!(a.is_composition_friendly());
         assert_eq!(w1, w4);
         // Round of 4 slots of max(8, 10)=10: wait 3*10 + 9.
         assert_eq!(w4, 39);

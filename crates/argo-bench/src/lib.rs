@@ -163,7 +163,7 @@ pub fn e3_tightness() -> String {
 
 /// E4: scheduler ablation on random layered DAGs — makespan and runtime.
 ///
-/// Runs on the `argo-dse` work-stealing executor: each DAG size is an
+/// Runs on the `argo-dse` parallel executor: each DAG size is an
 /// independent job, evaluated in parallel with deterministic row order.
 pub fn e4_sched_ablation(sizes: &[usize]) -> String {
     let mut out = String::from(

@@ -18,6 +18,7 @@
 //! [`ErrorCode::DeadlineExceeded`]: crate::ErrorCode::DeadlineExceeded
 
 use crate::diag::{Diagnostic, ErrorCode, Stage};
+use crate::observer::StageObserver;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -100,6 +101,15 @@ impl CancelToken {
         } else {
             Ok(())
         }
+    }
+}
+
+/// A token is a pure checkpoint observer: attached to a session (alone
+/// or through [`Fanout`](crate::Fanout)), it aborts the run at the next
+/// stage boundary once tripped, and observes no events.
+impl StageObserver for CancelToken {
+    fn checkpoint(&self, stage: Stage) -> Result<(), Diagnostic> {
+        self.check(stage)
     }
 }
 

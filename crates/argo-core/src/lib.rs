@@ -80,8 +80,8 @@ pub use codec::{Codec, DecodeError, Decoder, Encoder};
 pub use diag::{Diagnostic, ErrorCode, Stage};
 pub use fingerprint::{schedule_fingerprint, Fingerprint, FingerprintHasher, Fingerprintable};
 pub use observer::{
-    stage_span_name, CollectingObserver, FeedbackSnapshot, NullObserver, StageEvent, StageObserver,
-    StageSummary, TraceObserver,
+    stage_span_name, CollectingObserver, Fanout, FeedbackSnapshot, NullObserver, StageEvent,
+    StageObserver, StageSummary, TraceObserver,
 };
 pub use session::{ScheduleCache, Toolflow};
 

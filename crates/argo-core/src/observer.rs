@@ -131,6 +131,44 @@ pub struct NullObserver;
 
 impl StageObserver for NullObserver {}
 
+/// Fans one session's events out to two observers, in order. The
+/// checkpoint passes only when both pass, so a
+/// [`CancelToken`](crate::CancelToken) on either side still cancels.
+/// Both sides are `Sync`, so one fanout can serve every worker of a
+/// parallel sweep.
+#[derive(Clone, Copy)]
+pub struct Fanout<'a>(
+    pub &'a (dyn StageObserver + Sync),
+    pub &'a (dyn StageObserver + Sync),
+);
+
+impl StageObserver for Fanout<'_> {
+    fn checkpoint(&self, stage: Stage) -> Result<(), crate::Diagnostic> {
+        self.0.checkpoint(stage)?;
+        self.1.checkpoint(stage)
+    }
+
+    fn on_stage_start(&self, stage: Stage, seq: u64) {
+        self.0.on_stage_start(stage, seq);
+        self.1.on_stage_start(stage, seq);
+    }
+
+    fn on_stage_finish(&self, summary: &StageSummary) {
+        self.0.on_stage_finish(summary);
+        self.1.on_stage_finish(summary);
+    }
+
+    fn on_stage_error(&self, stage: Stage, seq: u64, diagnostic: &crate::Diagnostic) {
+        self.0.on_stage_error(stage, seq, diagnostic);
+        self.1.on_stage_error(stage, seq, diagnostic);
+    }
+
+    fn on_feedback_round(&self, snapshot: &FeedbackSnapshot) {
+        self.0.on_feedback_round(snapshot);
+        self.1.on_feedback_round(snapshot);
+    }
+}
+
 /// Stable span name for a pipeline stage: `stage.<label>`. The session
 /// driver's tracer spans and `argo-dse`'s `TimingObserver` aggregator
 /// both key stage time under these names, so every view of "where did

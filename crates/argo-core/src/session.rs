@@ -216,18 +216,9 @@ impl<'a> Toolflow<'a> {
         self.platform
     }
 
-    /// The observer attached via [`Toolflow::observer`], if any, so
-    /// extension stages can emit the same paired start/finish events
-    /// the built-in stages do.
-    pub fn configured_observer(&self) -> Option<&'a dyn StageObserver> {
-        self.observer
-    }
-
     /// Allocates the next observer-event sequence number from the
-    /// session's counter. Extension stages (e.g. `argo-verify`'s
-    /// `run_verify`) draw from this so their events slot into the same
-    /// strictly increasing per-session sequence as the built-in stages.
-    pub fn next_observer_seq(&self) -> u64 {
+    /// session's counter.
+    fn next_observer_seq(&self) -> u64 {
         self.seq.fetch_add(1, Ordering::Relaxed)
     }
 
@@ -293,18 +284,24 @@ impl<'a> Toolflow<'a> {
         Ok(h.finish())
     }
 
-    /// Runs `body` bracketed by observer events for `stage`: a start
-    /// event first, then exactly one terminal event (finish with the
-    /// artifact summary, or error with the diagnostic). When no
-    /// observer is attached, the summary (fingerprint + detail) is never
-    /// computed.
+    /// Runs `body` as pipeline stage `stage`, bracketed by observer
+    /// events: a start event first, then exactly one terminal event
+    /// (finish with the artifact summary, or error with the
+    /// diagnostic). When no observer is attached, the summary
+    /// (fingerprint + detail) is never computed. Extension stages (e.g.
+    /// `argo-verify`'s `run_verify`) run through this too, so their
+    /// events share the session's `seq` counter and their checkpoint.
     ///
     /// Before anything starts, the observer's
     /// [`StageObserver::checkpoint`] is polled; a cancelled/expired
     /// request aborts here with the checkpoint's diagnostic and emits
     /// *no* events for the stage — the event stream stays well-nested
     /// and no partial stage ever runs.
-    fn observed_stage<T: Artifact>(
+    ///
+    /// # Errors
+    ///
+    /// The checkpoint's diagnostic, or `body`'s.
+    pub fn run_stage<T: Artifact>(
         &self,
         stage: Stage,
         body: impl FnOnce() -> Result<T, Diagnostic>,
@@ -354,7 +351,7 @@ impl<'a> Toolflow<'a> {
         let entry = self.entry.as_str();
         let cfg = &self.cfg;
         let mut program = self.program.as_ref().clone();
-        self.observed_stage(Stage::Frontend, move || {
+        self.run_stage(Stage::Frontend, move || {
             argo_ir::validate::validate(&program)
                 .map_err(|e| frontend_err(ErrorCode::InvalidProgram, e))?;
             if program.function(entry).is_none() {
@@ -423,7 +420,7 @@ impl<'a> Toolflow<'a> {
     pub fn run_seed_costs(&self, artifact: &FrontendArtifact) -> Result<CostTable, Diagnostic> {
         let platform = self.require_platform(Stage::SeedCosts)?;
         let entry = self.entry.as_str();
-        self.observed_stage(Stage::SeedCosts, || {
+        self.run_stage(Stage::SeedCosts, || {
             let program = &artifact.program;
             let mem = all_shared_map(program, entry);
             let symbols = program_symbols(program);
@@ -464,7 +461,7 @@ impl<'a> Toolflow<'a> {
         validate_platform(platform)?;
         let entry = self.entry.as_str();
         let cfg = &self.cfg;
-        self.observed_stage(Stage::Backend, move || {
+        self.run_stage(Stage::Backend, move || {
             if artifact.htg.top_level.is_empty() {
                 return Err(Diagnostic::new(
                     Stage::Backend,

@@ -1,21 +1,17 @@
-//! Work-stealing parallel executor with deterministic result ordering.
+//! Parallel map over one shared job queue, with deterministic result
+//! ordering.
 //!
-//! Built from std threads, mutex-guarded deques and an mpsc channel — the
-//! container ships no external concurrency crates, and the workload
-//! (dozens to thousands of independent compile/analyze jobs, each many
-//! milliseconds) does not need lock-free deques to scale.
-//!
-//! Scheme: the items are dealt round-robin onto one deque per worker.
-//! A worker pops from the *front* of its own deque and, when empty,
-//! steals from the *back* of a victim's deque (classic Arora–Blumofe–
-//! Plaxton orientation, which keeps owner and thief mostly on opposite
-//! ends). Results carry their original index and are re-assembled into
-//! input order, so the output is identical for any thread count or
-//! steal interleaving.
+//! Built from std threads and one mutex-guarded queue — the container
+//! ships no external concurrency crates. The jobs are whole compile and
+//! analyze points from a fixed list, milliseconds each, so one short
+//! lock per job balances them across workers as well as per-worker
+//! deques with stealing would. Every worker, the calling thread
+//! included, pops the next `(index, item)` and keeps its own
+//! `(index, outcome)` pairs; the caller places the results by index,
+//! so the output is identical for any thread count or interleaving.
 
-use std::collections::VecDeque;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc;
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -26,15 +22,15 @@ pub fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Applies `f` to every item on a work-stealing pool of `threads` workers
-/// and returns the results **in input order**.
+/// Applies `f` to every item on `threads` workers (the calling thread
+/// is one of them) and returns the results **in input order**.
 ///
 /// `f` receives `(index, item)` and must be safe to call from any worker.
 ///
 /// # Panics
 ///
-/// Propagates the first panic raised by `f` (remaining jobs may or may
-/// not have run).
+/// Every job runs even when some panic; the panic of the lowest-index
+/// panicking job is then re-raised with its original payload.
 pub fn parallel_map<I, T, F>(items: Vec<I>, threads: usize, f: &F) -> Vec<T>
 where
     I: Send,
@@ -51,98 +47,48 @@ where
     let instrumented = argo_trace::metrics_on();
     let busy_us = AtomicU64::new(0);
     let t0 = Instant::now();
-    let run = |i: usize, item: I| {
-        if instrumented {
-            let start = Instant::now();
-            let out = f(i, item);
-            busy_us.fetch_add(start.elapsed().as_micros() as u64, Ordering::Relaxed);
-            out
-        } else {
-            f(i, item)
+    let queue = Mutex::new(items.into_iter().enumerate());
+    let work = || {
+        let mut outcomes = Vec::new();
+        loop {
+            // The guard drops at the end of this statement: no job runs
+            // under the lock.
+            let next = queue
+                .lock()
+                .expect("the queue lock is never held while a job runs")
+                .next();
+            let Some((i, item)) = next else {
+                return outcomes;
+            };
+            let start = instrumented.then(Instant::now);
+            // A panicking job must not stop the others: its payload is
+            // kept and re-raised by the caller once every job has run.
+            outcomes.push((i, catch_unwind(AssertUnwindSafe(|| f(i, item)))));
+            if let Some(start) = start {
+                busy_us.fetch_add(start.elapsed().as_micros() as u64, Ordering::Relaxed);
+            }
         }
     };
-    let publish = |workers: u64| {
-        if instrumented {
-            let m = argo_trace::metrics();
-            m.counter("argo_dse_worker_busy_us_total")
-                .add(busy_us.load(Ordering::Relaxed));
-            m.counter("argo_dse_worker_wall_us_total")
-                .add(t0.elapsed().as_micros() as u64 * workers);
+    let mut outcomes = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        let mut outcomes = work();
+        for helper in helpers {
+            outcomes.extend(helper.join().expect("workers catch their jobs' panics"));
         }
-    };
-    if workers == 1 {
-        let out = items
-            .into_iter()
-            .enumerate()
-            .map(|(i, item)| run(i, item))
-            .collect();
-        publish(1);
-        return out;
-    }
-
-    // Deal the indexed items round-robin onto per-worker deques.
-    let deques: Vec<Mutex<VecDeque<(usize, I)>>> =
-        (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-    for (i, item) in items.into_iter().enumerate() {
-        deques[i % workers].lock().unwrap().push_back((i, item));
-    }
-
-    type JobOutcome<T> = Result<T, Box<dyn std::any::Any + Send>>;
-    let (tx, rx) = mpsc::channel::<(usize, JobOutcome<T>)>();
-    let out = std::thread::scope(|scope| {
-        for me in 0..workers {
-            let tx = tx.clone();
-            let deques = &deques;
-            let run = &run;
-            scope.spawn(move || loop {
-                // Own work first (front). The guard MUST drop before the
-                // steal scan: holding the own lock while taking a victim's
-                // lock is an AB-BA deadlock once two workers steal from
-                // each other simultaneously.
-                let own = deques[me].lock().unwrap().pop_front();
-                let job = own.or_else(|| {
-                    (1..workers)
-                        .map(|d| (me + d) % workers)
-                        .find_map(|victim| deques[victim].lock().unwrap().pop_back())
-                });
-                match job {
-                    Some((idx, item)) => {
-                        // Capture a panicking job's payload instead of
-                        // letting it kill the worker: the caller re-raises
-                        // the original panic, not a secondary
-                        // "missing result" one.
-                        let outcome =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                run(idx, item)
-                            }));
-                        if tx.send((idx, outcome)).is_err() {
-                            return;
-                        }
-                    }
-                    // All deques empty: the static job set is exhausted
-                    // (no job spawns new jobs), so this worker is done.
-                    None => return,
-                }
-            });
-        }
-        drop(tx);
-
-        let mut slots: Vec<Option<JobOutcome<T>>> = (0..n).map(|_| None).collect();
-        for (idx, value) in rx {
-            slots[idx] = Some(value);
-        }
-        slots
-            .into_iter()
-            .enumerate()
-            .map(|(i, s)| match s {
-                Some(Ok(v)) => v,
-                Some(Err(payload)) => std::panic::resume_unwind(payload),
-                None => panic!("job {i} produced no result"),
-            })
-            .collect()
+        outcomes
     });
-    publish(workers as u64);
-    out
+    if instrumented {
+        let m = argo_trace::metrics();
+        m.counter("argo_dse_worker_busy_us_total")
+            .add(busy_us.load(Ordering::Relaxed));
+        m.counter("argo_dse_worker_wall_us_total")
+            .add(t0.elapsed().as_micros() as u64 * workers as u64);
+    }
+    outcomes.sort_unstable_by_key(|&(i, _)| i);
+    outcomes
+        .into_iter()
+        .map(|(_, outcome)| outcome.unwrap_or_else(|payload| resume_unwind(payload)))
+        .collect()
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
 //! The exploration engine: resolves programs, fans points out onto the
-//! work-stealing executor, shares artifacts through the content-hash
+//! parallel executor, shares artifacts through the content-hash
 //! cache and assembles the deterministic report.
 //!
 //! Two entry points:
@@ -25,8 +25,8 @@ use crate::pareto::{pareto_front, Objectives};
 use crate::report::{ExplorationReport, PointMetrics, ReportRow, SearchInfo, StoredPoint};
 use crate::space::{DesignSpace, ExplorationPoint};
 use argo_core::{
-    Diagnostic, ErrorCode, Fingerprint, FingerprintHasher, Fingerprintable, Stage, ToolchainConfig,
-    Toolflow,
+    Diagnostic, ErrorCode, Fanout, Fingerprint, FingerprintHasher, Fingerprintable, NullObserver,
+    Stage, ToolchainConfig, Toolflow,
 };
 use argo_ir::ast::Program;
 use argo_search::{Budget, Evaluator, Lattice, SearchStrategy};
@@ -291,7 +291,24 @@ impl Explorer {
         strategy: &dyn SearchStrategy,
         budget: Budget,
     ) -> ExplorationReport {
+        self.search_observed(space, strategy, budget, self.threads, &NullObserver)
+    }
+
+    /// Like [`Explorer::search`], but evaluates each batch on `threads`
+    /// workers and attaches `obs` to every evaluated point's session,
+    /// as [`Explorer::evaluate_point_observed`] does for one point:
+    /// `argo-serve` passes its per-request thread budget, timing
+    /// observer and cancel token here.
+    pub fn search_observed(
+        &self,
+        space: &DesignSpace,
+        strategy: &dyn SearchStrategy,
+        budget: Budget,
+        threads: usize,
+        obs: &(dyn argo_core::StageObserver + Sync),
+    ) -> ExplorationReport {
         let t0 = Instant::now();
+        let threads = threads.max(1);
         let points = space.points();
         let lattice = Lattice::new(vec![
             space.apps.len(),
@@ -305,16 +322,17 @@ impl Explorer {
         debug_assert_eq!(lattice.len(), points.len(), "lattice mirrors points()");
 
         let timing_obs = TimingObserver::new();
+        let observers = Fanout(&timing_obs, obs);
         let stats_before = self.cache.stats();
         let evaluated_rows: Mutex<BTreeMap<usize, ReportRow>> = Mutex::new(BTreeMap::new());
         let evaluations;
         {
             let mut eval_fn = |batch: &[usize]| -> Vec<Option<Objectives>> {
                 let jobs: Vec<usize> = batch.to_vec();
-                let rows = parallel_map(jobs, self.threads, &|_j, idx: usize| {
+                let rows = parallel_map(jobs, threads, &|_j, idx: usize| {
                     (
                         idx,
-                        self.evaluate_observed(points[idx].clone(), space, Some(&timing_obs)),
+                        self.evaluate_observed(points[idx].clone(), space, Some(&observers)),
                     )
                 });
                 let objectives = rows.iter().map(|(_, row)| row.objectives()).collect();
@@ -335,7 +353,10 @@ impl Explorer {
             lattice_points: lattice.len(),
             evaluated: evaluations,
         };
-        self.finish_report(rows, pareto, t0, &timing_obs, stats_before, Some(info))
+        ExplorationReport {
+            threads,
+            ..self.finish_report(rows, pareto, t0, &timing_obs, stats_before, Some(info))
+        }
     }
 
     fn finish_report(
@@ -656,15 +677,7 @@ mod tests {
     /// in-memory tiers replay it once the pressure is gone.
     #[test]
     fn deadline_exceeded_rows_are_transient_not_cached() {
-        use argo_core::{CancelToken, StageObserver};
-
-        #[derive(Debug)]
-        struct CancelObserver(CancelToken);
-        impl StageObserver for CancelObserver {
-            fn checkpoint(&self, stage: Stage) -> Result<(), Diagnostic> {
-                self.0.check(stage)
-            }
-        }
+        use argo_core::CancelToken;
 
         let dir = std::env::temp_dir().join(format!("argo-dse-deadline-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -677,7 +690,7 @@ mod tests {
 
         let token = CancelToken::new();
         token.cancel();
-        let row = ex.evaluate_point_observed(point.clone(), &space, &CancelObserver(token));
+        let row = ex.evaluate_point_observed(point.clone(), &space, &token);
         let err = row.outcome.unwrap_err();
         assert_eq!(err.code, argo_core::ErrorCode::DeadlineExceeded);
 

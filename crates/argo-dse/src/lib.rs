@@ -13,10 +13,10 @@
 //! * [`space::DesignSpace`] — a builder enumerating [`space::ExplorationPoint`]s
 //!   as the cartesian product of the axes above (use case × platform ×
 //!   core count × scheduler × granularity × chunking × SPM capacity);
-//! * [`executor`] — a work-stealing thread pool (std threads + channels
-//!   only) that compiles and analyzes points concurrently while keeping
-//!   result order deterministic, so reports are byte-stable regardless of
-//!   thread count;
+//! * [`executor`] — a parallel map over one shared job queue (std
+//!   threads and a mutex only) that compiles and analyzes points
+//!   concurrently while keeping result order deterministic, so reports
+//!   are byte-stable regardless of thread count;
 //! * [`cache::ArtifactCache`] — a three-tier content-hash keyed artifact
 //!   store exploiting the staged [`argo_core`] pipeline: points sharing
 //!   `(program, transforms, core count)` reuse one

@@ -54,7 +54,8 @@ pub struct StageTimings {
 
 impl StageTimings {
     /// Adds another snapshot's runs and wall time into this one
-    /// (used by `argo-serve` to sum per-session observers).
+    /// (`argo-serve` merges each finished request's observer into its
+    /// daemon-wide total).
     pub fn merge(&mut self, other: &StageTimings) {
         for (mine, theirs) in [
             (&mut self.frontend, other.frontend),

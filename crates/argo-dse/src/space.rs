@@ -117,7 +117,7 @@ impl ExplorationPoint {
 
 /// Builder for the exploration lattice. Every axis defaults to a single
 /// sensible value, so callers only widen the axes they sweep.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DesignSpace {
     /// Use-case names (resolved by the [`crate::Explorer`]).
     pub apps: Vec<String>,

@@ -404,20 +404,6 @@ impl Schedule {
         }
         Ok(())
     }
-
-    /// Per-core utilisation: busy cycles / makespan.
-    pub fn utilisation(&self, g: &TaskGraph, cores: usize) -> Vec<f64> {
-        let ms = self.makespan().max(1) as f64;
-        (0..cores)
-            .map(|c| {
-                let busy: u64 = (0..g.len())
-                    .filter(|&t| self.assignment[t] == CoreId(c))
-                    .map(|t| g.cost[t])
-                    .sum();
-                busy as f64 / ms
-            })
-            .collect()
-    }
 }
 
 /// Evaluates a fixed task→core `assignment` into a full [`Schedule`]:
@@ -869,17 +855,6 @@ mod tests {
         s.start[1] = s.start[0];
         s.finish[1] = s.start[1] + g.cost[1];
         assert!(s.validate(&g, &ctx).is_err());
-    }
-
-    #[test]
-    fn utilisation_accounts_busy_time() {
-        let p = Platform::xentium_manycore(2);
-        let ctx = SchedCtx::new(&p);
-        let g = diamond();
-        let s = sequential_schedule(&g, &ctx);
-        let u = s.utilisation(&g, 2);
-        assert!((u[0] - 1.0).abs() < 1e-9);
-        assert_eq!(u[1], 0.0);
     }
 
     #[test]

@@ -126,8 +126,11 @@
 //! `seq` is strictly increasing in emission order within one pipeline
 //! run, so a client can restore order and spot gaps. A point answered
 //! from the store's archive emits *no* stage frames — silence before
-//! the response is the signature of a hot hit. Sweeps report coarser
-//! progress, one frame per change of the done-counter:
+//! the response is the signature of a hot hit. An `explore` sweep
+//! reports coarser progress: one frame with `done` 0 before any point
+//! runs, then one frame per finished point, in order, so `done` rises
+//! by one per frame and the last frame reads `done` = `total` (a sweep
+//! of T points sends T + 1 frames). A `search` sends no progress frames.
 //!
 //! ```text
 //! {"frame":"progress","id":N,"done":D,"total":T}
@@ -211,6 +214,6 @@ pub mod singleflight;
 /// The JSON value that requests and reply frames parse into.
 pub use argo_trace::json::Value;
 pub use client::{Client, Reply, RetryClient, RetryPolicy};
-pub use proto::{parse_request, Envelope, PointSpec, Request, SearchSpec, SweepSpec};
+pub use proto::{parse_request, Envelope, PointSpec, Request, SearchSpec};
 pub use server::{Listener, ServeConfig, Server, ServerHandle};
 pub use singleflight::{LeaderFailed, SingleFlight};

@@ -25,7 +25,8 @@ OPTIONS:
     --queue N            admission queue limit (default 64)
     --max-points N       largest explore space accepted (default 256)
     --max-evals N        search evaluation budget cap (default 256)
-    --eval-threads N     threads per explore/search request (default 2)
+    --eval-threads N     threads evaluating one explore or search
+                         request's points (default 2)
     --slow-ms N          log requests slower than N ms to stderr
     --deadline-ms N      per-request deadline from admission; expired
                          requests get a deadline-exceeded error frame

@@ -4,8 +4,8 @@
 //! Every request arrives as one JSON object on one line; every reply
 //! frame leaves as one JSON object on one line (see the crate docs for
 //! the frame reference). Requests are parsed into typed specs
-//! ([`PointSpec`], [`SweepSpec`], [`SearchSpec`]) using the same label
-//! vocabulary as the `argo-dse` CLI (`list|bnb|anneal`,
+//! ([`PointSpec`], the explorer's own [`DesignSpace`], [`SearchSpec`])
+//! using the same label vocabulary as the `argo-dse` CLI (`list|bnb|anneal`,
 //! `loop|block|stmt`, `bus|noc`, `naive|static|windows`), and every
 //! work request has a canonical [`Fingerprint`] over its *parsed*
 //! fields — two requests that mean the same thing coalesce in the
@@ -81,89 +81,48 @@ impl PointSpec {
     }
 }
 
-/// A design-space request (`explore`): every axis is a list.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepSpec {
-    /// Use-case names.
-    pub apps: Vec<String>,
-    /// Platform families.
-    pub platforms: Vec<PlatformKind>,
-    /// Core counts.
-    pub cores: Vec<usize>,
-    /// Scheduler kinds.
-    pub schedulers: Vec<SchedulerKind>,
-    /// Task granularities.
-    pub granularities: Vec<Granularity>,
-    /// Chunking variants.
-    pub chunking: Vec<bool>,
-    /// SPM capacities (`None` = platform default).
-    pub spms: Vec<Option<u64>>,
-    /// MHP precision (single value).
-    pub mhp: MhpMode,
-    /// Synthetic-input seed.
-    pub seed: u64,
-    /// Backend feedback rounds.
-    pub rounds: u32,
-}
-
-impl SweepSpec {
-    /// The design space this spec describes.
-    pub fn space(&self) -> DesignSpace {
-        let mut space = DesignSpace::new();
-        space.apps = self.apps.clone();
-        space.platforms = self.platforms.clone();
-        space.cores = self.cores.clone();
-        space.schedulers = self.schedulers.clone();
-        space.granularities = self.granularities.clone();
-        space.chunking = self.chunking.clone();
-        space.spm_capacities = self.spms.clone();
-        space.mhp = self.mhp;
-        space.feedback_rounds = self.rounds;
-        space.seed = self.seed;
-        space
+/// Feeds a sweep's design space into a request fingerprint: every
+/// axis, length-prefixed, then the cross-point knobs.
+fn feed_space(space: &DesignSpace, h: &mut FingerprintHasher) {
+    h.write_u64(space.apps.len() as u64);
+    for app in &space.apps {
+        h.write_str(app);
     }
-
-    fn feed(&self, h: &mut FingerprintHasher) {
-        h.write_u64(self.apps.len() as u64);
-        for app in &self.apps {
-            h.write_str(app);
-        }
-        h.write_u64(self.platforms.len() as u64);
-        for p in &self.platforms {
-            h.write_str(p.label());
-        }
-        h.write_u64(self.cores.len() as u64);
-        for &c in &self.cores {
-            h.write_u64(c as u64);
-        }
-        h.write_u64(self.schedulers.len() as u64);
-        for &s in &self.schedulers {
-            h.write_str(s.label());
-        }
-        h.write_u64(self.granularities.len() as u64);
-        for &g in &self.granularities {
-            h.write_str(g.label());
-        }
-        h.write_u64(self.chunking.len() as u64);
-        for &c in &self.chunking {
-            h.write_bool(c);
-        }
-        h.write_u64(self.spms.len() as u64);
-        for &spm in &self.spms {
-            h.write_bool(spm.is_some());
-            h.write_u64(spm.unwrap_or(0));
-        }
-        h.write_str(self.mhp.label())
-            .write_u64(self.seed)
-            .write_u64(self.rounds as u64);
+    h.write_u64(space.platforms.len() as u64);
+    for p in &space.platforms {
+        h.write_str(p.label());
     }
+    h.write_u64(space.cores.len() as u64);
+    for &c in &space.cores {
+        h.write_u64(c as u64);
+    }
+    h.write_u64(space.schedulers.len() as u64);
+    for &s in &space.schedulers {
+        h.write_str(s.label());
+    }
+    h.write_u64(space.granularities.len() as u64);
+    for &g in &space.granularities {
+        h.write_str(g.label());
+    }
+    h.write_u64(space.chunking.len() as u64);
+    for &c in &space.chunking {
+        h.write_bool(c);
+    }
+    h.write_u64(space.spm_capacities.len() as u64);
+    for &spm in &space.spm_capacities {
+        h.write_bool(spm.is_some());
+        h.write_u64(spm.unwrap_or(0));
+    }
+    h.write_str(space.mhp.label())
+        .write_u64(space.seed)
+        .write_u64(space.feedback_rounds as u64);
 }
 
 /// A steered-search request (`search`): a sweep plus strategy/budget.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SearchSpec {
     /// The lattice to steer over.
-    pub sweep: SweepSpec,
+    pub sweep: DesignSpace,
     /// Strategy label (`ga`, `anneal`, `halving`) — validated at parse
     /// time against `argo_search::parse_strategy`.
     pub strategy: String,
@@ -181,7 +140,7 @@ pub enum Request {
     /// Compile one point, reply with its verification verdict.
     Verify(PointSpec),
     /// Evaluate a whole design space.
-    Explore(SweepSpec),
+    Explore(DesignSpace),
     /// Steered search over a design space.
     Search(SearchSpec),
     /// Server/session/cache/store counters.
@@ -208,13 +167,13 @@ impl Request {
                 h.write_str("serve-verify");
                 p.feed(&mut h);
             }
-            Request::Explore(s) => {
+            Request::Explore(space) => {
                 h.write_str("serve-explore");
-                s.feed(&mut h);
+                feed_space(space, &mut h);
             }
             Request::Search(s) => {
                 h.write_str("serve-search");
-                s.sweep.feed(&mut h);
+                feed_space(&s.sweep, &mut h);
                 h.write_str(&s.strategy);
                 h.write_bool(s.budget.is_some());
                 h.write_u64(s.budget.unwrap_or(0) as u64);
@@ -321,7 +280,7 @@ fn list_of<T>(
     }
 }
 
-fn sweep_spec(obj: &Value) -> Result<SweepSpec, String> {
+fn sweep_spec(obj: &Value) -> Result<DesignSpace, String> {
     let str_item = |what: &'static str| {
         move |v: &Value| {
             v.as_str()
@@ -329,7 +288,7 @@ fn sweep_spec(obj: &Value) -> Result<SweepSpec, String> {
                 .ok_or_else(|| format!("`{what}` entries must be strings"))
         }
     };
-    Ok(SweepSpec {
+    Ok(DesignSpace {
         apps: list_of(obj, "apps", vec!["egpws".into()], str_item("apps"))?,
         platforms: list_of(obj, "platforms", vec![PlatformKind::Bus], |v| {
             PlatformKind::parse(v.as_str().ok_or("`platforms` entries must be strings")?)
@@ -352,7 +311,7 @@ fn sweep_spec(obj: &Value) -> Result<SweepSpec, String> {
             v.as_bool()
                 .ok_or_else(|| "`chunking` entries must be booleans".to_string())
         })?,
-        spms: list_of(obj, "spms", vec![None], |v| match v {
+        spm_capacities: list_of(obj, "spms", vec![None], |v| match v {
             Value::Null => Ok(None),
             v => v
                 .as_u64()
@@ -361,7 +320,7 @@ fn sweep_spec(obj: &Value) -> Result<SweepSpec, String> {
         })?,
         mhp: MhpMode::parse(field_str(obj, "mhp", "static")?)?,
         seed: field_u64(obj, "seed", 42)?,
-        rounds: field_u64(obj, "rounds", 3)? as u32,
+        feedback_rounds: field_u64(obj, "rounds", 3)? as u32,
     })
 }
 
@@ -500,8 +459,8 @@ mod tests {
             panic!("not an explore request");
         };
         assert_eq!(s.cores, vec![1, 2]);
-        assert_eq!(s.spms, vec![None, Some(4096)]);
-        assert_eq!(s.space().len(), 8);
+        assert_eq!(s.spm_capacities, vec![None, Some(4096)]);
+        assert_eq!(s.len(), 8);
     }
 
     #[test]

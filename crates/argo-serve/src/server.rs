@@ -15,15 +15,18 @@
 //! zero pipeline stages: the point archive serves the finished
 //! outcome directly.
 
-use crate::proto::{self, Envelope, Request};
+use crate::proto::{self, Envelope, PointSpec, Request, SearchSpec};
 use crate::singleflight::{LeaderFailed, SingleFlight};
-use argo_core::{CancelToken, Diagnostic, FeedbackSnapshot, Stage, StageObserver, StageSummary};
+use argo_core::{
+    CancelToken, Diagnostic, Fanout, FeedbackSnapshot, NullObserver, Stage, StageObserver,
+    StageSummary,
+};
 use argo_dse::executor::parallel_map;
 use argo_dse::{pareto_front, DesignSpace, Explorer, ReportRow, StageTimings, TimingObserver};
 use argo_search::Budget;
 use argo_trace::json::escape;
 use argo_trace::{Counter, Histogram, LATENCY_US_BUCKETS};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 #[cfg(unix)]
@@ -47,7 +50,8 @@ pub struct ServeConfig {
     /// Hard cap on a `search` request's evaluation budget (requested
     /// budgets are clamped, not rejected).
     pub max_evaluations: usize,
-    /// Threads used *inside* one explore/search evaluation.
+    /// Threads that evaluate the points of one explore or search
+    /// request.
     pub eval_threads: usize,
     /// Work requests slower than this are logged to stderr with their
     /// per-stage breakdown and counted in
@@ -187,9 +191,17 @@ impl SharedWriter {
     /// `TCP_NODELAY`, two writes would leave as two segments); errors
     /// are swallowed (a client that hung up mid-request loses its
     /// frames, nothing else).
-    fn line(&self, mut frame: String) {
-        frame.push('\n');
+    fn line(&self, frame: String) {
+        self.line_with(|| frame);
+    }
+
+    /// Like [`SharedWriter::line`], but renders the frame under the
+    /// write lock, so frames that read a shared counter leave in the
+    /// order they read it.
+    fn line_with(&self, frame: impl FnOnce() -> String) {
         let mut conn = self.0.lock().unwrap();
+        let mut frame = frame();
+        frame.push('\n');
         let _ = conn.write_all(frame.as_bytes());
         let _ = conn.flush();
     }
@@ -199,21 +211,9 @@ impl SharedWriter {
 struct Job {
     envelope: Envelope,
     writer: SharedWriter,
-    session: u64,
     /// Admission time; the per-request deadline (if configured) is
     /// measured from here, so time spent queued counts against it.
     enqueued: Instant,
-}
-
-/// Aborts a session at stage boundaries once its request's
-/// [`CancelToken`] trips (deadline passed or explicit cancel). Pure
-/// checkpoint — it observes no events.
-struct CancelObserver(CancelToken);
-
-impl StageObserver for CancelObserver {
-    fn checkpoint(&self, stage: Stage) -> Result<(), Diagnostic> {
-        self.0.check(stage)
-    }
 }
 
 /// Forwards a session's stage events to the client as progress frames,
@@ -264,39 +264,6 @@ impl StageObserver for ForwardObserver {
              \"round\":{},\"makespan\":{}}}",
             self.id, snapshot.seq, snapshot.round, snapshot.makespan
         ));
-    }
-}
-
-/// Fans one session's events out to two observers (the client's
-/// progress stream and the server-wide stage counters).
-struct Fanout<'a>(&'a dyn StageObserver, &'a dyn StageObserver);
-
-impl StageObserver for Fanout<'_> {
-    fn on_stage_start(&self, stage: Stage, seq: u64) {
-        self.0.on_stage_start(stage, seq);
-        self.1.on_stage_start(stage, seq);
-    }
-
-    fn on_stage_finish(&self, summary: &StageSummary) {
-        self.0.on_stage_finish(summary);
-        self.1.on_stage_finish(summary);
-    }
-
-    fn on_stage_error(&self, stage: Stage, seq: u64, diagnostic: &Diagnostic) {
-        self.0.on_stage_error(stage, seq, diagnostic);
-        self.1.on_stage_error(stage, seq, diagnostic);
-    }
-
-    fn on_feedback_round(&self, snapshot: &FeedbackSnapshot) {
-        self.0.on_feedback_round(snapshot);
-        self.1.on_feedback_round(snapshot);
-    }
-
-    // Wrapper observers must forward `checkpoint`, or an inner
-    // CancelObserver's deadline would be silently ignored.
-    fn checkpoint(&self, stage: Stage) -> Result<(), Diagnostic> {
-        self.0.checkpoint(stage)?;
-        self.1.checkpoint(stage)
     }
 }
 
@@ -358,18 +325,14 @@ struct Inner {
     queue: Mutex<VecDeque<Job>>,
     queue_cv: Condvar,
     shutdown: AtomicBool,
-    /// Active sessions: session id → requests served on it so far.
-    sessions: Mutex<HashMap<u64, u64>>,
-    next_session: AtomicU64,
+    /// Open connections: counted up at accept, down when the reader
+    /// exits.
+    active_sessions: AtomicUsize,
     served_total: AtomicU64,
     counters: RequestCounters,
-    /// Per-session stage-timing observers, retained after the session
-    /// retires (a few counters each). Stage wall time is accumulated
-    /// here ONLY — the server-wide view is the sum over sessions.
-    /// (Before the `argo-trace` rewrite each stage was counted twice:
-    /// once into a global observer and once into the per-session
-    /// progress stream's timing.)
-    session_obs: Mutex<HashMap<u64, Arc<TimingObserver>>>,
+    /// Stage runs and wall time of every finished request: each request
+    /// counts its own stages and merges them here once.
+    stages: Mutex<StageTimings>,
     /// Per-kind request latency histograms in the global registry.
     latency: LatencyHandles,
     /// `argo_serve_slow_requests_total` — requests over the slow-log
@@ -419,11 +382,10 @@ impl Server {
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            sessions: Mutex::new(HashMap::new()),
-            next_session: AtomicU64::new(1),
+            active_sessions: AtomicUsize::new(0),
             served_total: AtomicU64::new(0),
             counters: RequestCounters::default(),
-            session_obs: Mutex::new(HashMap::new()),
+            stages: Mutex::new(StageTimings::default()),
             latency: LatencyHandles::resolve(),
             slow_requests: argo_trace::metrics().counter("argo_serve_slow_requests_total"),
             panics: argo_trace::metrics().counter("argo_serve_panics_total"),
@@ -479,21 +441,11 @@ impl ServerHandle {
         self.inner.explorer.cache_stats()
     }
 
-    /// Server-global stage-run counters: the sum over all sessions'
-    /// observers (for tests and drivers).
+    /// Daemon-wide stage-run counters: every finished request's stage
+    /// timings, merged (for tests and drivers; `stats` reports the
+    /// same total).
     pub fn stage_timings(&self) -> StageTimings {
-        self.inner.stage_timings_total()
-    }
-
-    /// Per-session stage timings, including retired sessions, sorted
-    /// by session id. Summing these reproduces [`Self::stage_timings`]
-    /// exactly — there is no second accumulation path.
-    pub fn session_stage_timings(&self) -> Vec<(u64, StageTimings)> {
-        let map = self.inner.session_obs.lock().unwrap();
-        let mut out: Vec<(u64, StageTimings)> =
-            map.iter().map(|(&id, obs)| (id, obs.snapshot())).collect();
-        out.sort_by_key(|&(id, _)| id);
-        out
+        *self.inner.stages.lock().unwrap()
     }
 
     /// `(executed, coalesced)` single-flight counters.
@@ -539,74 +491,44 @@ impl Inner {
             if self.shutdown.load(Ordering::SeqCst) {
                 return;
             }
-            let session = self.next_session.fetch_add(1, Ordering::Relaxed);
-            self.sessions.lock().unwrap().insert(session, 0);
+            self.active_sessions.fetch_add(1, Ordering::Relaxed);
             let inner = Arc::clone(&self);
             // Reader threads are detached: they exit when their client
             // hangs up, and die with the process on shutdown.
-            std::thread::spawn(move || inner.reader_loop(conn, session));
+            std::thread::spawn(move || inner.reader_loop(conn));
         }
     }
 
-    fn reader_loop(self: Arc<Inner>, conn: Conn, session: u64) {
-        let reader = match conn.try_clone() {
-            Ok(clone) => BufReader::new(clone),
-            Err(_) => {
-                self.retire_session(session);
-                return;
-            }
-        };
-        let writer = SharedWriter(Arc::new(Mutex::new(conn)));
-
-        for line in reader.lines() {
-            let Ok(line) = line else { break };
-            if line.trim().is_empty() {
-                continue;
-            }
-            // During a graceful drain the reader keeps answering:
-            // control requests still work, and `dispatch` rejects new
-            // work with a `shutting-down` frame instead of silently
-            // dropping the connection mid-request.
-            match proto::parse_request(&line) {
-                Err(message) => {
-                    self.counters.rejected.fetch_add(1, Ordering::Relaxed);
-                    writer.line(protocol_error(0, "bad-request", &message));
+    fn reader_loop(self: Arc<Inner>, conn: Conn) {
+        if let Ok(clone) = conn.try_clone() {
+            let writer = SharedWriter(Arc::new(Mutex::new(conn)));
+            for line in BufReader::new(clone).lines() {
+                let Ok(line) = line else { break };
+                if line.trim().is_empty() {
+                    continue;
                 }
-                Ok(envelope) => self.dispatch(envelope, &writer, session),
+                // During a graceful drain the reader keeps answering:
+                // control requests still work, and `dispatch` rejects new
+                // work with a `shutting-down` frame instead of silently
+                // dropping the connection mid-request.
+                match proto::parse_request(&line) {
+                    Err(message) => {
+                        self.counters.rejected.fetch_add(1, Ordering::Relaxed);
+                        writer.line(protocol_error(0, "bad-request", &message));
+                    }
+                    Ok(envelope) => self.dispatch(envelope, &writer),
+                }
             }
         }
-        self.retire_session(session);
+        self.active_sessions.fetch_sub(1, Ordering::Relaxed);
     }
 
-    fn retire_session(&self, session: u64) {
-        self.sessions.lock().unwrap().remove(&session);
-    }
-
-    /// The session's timing observer, created on first use.
-    fn session_observer(&self, session: u64) -> Arc<TimingObserver> {
-        Arc::clone(self.session_obs.lock().unwrap().entry(session).or_default())
-    }
-
-    /// Sum of every session's stage timings — the single source for
-    /// `stats` and [`ServerHandle::stage_timings`].
-    fn stage_timings_total(&self) -> StageTimings {
-        let map = self.session_obs.lock().unwrap();
-        let mut total = StageTimings::default();
-        for obs in map.values() {
-            total.merge(&obs.snapshot());
-        }
-        total
-    }
-
-    fn served(&self, session: u64) {
+    fn served(&self) {
         self.served_total.fetch_add(1, Ordering::Relaxed);
-        if let Some(count) = self.sessions.lock().unwrap().get_mut(&session) {
-            *count += 1;
-        }
     }
 
     /// Admission control + routing for one parsed request.
-    fn dispatch(&self, envelope: Envelope, writer: &SharedWriter, session: u64) {
+    fn dispatch(&self, envelope: Envelope, writer: &SharedWriter) {
         match &envelope.request {
             Request::Stats => {
                 self.counters.stats.fetch_add(1, Ordering::Relaxed);
@@ -615,7 +537,7 @@ impl Inner {
                     "{{\"frame\":\"response\",\"id\":{},{}}}",
                     envelope.id, body
                 ));
-                self.served(session);
+                self.served();
             }
             Request::Metrics => {
                 self.counters.stats.fetch_add(1, Ordering::Relaxed);
@@ -624,36 +546,26 @@ impl Inner {
                     "{{\"frame\":\"response\",\"id\":{},{}}}",
                     envelope.id, body
                 ));
-                self.served(session);
+                self.served();
             }
             Request::Shutdown => {
                 writer.line(format!(
                     "{{\"frame\":\"response\",\"id\":{},\"ok\":true,\"kind\":\"shutdown\"}}",
                     envelope.id
                 ));
-                self.served(session);
+                self.served();
                 self.begin_shutdown();
             }
-            Request::Explore(sweep) if sweep.space().len() > self.cfg.max_points => {
+            Request::Explore(space) | Request::Search(SearchSpec { sweep: space, .. })
+                if space.len() > self.cfg.max_points =>
+            {
                 self.counters.rejected.fetch_add(1, Ordering::Relaxed);
                 writer.line(protocol_error(
                     envelope.id,
                     "space-too-large",
                     &format!(
                         "design space has {} points, limit is {}",
-                        sweep.space().len(),
-                        self.cfg.max_points
-                    ),
-                ));
-            }
-            Request::Search(spec) if spec.sweep.space().len() > self.cfg.max_points => {
-                self.counters.rejected.fetch_add(1, Ordering::Relaxed);
-                writer.line(protocol_error(
-                    envelope.id,
-                    "space-too-large",
-                    &format!(
-                        "design space has {} points, limit is {}",
-                        spec.sweep.space().len(),
+                        space.len(),
                         self.cfg.max_points
                     ),
                 ));
@@ -684,7 +596,6 @@ impl Inner {
                 queue.push_back(Job {
                     envelope,
                     writer: writer.clone(),
-                    session,
                     enqueued: Instant::now(),
                 });
                 drop(queue);
@@ -715,7 +626,6 @@ impl Inner {
         let Job {
             envelope,
             writer,
-            session,
             enqueued,
         } = job;
         let counter = match &envelope.request {
@@ -741,13 +651,13 @@ impl Inner {
                 "deadline-exceeded",
                 "request deadline elapsed while queued",
             ));
-            self.served(session);
+            self.served();
             return;
         }
-        let obs = self.session_observer(session);
-        // The before-snapshot only feeds the slow-request breakdown;
-        // skip it on the hot path when no threshold is configured.
-        let before = self.cfg.slow_request_ms.map(|_| obs.snapshot());
+        // This request's own stage counts: exact for the slow-request
+        // log even while other requests run, merged into the daemon
+        // total once the request is done.
+        let obs = TimingObserver::new();
         let t0 = Instant::now();
         let span = argo_trace::span("serve.request");
 
@@ -775,7 +685,7 @@ impl Inner {
                     envelope.id,
                     &token,
                     &obs,
-                    progress.as_ref().map(|p| p as &dyn StageObserver),
+                    progress.as_ref().map(|p| p as &(dyn StageObserver + Sync)),
                     progress.as_ref().map(|_| &writer),
                 )
             }));
@@ -801,10 +711,16 @@ impl Inner {
         self.latency
             .for_request(&envelope.request)
             .observe_duration_us(elapsed);
-        if let (Some(threshold), Some(before)) = (self.cfg.slow_request_ms, before) {
+        let timings = obs.snapshot();
+        // A request that ran no stage (an archive hit, a coalesced
+        // follower) has nothing to merge.
+        if timings != StageTimings::default() {
+            self.stages.lock().unwrap().merge(&timings);
+        }
+        if let Some(threshold) = self.cfg.slow_request_ms {
             if elapsed.as_millis() as u64 >= threshold {
                 self.slow_requests.inc();
-                self.log_slow_request(&envelope, elapsed, &before, &obs.snapshot());
+                self.log_slow_request(&envelope, elapsed, &timings);
             }
         }
         // Bodies produced by `error_body` become error frames; all
@@ -820,32 +736,23 @@ impl Inner {
             "{{\"frame\":\"{frame}\",\"id\":{},{}}}",
             envelope.id, body
         ));
-        self.served(session);
+        self.served();
     }
 
-    /// Slow-request log line: total latency plus the per-stage wall
-    /// time this request added to its session's observer. Coalesced
-    /// followers show zero stage time — the leader ran the pipeline.
-    fn log_slow_request(
-        &self,
-        envelope: &Envelope,
-        elapsed: Duration,
-        before: &StageTimings,
-        after: &StageTimings,
-    ) {
-        let delta = |b: argo_dse::TierTiming, a: argo_dse::TierTiming| {
-            (a.nanos.saturating_sub(b.nanos)) as f64 / 1e6
-        };
+    /// Slow-request log line: total latency plus this request's own
+    /// per-stage wall time. Coalesced followers show zero stage time —
+    /// the leader ran the pipeline.
+    fn log_slow_request(&self, envelope: &Envelope, elapsed: Duration, timings: &StageTimings) {
         eprintln!(
             "argo-serve: slow request id={} kind={} took {:.1}ms \
              (frontend {:.1}ms, seed-costs {:.1}ms, backend {:.1}ms, verify {:.1}ms)",
             envelope.id,
             envelope.request.kind(),
             elapsed.as_secs_f64() * 1e3,
-            delta(before.frontend, after.frontend),
-            delta(before.seed_costs, after.seed_costs),
-            delta(before.backend, after.backend),
-            delta(before.verify, after.verify),
+            timings.frontend.ms(),
+            timings.seed_costs.ms(),
+            timings.backend.ms(),
+            timings.verify.ms(),
         );
     }
 
@@ -861,7 +768,7 @@ impl Inner {
         id: u64,
         token: &CancelToken,
         obs: &TimingObserver,
-        forward: Option<&dyn StageObserver>,
+        forward: Option<&(dyn StageObserver + Sync)>,
         progress_writer: Option<&SharedWriter>,
     ) -> String {
         match request {
@@ -878,9 +785,8 @@ impl Inner {
                     })
                 })
             }
-            Request::Explore(sweep) => {
-                let space = sweep.space();
-                let rows = self.evaluate_space(&space, id, token, obs, progress_writer);
+            Request::Explore(space) => {
+                let rows = self.evaluate_space(space, id, &Fanout(token, obs), progress_writer);
                 if token.is_tripped() {
                     self.deadlines.inc();
                     let done = rows.iter().filter(|r| r.outcome.is_ok()).count();
@@ -895,7 +801,6 @@ impl Inner {
                 sweep_body("explore", &rows, None)
             }
             Request::Search(spec) => {
-                let space = spec.sweep.space();
                 let strategy = argo_search::parse_strategy(&spec.strategy)
                     .expect("strategy validated at parse time");
                 let evaluations = spec
@@ -906,10 +811,15 @@ impl Inner {
                 if let Some(stall) = spec.stall {
                     budget = budget.with_stall(stall);
                 }
-                let report = self.explorer.search(&space, &*strategy, budget);
-                // The search loop owns its evaluation schedule, so the
-                // deadline is checked on completion rather than per
-                // stage.
+                let report = self.explorer.search_observed(
+                    &spec.sweep,
+                    &*strategy,
+                    budget,
+                    self.cfg.eval_threads,
+                    &Fanout(token, obs),
+                );
+                // Points past the deadline stopped at a stage boundary;
+                // the request as a whole is then answered as expired.
                 if token.is_tripped() {
                     self.deadlines.inc();
                     return error_body("deadline-exceeded", "deadline elapsed during the search");
@@ -917,7 +827,7 @@ impl Inner {
                 let extra = format!(
                     "\"strategy\":\"{}\",\"lattice\":{},\"evaluated\":{},",
                     escape(&spec.strategy),
-                    space.len(),
+                    spec.sweep.len(),
                     report.rows.len()
                 );
                 sweep_body("search", &report.rows, Some(&extra))
@@ -946,91 +856,53 @@ impl Inner {
 
     fn evaluate_one(
         &self,
-        spec: &crate::proto::PointSpec,
+        spec: &PointSpec,
         token: &CancelToken,
         obs: &TimingObserver,
-        forward: Option<&dyn StageObserver>,
+        forward: Option<&(dyn StageObserver + Sync)>,
     ) -> ReportRow {
-        let space = spec.space();
-        let point = spec.point();
-        let cancel = CancelObserver(token.clone());
-        match forward {
-            Some(fwd) => {
-                let fanout = Fanout(fwd, obs);
-                let chained = Fanout(&cancel, &fanout);
-                self.explorer
-                    .evaluate_point_observed(point, &space, &chained)
-            }
-            None => {
-                let chained = Fanout(&cancel, obs);
-                self.explorer
-                    .evaluate_point_observed(point, &space, &chained)
-            }
-        }
+        let observers = Fanout(forward.unwrap_or(&NullObserver), obs);
+        self.explorer.evaluate_point_observed(
+            spec.point(),
+            &spec.space(),
+            &Fanout(token, &observers),
+        )
     }
 
-    /// Evaluates a whole space on this request's thread budget, with
-    /// optional `done/total` progress frames (atomic progress slot: the
-    /// workers bump a counter, one reporter thread polls and emits).
+    /// Evaluates a whole space on this request's thread budget. With
+    /// progress on, one `done: 0` frame leaves first, then each worker
+    /// writes one frame per finished point; the counter is bumped under
+    /// the write lock, so `done` rises by one per frame up to `total`.
     fn evaluate_space(
         &self,
         space: &DesignSpace,
         id: u64,
-        token: &CancelToken,
-        obs: &TimingObserver,
+        observers: &Fanout<'_>,
         progress_writer: Option<&SharedWriter>,
     ) -> Vec<ReportRow> {
-        let points = space.points();
-        let total = points.len();
-        let threads = self.cfg.eval_threads.max(1);
-        let cancel = CancelObserver(token.clone());
-        let eval = |point| {
-            let chained = Fanout(&cancel, obs);
-            self.explorer
-                .evaluate_point_observed(point, space, &chained)
+        let total = space.len();
+        let frame = |done: usize| {
+            format!("{{\"frame\":\"progress\",\"id\":{id},\"done\":{done},\"total\":{total}}}")
         };
-
-        let Some(writer) = progress_writer else {
-            return parallel_map(points, threads, &|_i, point| eval(point));
-        };
-
+        if let Some(writer) = progress_writer {
+            writer.line(frame(0));
+        }
         let done = AtomicUsize::new(0);
-        let stop = AtomicBool::new(false);
-        std::thread::scope(|scope| {
-            let reporter = scope.spawn(|| {
-                let mut last = usize::MAX;
-                loop {
-                    let now = done.load(Ordering::Acquire);
-                    if now != last {
-                        writer.line(format!(
-                            "{{\"frame\":\"progress\",\"id\":{id},\"done\":{now},\"total\":{total}}}"
-                        ));
-                        last = now;
-                    }
-                    if stop.load(Ordering::Acquire) && now == total {
-                        return;
-                    }
-                    std::thread::sleep(Duration::from_millis(25));
-                }
-            });
-            let rows = parallel_map(points, threads, &|_i, point| {
-                let row = eval(point);
-                done.fetch_add(1, Ordering::Release);
-                row
-            });
-            stop.store(true, Ordering::Release);
-            let _ = reporter.join();
-            rows
+        parallel_map(space.points(), self.cfg.eval_threads, &|_i, point| {
+            let row = self
+                .explorer
+                .evaluate_point_observed(point, space, observers);
+            if let Some(writer) = progress_writer {
+                writer.line_with(|| frame(done.fetch_add(1, Ordering::Relaxed) + 1));
+            }
+            row
         })
     }
 
     fn stats_body(&self) -> String {
-        let sessions = self.sessions.lock().unwrap();
-        let active = sessions.len();
-        drop(sessions);
         let queue_depth = self.queue.lock().unwrap().len();
         let c = &self.counters;
-        let timing = self.stage_timings_total();
+        let timing = *self.stages.lock().unwrap();
         let cache = self.explorer.cache_stats();
         let store = match self.explorer.store() {
             Some(store) => {
@@ -1064,7 +936,7 @@ impl Inner {
              \"cache\":{{\"hits\":{},\"misses\":{},\"store_hits\":{},\"store_misses\":{},\
              \"point_store_hits\":{},\"point_store_misses\":{},\"combined_hit_rate\":{:.4}}},\
              \"store\":{}}}",
-            active,
+            self.active_sessions.load(Ordering::Relaxed),
             self.served_total.load(Ordering::Relaxed),
             c.compile.load(Ordering::Relaxed),
             c.verify.load(Ordering::Relaxed),

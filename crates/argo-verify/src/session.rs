@@ -3,59 +3,41 @@
 //! [`Toolflow`] (argo-core stays free of a dependency on this crate).
 
 use crate::{verify_backend, VerifyConfig, VerifyReport};
-use argo_core::{Artifact, BackendResult, Diagnostic, ErrorCode, Stage, StageSummary, Toolflow};
-use std::time::Instant;
+use argo_core::{BackendResult, Diagnostic, ErrorCode, Stage, Toolflow};
 
 /// Adds the verification stage to [`Toolflow`] sessions.
 pub trait ToolflowVerifyExt {
     /// Runs the full verification suite (race detection under the
     /// session's configured MHP mode, schedule/placement validation,
-    /// IR lints) over `result`, bracketed by
-    /// [`Stage::Verify`] observer events on the session's observer.
+    /// IR lints) over `result` as the session's [`Stage::Verify`]
+    /// stage ([`Toolflow::run_stage`]): the observer's checkpoint is
+    /// polled first, then the run is bracketed by its events.
     ///
     /// # Errors
     ///
-    /// [`ErrorCode::MissingPlatform`] when the session has no platform
-    /// bound. Findings do *not* error here — inspect the returned
-    /// report (or its [`VerifyReport::gate`]).
+    /// The checkpoint's diagnostic (e.g. a passed request deadline),
+    /// or [`ErrorCode::MissingPlatform`] when the session has no
+    /// platform bound. Findings do *not* error here — inspect the
+    /// returned report (or its [`VerifyReport::gate`]).
     fn run_verify(&self, result: &BackendResult) -> Result<VerifyReport, Diagnostic>;
 }
 
 impl ToolflowVerifyExt for Toolflow<'_> {
     fn run_verify(&self, result: &BackendResult) -> Result<VerifyReport, Diagnostic> {
-        let Some(platform) = self.configured_platform() else {
-            let d = Diagnostic::new(
-                Stage::Verify,
-                ErrorCode::MissingPlatform,
-                "session has no platform; call Toolflow::platform(..) before verifying",
-            );
-            if let Some(obs) = self.configured_observer() {
-                obs.on_stage_start(Stage::Verify, self.next_observer_seq());
-                obs.on_stage_error(Stage::Verify, self.next_observer_seq(), &d);
-            }
-            return Err(d);
-        };
         let cfg = VerifyConfig {
             mhp: self.cfg().mhp,
             ..VerifyConfig::default()
         };
-        let obs = self.configured_observer();
-        if let Some(obs) = obs {
-            obs.on_stage_start(Stage::Verify, self.next_observer_seq());
-        }
-        let _span = argo_trace::span(argo_core::stage_span_name(Stage::Verify));
-        let t0 = Instant::now();
-        let report = verify_backend(result, platform, &cfg);
-        if let Some(obs) = obs {
-            obs.on_stage_finish(&StageSummary {
-                seq: self.next_observer_seq(),
-                stage: Stage::Verify,
-                fingerprint: report.fingerprint(),
-                detail: report.summary(),
-                elapsed: t0.elapsed(),
-            });
-        }
-        Ok(report)
+        self.run_stage(Stage::Verify, || {
+            let platform = self.configured_platform().ok_or_else(|| {
+                Diagnostic::new(
+                    Stage::Verify,
+                    ErrorCode::MissingPlatform,
+                    "session has no platform; call Toolflow::platform(..) before verifying",
+                )
+            })?;
+            Ok(verify_backend(result, platform, &cfg))
+        })
     }
 }
 
@@ -63,7 +45,7 @@ impl ToolflowVerifyExt for Toolflow<'_> {
 mod tests {
     use super::*;
     use argo_adl::Platform;
-    use argo_core::{CollectingObserver, StageEvent, ToolchainConfig};
+    use argo_core::{CancelToken, CollectingObserver, Fanout, StageEvent, ToolchainConfig};
     use argo_ir::parse::parse_program;
 
     const PIPE: &str = r#"
@@ -96,6 +78,34 @@ mod tests {
             |e| matches!(e, StageEvent::Finished(s) if s.stage == Stage::Verify && s.detail == "clean"),
         );
         assert!(started && finished, "verify events missing: {events:?}");
+    }
+
+    /// Verify is a stage boundary: a request whose token trips while
+    /// the backend runs stops before verification, with no verify event.
+    #[test]
+    fn a_checkpoint_tripping_at_verify_aborts_before_any_verify_event() {
+        let program = parse_program(PIPE).unwrap();
+        let platform = Platform::xentium_manycore(2);
+        let token = CancelToken::new();
+        let events = CollectingObserver::default();
+        let obs = Fanout(&token, &events);
+        let flow = Toolflow::new(program, "main")
+            .platform(&platform)
+            .observer(&obs);
+        let result = flow.run().expect("compile");
+        token.cancel();
+        let err = flow.run_verify(&result).unwrap_err();
+        assert_eq!(err.code, ErrorCode::DeadlineExceeded);
+        assert_eq!(err.stage, Stage::Verify);
+        assert_eq!(events.finished_count(Stage::Backend), 1);
+        assert!(
+            events.events().iter().all(|e| !matches!(
+                e,
+                StageEvent::Started(Stage::Verify, _) | StageEvent::Errored(Stage::Verify, ..)
+            )) && events.finished_count(Stage::Verify) == 0,
+            "{:?}",
+            events.events()
+        );
     }
 
     #[test]

@@ -208,25 +208,16 @@ impl<'p> TaskCoster<'p> {
         reached[entry] = true;
         let mut queue = vec![entry];
         while let Some(fi) = queue.pop() {
-            let body = &program.functions[fi].body;
-            let mut names: Vec<&str> = Vec::new();
-            argo_ir::visit::walk_stmts(body, &mut |s| {
-                if let StmtKind::Call { name, .. } = &s.kind {
-                    names.push(name);
-                }
-            });
-            for s in &body.stmts {
-                argo_ir::visit::walk_exprs(s, &mut |e| {
-                    if let Expr::Call { name, .. } = e {
-                        names.push(name);
-                    }
-                });
-            }
+            let names = program.functions[fi]
+                .body
+                .stmts
+                .iter()
+                .flat_map(argo_ir::visit::called_functions);
             for name in names {
-                if argo_ir::intrinsics::is_intrinsic(name) {
+                if argo_ir::intrinsics::is_intrinsic(&name) {
                     continue;
                 }
-                if let Some(ci) = position(name) {
+                if let Some(ci) = position(&name) {
                     if !std::mem::replace(&mut reached[ci], true) {
                         queue.push(ci);
                     }

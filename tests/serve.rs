@@ -412,12 +412,18 @@ fn explore_sweeps_report_pareto_and_coarse_progress() {
         "a successful sweep has a non-empty front"
     );
 
-    // Sweep progress is the done/total counter; the final frame must
-    // report completion.
-    let last = reply.progress.last().expect("at least one progress frame");
-    let v = Value::parse(last).unwrap();
-    assert_eq!(v.get("done").unwrap().as_u64(), Some(4));
-    assert_eq!(v.get("total").unwrap().as_u64(), Some(4));
+    // Sweep progress is the done/total counter: one frame before the
+    // first point, then one per finished point, in order.
+    let done: Vec<u64> = reply
+        .progress
+        .iter()
+        .map(|f| {
+            let v = Value::parse(f).unwrap();
+            assert_eq!(v.get("total").unwrap().as_u64(), Some(4), "{f}");
+            v.get("done").unwrap().as_u64().unwrap()
+        })
+        .collect();
+    assert_eq!(done, vec![0, 1, 2, 3, 4]);
 
     server.shutdown();
     server.join();
@@ -514,9 +520,10 @@ fn unix_socket_transport_works() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// Satellite: stage wall time is accumulated per session only; the
-/// server-wide `stats` view is the sum of the per-session observers,
-/// with no second (global) accumulation path to drift from.
+/// Each request counts its own stages and merges them into one daemon
+/// total once it finishes: two sessions' distinct compiles show up as
+/// two backend runs, both in `ServerHandle::stage_timings` and in the
+/// `stats` reply.
 #[test]
 fn stats_stage_wall_equals_sum_of_per_session_spans() {
     let server = boot(None, ServeConfig::default());
@@ -532,19 +539,50 @@ fn stats_stage_wall_equals_sum_of_per_session_spans() {
         .unwrap();
     assert!(ra.is_ok() && rb.is_ok());
 
-    let total = server.stage_timings();
-    let sessions = server.session_stage_timings();
-    let mut sum = argo_dse::StageTimings::default();
-    for (_, t) in &sessions {
-        sum.merge(t);
-    }
-    assert_eq!(sum, total, "stats stage-wall is exactly the session sum");
-    assert_eq!(total.backend.runs, 2, "one pipeline run per session");
-    let with_work = sessions.iter().filter(|(_, t)| t.backend.runs > 0).count();
-    assert_eq!(
-        with_work, 2,
-        "each session's work lands on its own observer"
-    );
+    assert_eq!(server.stage_timings().backend.runs, 2);
+    let stats = a.request(r#"{"id": 3, "kind": "stats"}"#).unwrap();
+    let frame = stats.frame().unwrap();
+    let result = frame.get("result").unwrap();
+    let stages = result.get("stages").unwrap();
+    assert_eq!(stages.get("backend_runs").unwrap().as_u64(), Some(2));
+    let sessions = result.get("sessions").unwrap();
+    assert_eq!(sessions.get("active").unwrap().as_u64(), Some(2));
+
+    server.shutdown();
+    server.join();
+}
+
+/// A search request runs like an explore request: its points' stages
+/// are counted in `stats`, on the request's thread budget.
+#[test]
+fn search_requests_count_their_stages() {
+    let server = boot(None, ServeConfig::default());
+    let mut client = Client::connect_tcp(server.addr()).unwrap();
+    let backend_runs = |client: &mut Client| {
+        let stats = client.request(r#"{"id": 0, "kind": "stats"}"#).unwrap();
+        let frame = stats.frame().unwrap();
+        let stages = frame.get("result").unwrap().get("stages").unwrap();
+        stages.get("backend_runs").unwrap().as_u64().unwrap()
+    };
+    assert_eq!(backend_runs(&mut client), 0);
+
+    let reply = client
+        .request(
+            r#"{"id": 1, "kind": "search", "strategy": "ga", "budget": 3, "apps": ["tiny"], "cores": [1, 2, 4], "schedulers": ["list", "anneal"]}"#,
+        )
+        .unwrap();
+    assert!(reply.is_ok(), "{}", reply.terminal);
+    let frame = reply.frame().unwrap();
+    let evaluated = frame
+        .get("result")
+        .unwrap()
+        .get("evaluated")
+        .unwrap()
+        .as_u64()
+        .unwrap();
+    assert!(evaluated > 0 && evaluated <= 3, "{}", reply.terminal);
+    assert_eq!(backend_runs(&mut client), evaluated);
+    assert_eq!(server.stage_timings().backend.runs, evaluated);
 
     server.shutdown();
     server.join();
