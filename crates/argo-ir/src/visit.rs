@@ -302,29 +302,38 @@ fn live_stmt(s: &Stmt, killed: &mut BTreeSet<String>, live: &mut BTreeSet<String
     }
 }
 
-/// Names of all functions called anywhere under statement `s`.
+/// Names of all functions called anywhere under statement `s`, by call
+/// statements and call expressions alike. Each nested statement is
+/// visited once, and each name is copied once.
 pub fn called_functions(s: &Stmt) -> BTreeSet<String> {
     let mut out = BTreeSet::new();
-    if let StmtKind::Call { name, .. } = &s.kind {
-        out.insert(name.clone());
-    }
-    walk_exprs(s, &mut |e| {
-        if let Expr::Call { name, .. } = e {
+    let mut add = |name: &String| {
+        if !out.contains(name) {
             out.insert(name.clone());
         }
+    };
+    // `walk_exprs` already reaches the expressions of nested statements;
+    // only call *statements* need the statement walk.
+    walk_exprs(s, &mut |e| {
+        if let Expr::Call { name, .. } = e {
+            add(name);
+        }
     });
+    let mut call_stmt = |st: &Stmt| {
+        if let StmtKind::Call { name, .. } = &st.kind {
+            add(name);
+        }
+    };
+    call_stmt(s);
     match &s.kind {
         StmtKind::If {
             then_blk, else_blk, ..
         } => {
-            for st in then_blk.stmts.iter().chain(&else_blk.stmts) {
-                out.extend(called_functions(st));
-            }
+            walk_stmts(then_blk, &mut call_stmt);
+            walk_stmts(else_blk, &mut call_stmt);
         }
         StmtKind::For { body, .. } | StmtKind::While { body, .. } => {
-            for st in &body.stmts {
-                out.extend(called_functions(st));
-            }
+            walk_stmts(body, &mut call_stmt)
         }
         _ => {}
     }
@@ -414,5 +423,12 @@ mod tests {
         let f = first_fn("void f() { int x; x = g(1) + h(2); k(x); }");
         let calls: BTreeSet<String> = f.body.stmts.iter().flat_map(called_functions).collect();
         assert_eq!(calls.into_iter().collect::<Vec<_>>(), vec!["g", "h", "k"]);
+        let f = first_fn(
+            "void f(bool c, real a[4]) { int i; for (i = 0; i < 4; i = i + 1) { \
+             if (c) { p(a); } else { #pragma bound 2\n\
+             while (c) { a[i] = q(a[i]); } } } }",
+        );
+        let calls = called_functions(&f.body.stmts[1]);
+        assert_eq!(calls.into_iter().collect::<Vec<_>>(), vec!["p", "q"]);
     }
 }
