@@ -658,6 +658,7 @@ impl Inner {
         // log even while other requests run, merged into the daemon
         // total once the request is done.
         let obs = TimingObserver::new();
+        let counted = Fanout(&token, &obs);
         let t0 = Instant::now();
         let span = argo_trace::span("serve.request");
 
@@ -684,7 +685,7 @@ impl Inner {
                     &envelope.request,
                     envelope.id,
                     &token,
-                    &obs,
+                    &counted,
                     progress.as_ref().map(|p| p as &(dyn StageObserver + Sync)),
                     progress.as_ref().map(|_| &writer),
                 )
@@ -758,27 +759,29 @@ impl Inner {
 
     /// Executes one work request and renders its deterministic body.
     ///
-    /// A deadline that trips mid-pipeline (via `token`'s stage-boundary
-    /// checkpoints) turns the whole request into a `deadline-exceeded`
-    /// error body — a transient outcome the lower tiers neither memoize
-    /// nor archive, so a retry after the deadline recomputes cleanly.
+    /// `counted` carries `token` and the request's stage counter to
+    /// every evaluated point. A deadline that trips mid-pipeline (via
+    /// `token`'s stage-boundary checkpoints) turns the whole request
+    /// into a `deadline-exceeded` error body — a transient outcome the
+    /// lower tiers neither memoize nor archive, so a retry after the
+    /// deadline recomputes cleanly.
     fn execute(
         &self,
         request: &Request,
         id: u64,
         token: &CancelToken,
-        obs: &TimingObserver,
+        counted: &Fanout<'_>,
         forward: Option<&(dyn StageObserver + Sync)>,
         progress_writer: Option<&SharedWriter>,
     ) -> String {
         match request {
             Request::Compile(spec) => {
-                let row = self.evaluate_one(spec, token, obs, forward);
+                let row = self.evaluate_one(spec, counted, forward);
                 self.transient_error_body(&row)
                     .unwrap_or_else(|| point_body("compile", &row, proto::metrics_json))
             }
             Request::Verify(spec) => {
-                let row = self.evaluate_one(spec, token, obs, forward);
+                let row = self.evaluate_one(spec, counted, forward);
                 self.transient_error_body(&row).unwrap_or_else(|| {
                     point_body("verify", &row, |m| {
                         format!("{{\"verified\":true,\"findings\":{}}}", m.verify_findings)
@@ -786,7 +789,7 @@ impl Inner {
                 })
             }
             Request::Explore(space) => {
-                let rows = self.evaluate_space(space, id, &Fanout(token, obs), progress_writer);
+                let rows = self.evaluate_space(space, id, counted, progress_writer);
                 if token.is_tripped() {
                     self.deadlines.inc();
                     let done = rows.iter().filter(|r| r.outcome.is_ok()).count();
@@ -816,7 +819,7 @@ impl Inner {
                     &*strategy,
                     budget,
                     self.cfg.eval_threads,
-                    &Fanout(token, obs),
+                    counted,
                 );
                 // Points past the deadline stopped at a stage boundary;
                 // the request as a whole is then answered as expired.
@@ -857,15 +860,13 @@ impl Inner {
     fn evaluate_one(
         &self,
         spec: &PointSpec,
-        token: &CancelToken,
-        obs: &TimingObserver,
+        counted: &Fanout<'_>,
         forward: Option<&(dyn StageObserver + Sync)>,
     ) -> ReportRow {
-        let observers = Fanout(forward.unwrap_or(&NullObserver), obs);
         self.explorer.evaluate_point_observed(
             spec.point(),
             &spec.space(),
-            &Fanout(token, &observers),
+            &Fanout(counted, forward.unwrap_or(&NullObserver)),
         )
     }
 
