@@ -117,14 +117,6 @@ impl LruCache {
             (self.cfg.hit_cycles + self.cfg.miss_penalty, false)
         }
     }
-
-    /// Invalidates all contents (e.g. at task boundaries when no
-    /// persistence across tasks should be assumed).
-    pub fn invalidate(&mut self) {
-        for s in &mut self.sets {
-            s.clear();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -187,15 +179,6 @@ mod tests {
         c.access(64); // evicts block 1 (LRU), not block 0
         let (_, hit) = c.access(0);
         assert!(hit);
-    }
-
-    #[test]
-    fn invalidate_clears_everything() {
-        let mut c = LruCache::new(CacheConfig::small());
-        c.access(0);
-        c.invalidate();
-        let (_, hit) = c.access(0);
-        assert!(!hit);
     }
 
     #[test]

@@ -136,13 +136,6 @@ pub enum Interconnect {
     },
 }
 
-impl Interconnect {
-    /// Returns `true` for NoC interconnects.
-    pub fn is_noc(&self) -> bool {
-        matches!(self, Interconnect::Noc { .. })
-    }
-}
-
 /// A complete platform description: the ADL object model.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Platform {
@@ -342,6 +335,23 @@ impl Platform {
         Ok(())
     }
 
+    /// Worst-case cost in cycles for `core` to access a variable in
+    /// `space` without the interconnect: the core's `local_access` for
+    /// [`MemSpace::Local`], its `spm_latency` for its own scratchpad.
+    /// Any other space gives `None` and the access is a shared one
+    /// ([`Platform::worst_case_shared_access`], behind the data cache if
+    /// the core has one) — including another core's scratchpad, which
+    /// placement never assigns. The code-level analysis and the
+    /// simulator both route every access through here.
+    pub fn private_access(&self, core: CoreId, space: MemSpace) -> Option<u64> {
+        let c = self.core(core);
+        match space {
+            MemSpace::Local => Some(c.timing.local_access),
+            MemSpace::Spm(owner) if owner == core => Some(c.spm_latency),
+            MemSpace::Spm(_) | MemSpace::Shared => None,
+        }
+    }
+
     /// Worst-case cost in cycles for `core` to complete one shared-memory
     /// access when at most `contenders` cores (including `core`) may
     /// access the shared resource concurrently.
@@ -463,6 +473,27 @@ mod tests {
             prev = wc;
         }
         assert!(p.worst_case_shared_access(c, 8) > p.worst_case_shared_access(c, 1));
+    }
+
+    #[test]
+    fn private_access_prices_local_and_own_spm_only() {
+        for p in [Platform::xentium_manycore(4), Platform::kit_tile_noc(2, 2)] {
+            let (c0, c1) = (CoreId(0), CoreId(1));
+            assert_eq!(
+                p.private_access(c0, MemSpace::Local),
+                Some(p.core(c0).timing.local_access),
+                "{}",
+                p.name
+            );
+            assert_eq!(
+                p.private_access(c1, MemSpace::Spm(c1)),
+                Some(p.core(c1).spm_latency),
+                "{}",
+                p.name
+            );
+            assert_eq!(p.private_access(c0, MemSpace::Spm(c1)), None, "{}", p.name);
+            assert_eq!(p.private_access(c0, MemSpace::Shared), None, "{}", p.name);
+        }
     }
 
     #[test]

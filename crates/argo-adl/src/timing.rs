@@ -1,11 +1,18 @@
 //! Worst-case per-operation core timing tables.
 //!
-//! Every operation class the interpreter reports (see
-//! `argo_ir::interp::OpClass`) has a worst-case latency in cycles. The
-//! tables are deliberately simple — in-order, fully timing-compositional
-//! cores, as § III-B demands ("the contribution of individual components to
-//! the overall system's timing can be considered separately").
+//! Every operation class the interpreter reports ([`OpClass`]) has a
+//! worst-case latency in cycles, read through [`CoreTiming::op_cost`];
+//! intrinsics are priced by name through [`CoreTiming::intrinsic`]. These
+//! two functions and [`crate::Platform::private_access`] are the one
+//! price list of the toolflow: the code-level WCET analysis (`argo-wcet`)
+//! charges them statically and the platform simulator (`argo-sim`)
+//! charges them per executed event, so the two sides cannot drift apart.
+//! The tables are deliberately simple — in-order, fully
+//! timing-compositional cores, as § III-B demands ("the contribution of
+//! individual components to the overall system's timing can be considered
+//! separately").
 
+use argo_ir::interp::OpClass;
 use std::collections::BTreeMap;
 
 /// Worst-case latency table of one core.
@@ -93,29 +100,33 @@ impl CoreTiming {
         }
     }
 
+    /// Worst-case latency of one operation of class `op`.
+    /// [`OpClass::Intrinsic`] costs 0 here: intrinsics are charged by
+    /// name through [`CoreTiming::intrinsic`].
+    pub fn op_cost(&self, op: OpClass) -> u64 {
+        match op {
+            OpClass::IntAlu => self.int_alu,
+            OpClass::IntMul => self.int_mul,
+            OpClass::IntDiv => self.int_div,
+            OpClass::FloatAdd => self.float_add,
+            OpClass::FloatMul => self.float_mul,
+            OpClass::FloatDiv => self.float_div,
+            OpClass::Cmp => self.cmp,
+            OpClass::Logic => self.logic,
+            OpClass::Cast => self.cast,
+            OpClass::Intrinsic => 0,
+            OpClass::Branch => self.branch,
+            OpClass::LoopOverhead => self.loop_overhead,
+            OpClass::CallOverhead => self.call_overhead,
+        }
+    }
+
     /// Worst-case latency of a named intrinsic.
     pub fn intrinsic(&self, name: &str) -> u64 {
         self.intrinsic_latency
             .get(name)
             .copied()
             .unwrap_or(self.intrinsic_default)
-    }
-
-    /// Sum of all fixed-op latencies — used as a sanity metric in tests.
-    pub fn total_fixed(&self) -> u64 {
-        self.int_alu
-            + self.int_mul
-            + self.int_div
-            + self.float_add
-            + self.float_mul
-            + self.float_div
-            + self.cmp
-            + self.logic
-            + self.cast
-            + self.branch
-            + self.loop_overhead
-            + self.call_overhead
-            + self.local_access
     }
 }
 
@@ -164,13 +175,51 @@ fn standard_intrinsics(base: u64) -> BTreeMap<String, u64> {
 mod tests {
     use super::*;
 
+    /// Every operation class, in declaration order.
+    const ALL_OPS: [OpClass; 13] = [
+        OpClass::IntAlu,
+        OpClass::IntMul,
+        OpClass::IntDiv,
+        OpClass::FloatAdd,
+        OpClass::FloatMul,
+        OpClass::FloatDiv,
+        OpClass::Cmp,
+        OpClass::Logic,
+        OpClass::Cast,
+        OpClass::Intrinsic,
+        OpClass::Branch,
+        OpClass::LoopOverhead,
+        OpClass::CallOverhead,
+    ];
+
+    fn op_total(t: &CoreTiming) -> u64 {
+        ALL_OPS.iter().map(|&op| t.op_cost(op)).sum()
+    }
+
     #[test]
     fn presets_are_distinct_and_sane() {
         let x = CoreTiming::xentium();
         let l = CoreTiming::leon3();
-        assert!(l.float_mul > x.float_mul, "leon3 FP slower than DSP");
-        assert!(x.int_alu >= 1 && l.int_alu >= 1);
-        assert!(l.total_fixed() > x.total_fixed());
+        assert!(
+            l.op_cost(OpClass::FloatMul) > x.op_cost(OpClass::FloatMul),
+            "leon3 FP slower than DSP"
+        );
+        assert!(x.op_cost(OpClass::IntAlu) >= 1 && l.op_cost(OpClass::IntAlu) >= 1);
+        assert!(op_total(&l) > op_total(&x));
+    }
+
+    #[test]
+    fn every_priced_op_costs_at_least_a_cycle_on_every_preset() {
+        for t in [CoreTiming::xentium(), CoreTiming::leon3()] {
+            for op in ALL_OPS {
+                let c = t.op_cost(op);
+                if op == OpClass::Intrinsic {
+                    assert_eq!(c, 0, "intrinsics are charged by name");
+                } else {
+                    assert!(c >= 1, "{op:?} costs {c}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -424,7 +424,7 @@ impl<'a> Toolflow<'a> {
             let program = &artifact.program;
             let mem = all_shared_map(program, entry);
             let symbols = program_symbols(program);
-            let coster = TaskCoster::new(program, entry).map_err(seed_err)?;
+            let coster = TaskCoster::new(program, &artifact.resolution, entry).map_err(seed_err)?;
             let costs = task_costs(artifact, &coster, &symbols, platform, &mem, None).map_err(
                 |(e, task)| match task {
                     Some(task) => seed_err(e).with_entity(task),
@@ -482,7 +482,7 @@ impl<'a> Toolflow<'a> {
             // ids, edges) depend only on the program/HTG, not on the
             // round — each round only re-costs.
             let symbols = program_symbols(program);
-            let coster = TaskCoster::new(program, entry)
+            let coster = TaskCoster::new(program, &artifact.resolution, entry)
                 .map_err(|e| backend_err(ErrorCode::CodeWcetFailed, e))?;
             let mut graph = TaskGraph::skeleton_from_htg(htg);
             let mut iterations = 0;
@@ -688,7 +688,7 @@ fn task_costs<'a>(
         let (ctx, fw) = match by_core.entry(core) {
             Entry::Occupied(e) => e.into_mut(),
             Entry::Vacant(e) => {
-                let ctx = CostCtx::with_symbols(&artifact.program, platform, core, 1, mem, symbols);
+                let ctx = CostCtx::with_symbols(&artifact.program, platform, core, mem, symbols);
                 let fw = coster.callee_wcets(&ctx, bounds).map_err(|e| (e, None))?;
                 e.insert((ctx, fw))
             }

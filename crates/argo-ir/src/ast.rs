@@ -55,11 +55,6 @@ impl BinOp {
         matches!(self, BinOp::And | BinOp::Or)
     }
 
-    /// Returns `true` for arithmetic operators.
-    pub fn is_arithmetic(self) -> bool {
-        !self.is_comparison() && !self.is_logical()
-    }
-
     /// Surface-syntax token.
     pub fn symbol(self) -> &'static str {
         match self {
@@ -496,7 +491,6 @@ mod tests {
     fn binop_classification() {
         assert!(BinOp::Lt.is_comparison());
         assert!(BinOp::And.is_logical());
-        assert!(BinOp::Add.is_arithmetic());
         assert!(!BinOp::Add.is_comparison());
     }
 

@@ -192,25 +192,6 @@ impl Cfg {
         self.blocks.is_empty()
     }
 
-    /// The loop (innermost) containing a node, if any.
-    pub fn innermost_loop_of(&self, node: NodeId) -> Option<usize> {
-        // Innermost = the latest-discovered loop containing the node whose
-        // children don't contain it.
-        let mut best: Option<usize> = None;
-        for (i, l) in self.loops.iter().enumerate() {
-            if l.nodes.contains(&node) {
-                let child_has = l
-                    .children
-                    .iter()
-                    .any(|&c| self.loops[c].nodes.contains(&node));
-                if !child_has {
-                    best = Some(i);
-                }
-            }
-        }
-        best
-    }
-
     /// All edges as `(from, to)` pairs.
     pub fn edges(&self) -> Vec<(NodeId, NodeId)> {
         let mut out = Vec::new();
@@ -453,16 +434,6 @@ mod tests {
         for n in &c.loops[inner].nodes {
             assert!(c.loops[outer].nodes.contains(n));
         }
-    }
-
-    #[test]
-    fn innermost_loop_query() {
-        let c =
-            cfg_of("void f() { int i; int j; for (i=0;i<4;i=i+1) { for (j=0;j<8;j=j+1) { } } }");
-        let inner_idx = c.loops[c.top_loops[0]].children[0];
-        let inner_header = c.loops[inner_idx].header;
-        assert_eq!(c.innermost_loop_of(inner_header), Some(inner_idx));
-        assert_eq!(c.innermost_loop_of(c.entry), None);
     }
 
     #[test]

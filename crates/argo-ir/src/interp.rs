@@ -195,43 +195,23 @@ pub enum OpClass {
     CallOverhead,
 }
 
-/// Kind of memory access, reported to the [`ExecHook`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AccessKind {
-    /// Scalar variable read.
-    ReadScalar,
-    /// Scalar variable write.
-    WriteScalar,
-    /// Array element read.
-    ReadElem,
-    /// Array element write.
-    WriteElem,
-}
-
-impl AccessKind {
-    /// Returns `true` for array-element accesses.
-    pub fn is_array(self) -> bool {
-        matches!(self, AccessKind::ReadElem | AccessKind::WriteElem)
-    }
-}
-
 /// Observer of interpreter execution, used by the platform simulator to
-/// attach a timing model. All methods have empty defaults.
+/// attach a timing model. It sees exactly the events that carry a price:
+/// operations, intrinsics and variable accesses. All methods have empty
+/// defaults.
 pub trait ExecHook {
-    /// A statement begins executing.
-    fn on_stmt(&mut self, _id: StmtId) {}
     /// A primitive operation executes.
     fn on_op(&mut self, _op: OpClass) {}
     /// An intrinsic with the given name executes.
     fn on_intrinsic(&mut self, _name: &str) {}
-    /// A variable access occurs. `base` is the variable name in the
+    /// A variable is read or written. `base` is the variable name in the
     /// *currently executing function's* frame.
-    fn on_access(&mut self, _base: &str, _kind: AccessKind) {}
-    /// An array-element access occurs, with the flat element index (for
-    /// address-sensitive models such as caches). The default forwards to
-    /// [`ExecHook::on_access`].
-    fn on_access_elem(&mut self, base: &str, kind: AccessKind, _flat: u64) {
-        self.on_access(base, kind);
+    fn on_access(&mut self, _base: &str) {}
+    /// An array element is read or written, with the flat element index
+    /// (for address-sensitive models such as caches). The default
+    /// forwards to [`ExecHook::on_access`].
+    fn on_access_elem(&mut self, base: &str, _flat: u64) {
+        self.on_access(base);
     }
 }
 
@@ -241,11 +221,9 @@ pub struct NullHook;
 
 impl ExecHook for NullHook {}
 
-/// A hook that counts operations, accesses and statements — handy in tests.
+/// A hook that counts operations and accesses — handy in tests.
 #[derive(Debug, Default, Clone)]
 pub struct CountingHook {
-    /// Number of statements entered.
-    pub stmts: u64,
     /// Number of primitive ops by class.
     pub ops: HashMap<OpClass, u64>,
     /// Number of memory accesses (scalar + array).
@@ -255,17 +233,15 @@ pub struct CountingHook {
 }
 
 impl ExecHook for CountingHook {
-    fn on_stmt(&mut self, _id: StmtId) {
-        self.stmts += 1;
-    }
     fn on_op(&mut self, op: OpClass) {
         *self.ops.entry(op).or_insert(0) += 1;
     }
-    fn on_access(&mut self, _base: &str, kind: AccessKind) {
+    fn on_access(&mut self, _base: &str) {
         self.accesses += 1;
-        if kind.is_array() {
-            self.array_accesses += 1;
-        }
+    }
+    fn on_access_elem(&mut self, base: &str, _flat: u64) {
+        self.array_accesses += 1;
+        self.on_access(base);
     }
 }
 
@@ -656,14 +632,13 @@ impl<'a> Machine<'a> {
             return Err(RuntimeError::new("execution fuel exhausted"));
         }
         *self.fuel -= 1;
-        hook.on_stmt(s.id);
         match &s.kind {
             RStmtKind::DeclScalar { slot, scalar, init } => {
                 let binding = match init {
                     Some(e) => {
                         let v = self.eval(rfunc, frame, e, hook)?;
                         let v = coerce(v, *scalar)?;
-                        hook.on_access(self.slot_name(rfunc, *slot), AccessKind::WriteScalar);
+                        hook.on_access(self.slot_name(rfunc, *slot));
                         Binding::Scalar(v)
                     }
                     None => Binding::Uninit(*scalar),
@@ -700,7 +675,7 @@ impl<'a> Machine<'a> {
                             }
                         };
                         frame.bindings[slot.idx()] = Binding::Scalar(coerce(v, sc)?);
-                        hook.on_access(self.slot_name(rfunc, *slot), AccessKind::WriteScalar);
+                        hook.on_access(self.slot_name(rfunc, *slot));
                     }
                     RLValue::Elem { array, indices } => {
                         let mut idx_buf = IndexBuf::default();
@@ -717,11 +692,7 @@ impl<'a> Machine<'a> {
                         let arr = &mut self.arrays[id];
                         let flat = arr.flat_index(idx_buf.as_slice())?;
                         arr.data[flat] = coerce(v, arr.elem)?;
-                        hook.on_access_elem(
-                            self.slot_name(rfunc, *array),
-                            AccessKind::WriteElem,
-                            flat as u64,
-                        );
+                        hook.on_access_elem(self.slot_name(rfunc, *array), flat as u64);
                     }
                 }
                 Ok(Flow::Normal)
@@ -750,7 +721,7 @@ impl<'a> Machine<'a> {
                 while i < hi {
                     hook.on_op(OpClass::LoopOverhead);
                     frame.bindings[var.idx()] = Binding::Scalar(ScalarVal::Int(i));
-                    hook.on_access(var_name, AccessKind::WriteScalar);
+                    hook.on_access(var_name);
                     if let Flow::Return(v) = self.exec_block(rfunc, frame, body, hook)? {
                         return Ok(Flow::Return(v));
                     }
@@ -840,7 +811,7 @@ impl<'a> Machine<'a> {
                         )))
                     }
                 };
-                hook.on_access(self.slot_name(rfunc, *slot), AccessKind::ReadScalar);
+                hook.on_access(self.slot_name(rfunc, *slot));
                 Ok(v)
             }
             RExpr::Elem { array, indices } => {
@@ -858,11 +829,7 @@ impl<'a> Machine<'a> {
                 let arr = &self.arrays[id];
                 let flat = arr.flat_index(idx_buf.as_slice())?;
                 let v = arr.data[flat];
-                hook.on_access_elem(
-                    self.slot_name(rfunc, *array),
-                    AccessKind::ReadElem,
-                    flat as u64,
-                );
+                hook.on_access_elem(self.slot_name(rfunc, *array), flat as u64);
                 Ok(v)
             }
             RExpr::Unary { op, arg } => {

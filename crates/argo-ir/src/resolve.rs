@@ -442,6 +442,24 @@ impl Resolution {
         &self.functions[idx]
     }
 
+    /// Indices of every function that function `entry` reaches through
+    /// calls ([`RFunction::callees`], transitively), in program order;
+    /// never `entry` itself.
+    pub fn reached_from(&self, entry: usize) -> Vec<usize> {
+        let mut reached = vec![false; self.functions.len()];
+        reached[entry] = true;
+        let mut queue = vec![entry];
+        while let Some(fi) = queue.pop() {
+            for &ci in &self.functions[fi].callees {
+                if !std::mem::replace(&mut reached[ci as usize], true) {
+                    queue.push(ci as usize);
+                }
+            }
+        }
+        reached[entry] = false;
+        (0..reached.len()).filter(|&i| reached[i]).collect()
+    }
+
     /// `(function index, arena index)` of the statement with `id`, or
     /// `None` if the id is unknown or ids are not unique (program not
     /// renumbered).

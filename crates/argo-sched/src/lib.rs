@@ -48,7 +48,6 @@ use argo_adl::{CoreId, Platform};
 use argo_htg::{Htg, TaskId};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
-use std::fmt;
 
 /// A flattened task DAG: the scheduling view of one HTG hierarchy level.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -611,21 +610,6 @@ pub trait Scheduler {
 pub fn sequential_schedule(g: &TaskGraph, ctx: &SchedCtx<'_>) -> Schedule {
     evaluate_assignment(g, ctx, &vec![CoreId(0); g.len()])
 }
-
-/// Error type for scheduler configuration problems.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SchedError {
-    /// Human-readable message.
-    pub msg: String,
-}
-
-impl fmt::Display for SchedError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "scheduling error: {}", self.msg)
-    }
-}
-
-impl std::error::Error for SchedError {}
 
 #[cfg(test)]
 pub(crate) mod test_graphs {

@@ -12,8 +12,15 @@
 //!    `argo-ir` interpreter in schedule order on a shared frame (with
 //!    per-task privatized-scalar resets), while a hook converts every
 //!    operation and memory access into a per-task event timeline
-//!    (`Compute(n)` / `SharedAccess`). Task statement lists are replayed
-//!    by id through the interpreter's slot-resolved program mirror
+//!    (`Compute(n)` / `SharedAccess`) at argo-adl's prices, the ones the
+//!    code-level analysis (`argo-wcet`) charges: operations
+//!    (`CoreTiming::op_cost`), intrinsics (`CoreTiming::intrinsic`) and
+//!    the local and own-scratchpad accesses `Platform::private_access`
+//!    prices accrue as compute; any other access is shared, where a
+//!    cache hit accrues as compute and a miss (after its refill cycles)
+//!    or an uncached access becomes a `SharedAccess` for the replay
+//!    below to arbitrate. Task statement lists are replayed by id
+//!    through the interpreter's slot-resolved program mirror
 //!    (`argo_ir::resolve`), so the per-statement drive path performs no
 //!    AST lookups, statement clones or string hashing. Task-level
 //!    determinacy (guaranteed by the dependence analysis) makes the

@@ -4,14 +4,16 @@
 //! determinacy makes the order irrelevant for functional results);
 //! privatized scalars are reset to the uninitialised state before every
 //! task, so a task can never observe another task's value through them.
-//! The `TimingHook` turns operations and accesses into events:
-//! compute cycles accumulate locally, shared-memory accesses become
-//! arbitration events for the timed replay.
+//! The `TimingHook` turns operations and accesses into events, at the
+//! prices argo-adl lists (`CoreTiming::op_cost`, `CoreTiming::intrinsic`,
+//! `Platform::private_access`) — the list the code-level analysis
+//! charges: compute cycles accumulate locally, shared-memory accesses
+//! become arbitration events for the timed replay.
 
 use crate::{SimConfig, SimError, SimMode};
 use argo_adl::cache::LruCache;
-use argo_adl::{CoreId, MemSpace, Platform};
-use argo_ir::interp::{AccessKind, ArgVal, ExecHook, Frame, Interp, OpClass};
+use argo_adl::{CoreId, Platform};
+use argo_ir::interp::{ArgVal, ExecHook, Frame, Interp, OpClass};
 use argo_ir::types::Scalar;
 use argo_parir::ParallelProgram;
 use rand::rngs::StdRng;
@@ -180,47 +182,20 @@ impl TimingHook<'_> {
     }
 
     fn access(&mut self, base: &str, flat: Option<u64>) {
-        match self.mem.space_of(base) {
-            MemSpace::Local => {
-                let c = self.platform.core(self.core).timing.local_access;
-                self.charge(c);
-            }
-            MemSpace::Spm(owner) => {
-                if owner == self.core {
-                    let c = self.platform.core(owner).spm_latency;
-                    self.charge(c);
-                } else {
-                    // Placement bug fallback: treat as shared (matches the
-                    // analysis-side fallback, keeping bound ≥ observed).
-                    self.shared_access(base, flat);
-                }
-            }
-            MemSpace::Shared => self.shared_access(base, flat),
+        match self
+            .platform
+            .private_access(self.core, self.mem.space_of(base))
+        {
+            Some(c) => self.charge(c),
+            None => self.shared_access(base, flat),
         }
     }
 }
 
 impl ExecHook for TimingHook<'_> {
     fn on_op(&mut self, op: OpClass) {
-        let t = &self.platform.core(self.core).timing;
-        let worst = match op {
-            OpClass::IntAlu => t.int_alu,
-            OpClass::IntMul => t.int_mul,
-            OpClass::IntDiv => t.int_div,
-            OpClass::FloatAdd => t.float_add,
-            OpClass::FloatMul => t.float_mul,
-            OpClass::FloatDiv => t.float_div,
-            OpClass::Cmp => t.cmp,
-            OpClass::Logic => t.logic,
-            OpClass::Cast => t.cast,
-            OpClass::Intrinsic => 0, // charged by name via on_intrinsic
-            OpClass::Branch => t.branch,
-            OpClass::LoopOverhead => t.loop_overhead,
-            OpClass::CallOverhead => t.call_overhead,
-        };
-        if worst > 0 {
-            self.charge(worst);
-        }
+        let c = self.platform.core(self.core).timing.op_cost(op);
+        self.charge(c);
     }
 
     fn on_intrinsic(&mut self, name: &str) {
@@ -228,11 +203,11 @@ impl ExecHook for TimingHook<'_> {
         self.charge(c);
     }
 
-    fn on_access(&mut self, base: &str, _kind: AccessKind) {
+    fn on_access(&mut self, base: &str) {
         self.access(base, None);
     }
 
-    fn on_access_elem(&mut self, base: &str, _kind: AccessKind, flat: u64) {
+    fn on_access_elem(&mut self, base: &str, flat: u64) {
         self.access(base, Some(flat));
     }
 }

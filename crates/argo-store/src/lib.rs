@@ -67,8 +67,11 @@
 //! [`Store::gc`] enforces a byte budget with LRU eviction: entries are
 //! ranked by file modification time, which [`Store`] refreshes on every
 //! hit, and the oldest are unlinked until the store fits the budget.
-//! Entries currently being read are pinned ([`PinGuard`]) and never
-//! evicted mid-read.
+//! GC may run in another process while a daemon or sweep reads the
+//! same directory (the `argo-store gc` CLI), so nothing is pinned: a
+//! read loads the whole file in one call, and a read that races an
+//! eviction sees either the complete entry or a counted miss that the
+//! caller recomputes and re-stores.
 //!
 //! ## Failure modes
 //!
@@ -100,11 +103,10 @@
 use argo_core::codec::Codec;
 use argo_core::{Artifact, Fingerprint};
 use argo_trace::{Counter, Histogram, Registry, LATENCY_US_BUCKETS};
-use std::collections::HashSet;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime};
 
 pub mod backend;
@@ -209,21 +211,6 @@ pub struct GcStats {
     pub tmp_swept: u64,
 }
 
-/// Keeps an entry alive across a read: while a [`PinGuard`] for a path
-/// exists, [`Store::gc`] will not evict that entry.
-#[derive(Debug)]
-pub struct PinGuard<'a> {
-    store: &'a Store,
-    path: PathBuf,
-}
-
-impl Drop for PinGuard<'_> {
-    fn drop(&mut self) {
-        let mut pins = self.store.pins.lock().unwrap();
-        pins.remove(&self.path);
-    }
-}
-
 /// A persistent, content-addressed artifact store rooted at one
 /// directory. See the [module docs](self) for layout, versioning,
 /// atomicity and GC semantics.
@@ -231,7 +218,6 @@ impl Drop for PinGuard<'_> {
 pub struct Store {
     dir: PathBuf,
     io: Arc<dyn IoBackend>,
-    pins: Mutex<HashSet<PathBuf>>,
     /// Per-handle metrics registry (`argo_store_*` names). Deliberately
     /// NOT the process-global [`argo_trace::metrics`] registry: tests
     /// and `argo-serve` open several stores per process, and each
@@ -274,7 +260,6 @@ impl Store {
         Ok(Store {
             dir,
             io,
-            pins: Mutex::new(HashSet::new()),
             hits: registry.counter("argo_store_hits_total"),
             misses: registry.counter("argo_store_misses_total"),
             corrupt: registry.counter("argo_store_corrupt_total"),
@@ -314,15 +299,6 @@ impl Store {
 
     fn entry_path(&self, namespace: &str, key: Fingerprint) -> PathBuf {
         self.dir.join(namespace).join(format!("{:016x}.bin", key.0))
-    }
-
-    /// Pins `(namespace, key)` against eviction for the guard's
-    /// lifetime. Reads pin internally; exposing it lets callers (and
-    /// tests) hold an entry across a GC run.
-    pub fn pin(&self, namespace: &str, key: Fingerprint) -> PinGuard<'_> {
-        let path = self.entry_path(namespace, key);
-        self.pins.lock().unwrap().insert(path.clone());
-        PinGuard { store: self, path }
     }
 
     // --- writes ---------------------------------------------------------
@@ -405,7 +381,7 @@ impl Store {
     ) -> Option<T> {
         let (content, payload) = self.get_raw(namespace, key)?;
         match T::from_bytes(&payload) {
-            Ok(value) if value.fingerprint() == content => Some(value),
+            Ok(value) if value.fingerprint() == content => self.accept(value),
             Ok(_) => {
                 // Decoded cleanly but to different content than was
                 // stored — round-trip infidelity. Reject and self-heal.
@@ -419,15 +395,18 @@ impl Store {
     pub fn get_value<T: Codec>(&self, namespace: &str, key: Fingerprint) -> Option<T> {
         let (_, payload) = self.get_raw(namespace, key)?;
         match T::from_bytes(&payload) {
-            Ok(value) => Some(value),
+            Ok(value) => self.accept(value),
             Err(_) => self.reject_corrupt(namespace, key),
         }
     }
 
+    /// Counts the hit of a read whose payload was accepted.
+    fn accept<T>(&self, value: T) -> Option<T> {
+        self.hits.inc();
+        Some(value)
+    }
+
     fn reject_corrupt<T>(&self, namespace: &str, key: Fingerprint) -> Option<T> {
-        // get_raw already counted a hit for the valid envelope; convert
-        // it into a corrupt miss now that the payload failed.
-        self.hits.sub(1);
         self.misses.inc();
         self.corrupt.inc();
         let _ = self.io.remove_file(&self.entry_path(namespace, key));
@@ -435,9 +414,10 @@ impl Store {
     }
 
     /// Reads and validates one raw entry, returning the recorded
-    /// content fingerprint and payload. Counts a hit or (possibly
-    /// corrupt/skewed) miss; refreshes the entry's LRU clock.
-    pub fn get_raw(&self, namespace: &str, key: Fingerprint) -> Option<(Fingerprint, Vec<u8>)> {
+    /// content fingerprint and payload. Counts a (possibly
+    /// corrupt/skewed) miss; a valid envelope's hit is counted by the
+    /// caller once the payload decodes. Refreshes the entry's LRU clock.
+    fn get_raw(&self, namespace: &str, key: Fingerprint) -> Option<(Fingerprint, Vec<u8>)> {
         let t0 = Instant::now();
         let out = self.get_raw_inner(namespace, key);
         self.get_latency.observe_duration_us(t0.elapsed());
@@ -445,10 +425,6 @@ impl Store {
     }
 
     fn get_raw_inner(&self, namespace: &str, key: Fingerprint) -> Option<(Fingerprint, Vec<u8>)> {
-        // Pin before opening so a concurrent gc never unlinks the file
-        // mid-read (POSIX would let the read finish, but the next
-        // reader would miss — the pin keeps hot entries resident).
-        let _pin = self.pin(namespace, key);
         let path = self.entry_path(namespace, key);
         // A read error (missing file, or an injected fault) is a plain
         // miss: the entry — if any — is left intact for a later retry.
@@ -458,7 +434,6 @@ impl Store {
         };
         match self.parse_entry(&bytes, namespace, key) {
             EntryParse::Valid { content, payload } => {
-                self.hits.inc();
                 // LRU clock: gc ranks by mtime, so refresh it on use.
                 let _ = self.io.set_modified(&path, SystemTime::now());
                 Some((content, payload))
@@ -596,8 +571,7 @@ impl Store {
     }
 
     /// Evicts least-recently-used entries until the store fits
-    /// `budget_bytes`, sweeping stale tmp orphans along the way. Pinned
-    /// entries (reads in flight) are never evicted, even over budget.
+    /// `budget_bytes`, sweeping stale tmp orphans along the way.
     pub fn gc(&self, budget_bytes: u64) -> GcStats {
         let mut stats = GcStats::default();
 
@@ -618,16 +592,12 @@ impl Store {
 
         let entries = self.ls();
         let mut total: u64 = entries.iter().map(|e| e.bytes).sum();
-        let pins = self.pins.lock().unwrap().clone();
         // ls() is newest-first; walk from the oldest end.
         for entry in entries.iter().rev() {
             if total <= budget_bytes {
                 break;
             }
             let path = self.entry_path(&entry.namespace, entry.key);
-            if pins.contains(&path) {
-                continue;
-            }
             if self.io.remove_file(&path).is_ok() {
                 total -= entry.bytes;
                 stats.evicted += 1;
@@ -982,32 +952,6 @@ mod tests {
             );
         }
         assert_eq!(store.counters().evictions, 4);
-    }
-
-    #[test]
-    fn gc_never_evicts_a_pinned_entry() {
-        let td = TestDir::new();
-        let store = Store::open(&td.0).unwrap();
-        for i in 0..4u64 {
-            store.put_value("unit", Fingerprint(i), &vec![i; 32]);
-        }
-        let now = SystemTime::now();
-        for i in 0..4u64 {
-            let path = store.entry_path("unit", Fingerprint(i));
-            let f = File::options().write(true).open(&path).unwrap();
-            f.set_modified(now - Duration::from_secs((8 - i) * 10))
-                .unwrap();
-        }
-        // Pin the oldest entry — a reader mid-read — then demand an
-        // impossible budget.
-        let pin = store.pin("unit", Fingerprint(0));
-        let gc = store.gc(0);
-        assert_eq!(gc.evicted, 3);
-        assert!(store.entry_path("unit", Fingerprint(0)).exists());
-        drop(pin);
-        let gc = store.gc(0);
-        assert_eq!(gc.evicted, 1);
-        assert_eq!(store.total_bytes(), 0);
     }
 
     #[test]

@@ -13,9 +13,7 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Monotonic counter. (One internal exception: `argo-store` decrements
-/// a hit when a self-healing re-read turns it into a miss; `sub` exists
-/// for that correction and saturates at zero.)
+/// Monotonic counter.
 #[derive(Debug, Default)]
 pub struct Counter(AtomicU64);
 
@@ -28,21 +26,6 @@ impl Counter {
     /// Adds `n`.
     pub fn add(&self, n: u64) {
         self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Subtracts `n`, saturating at zero.
-    pub fn sub(&self, n: u64) {
-        let mut cur = self.0.load(Ordering::Relaxed);
-        loop {
-            let next = cur.saturating_sub(n);
-            match self
-                .0
-                .compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => return,
-                Err(seen) => cur = seen,
-            }
-        }
     }
 
     /// Current value.
@@ -344,19 +327,16 @@ mod tests {
         let c = r.counter("argo_test_total");
         c.inc();
         c.add(4);
-        c.sub(2);
-        assert_eq!(c.get(), 3);
+        assert_eq!(c.get(), 5);
         assert_eq!(
             r.counter("argo_test_total").get(),
-            3,
+            5,
             "get-or-create returns the same cell"
         );
         let g = r.gauge("argo_test_gauge");
         g.set(-7);
         g.add(2);
         assert_eq!(g.get(), -5);
-        c.sub(100);
-        assert_eq!(c.get(), 0, "sub saturates");
     }
 
     #[test]

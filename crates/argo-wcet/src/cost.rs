@@ -1,13 +1,18 @@
 //! The worst-case cost model: cycles per operation and per memory access.
 //!
-//! [`CostCtx`] mirrors, statically, exactly what the platform simulator
-//! charges dynamically through the interpreter's `ExecHook`: the same
-//! per-operation latencies (from the core's `CoreTiming`) and the same
-//! access-cost rules (from the `MemoryMap` and platform interference
-//! bounds). Keeping the two sides structurally identical is what makes the
+//! [`CostCtx`] charges, statically, what the platform simulator charges
+//! dynamically through the interpreter's `ExecHook`, and both read the
+//! one price list argo-adl owns: `CoreTiming::op_cost` and
+//! `CoreTiming::intrinsic` price operations, `Platform::private_access`
+//! prices local and own-scratchpad accesses and routes every other access
+//! to shared memory. Reading the same prices is what makes the
 //! `observed ≤ bound` soundness tests meaningful rather than vacuous.
+//!
+//! Code-level costs are isolated: a shared access is priced as if its
+//! core were the only one on the interconnect. Contention is added once,
+//! by the system-level analysis (`crate::system`).
 
-use argo_adl::{CoreId, MemSpace, MemoryMap, Platform};
+use argo_adl::{CoreId, MemoryMap, Platform};
 use argo_ir::ast::*;
 use argo_ir::interp::OpClass;
 use argo_ir::types::Scalar;
@@ -29,7 +34,8 @@ pub fn program_symbols(program: &Program) -> ProgramSymbols {
         .collect()
 }
 
-/// Static cost-model context for one core.
+/// Static cost-model context for one core: the platform's prices under
+/// one placement, in isolation (no contenders).
 #[derive(Debug, Clone)]
 pub struct CostCtx<'a> {
     /// The program under analysis.
@@ -38,10 +44,6 @@ pub struct CostCtx<'a> {
     pub platform: &'a Platform,
     /// The core the analysed code runs on.
     pub core: CoreId,
-    /// Assumed number of concurrent shared-resource contenders
-    /// (1 = isolated code-level analysis; the system-level analysis
-    /// re-runs with refined counts).
-    pub contenders: usize,
     /// Variable placements.
     pub mem: &'a MemoryMap,
     /// Per-variable access-cost overrides (used by the cache persistence
@@ -61,14 +63,12 @@ impl<'a> CostCtx<'a> {
         program: &'a Program,
         platform: &'a Platform,
         core: CoreId,
-        contenders: usize,
         mem: &'a MemoryMap,
     ) -> CostCtx<'a> {
         CostCtx {
             program,
             platform,
             core,
-            contenders,
             mem,
             overrides: BTreeMap::new(),
             symbols: Cow::Owned(program_symbols(program)),
@@ -81,7 +81,6 @@ impl<'a> CostCtx<'a> {
         program: &'a Program,
         platform: &'a Platform,
         core: CoreId,
-        contenders: usize,
         mem: &'a MemoryMap,
         symbols: &'a ProgramSymbols,
     ) -> CostCtx<'a> {
@@ -89,7 +88,6 @@ impl<'a> CostCtx<'a> {
             program,
             platform,
             core,
-            contenders,
             mem,
             overrides: BTreeMap::new(),
             symbols: Cow::Borrowed(symbols),
@@ -115,28 +113,16 @@ impl<'a> CostCtx<'a> {
         if let Some(&c) = self.overrides.get(var) {
             return c;
         }
-        match self.mem.space_of(var) {
-            MemSpace::Local => self.timing().local_access,
-            MemSpace::Spm(owner) => {
-                // Remote SPM access is not modelled: placement guarantees
-                // owner == core; if not, fall back to shared cost (sound).
-                if owner == self.core {
-                    self.platform.core(owner).spm_latency
-                } else {
-                    self.shared_access_cost()
-                }
-            }
-            MemSpace::Shared => self.shared_access_cost(),
-        }
+        self.platform
+            .private_access(self.core, self.mem.space_of(var))
+            .unwrap_or_else(|| self.shared_access_cost())
     }
 
-    /// Worst-case shared-memory access cost under the assumed contenders,
-    /// through the data cache when the core has one (conservatively a
-    /// miss unless an override says otherwise).
+    /// Worst-case cost of one uncontended shared-memory access, through
+    /// the data cache when the core has one (conservatively a miss
+    /// unless an override says otherwise).
     pub fn shared_access_cost(&self) -> u64 {
-        let base = self
-            .platform
-            .worst_case_shared_access(self.core, self.contenders);
+        let base = self.platform.worst_case_shared_access(self.core, 1);
         match self.platform.core(self.core).cache {
             Some(cache) => cache.hit_cycles + cache.miss_penalty + base,
             None => base,
@@ -145,23 +131,7 @@ impl<'a> CostCtx<'a> {
 
     /// Worst-case latency of an operation class.
     pub fn op_cost(&self, op: OpClass) -> u64 {
-        let t = self.timing();
-        match op {
-            OpClass::IntAlu => t.int_alu,
-            OpClass::IntMul => t.int_mul,
-            OpClass::IntDiv => t.int_div,
-            OpClass::FloatAdd => t.float_add,
-            OpClass::FloatMul => t.float_mul,
-            OpClass::FloatDiv => t.float_div,
-            OpClass::Cmp => t.cmp,
-            OpClass::Logic => t.logic,
-            OpClass::Cast => t.cast,
-            // Intrinsic cost is charged by name (`intrinsic_cost`).
-            OpClass::Intrinsic => 0,
-            OpClass::Branch => t.branch,
-            OpClass::LoopOverhead => t.loop_overhead,
-            OpClass::CallOverhead => t.call_overhead,
-        }
+        self.timing().op_cost(op)
     }
 
     /// Worst-case latency of a named intrinsic.
@@ -300,6 +270,7 @@ fn expr_type_in(e: &Expr, syms: &SymbolTable, program: &Program) -> Scalar {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use argo_adl::MemSpace;
     use argo_ir::parse::{parse_expr, parse_program};
 
     fn ctx_fixture() -> (Program, Platform, MemoryMap) {
@@ -313,7 +284,7 @@ mod tests {
     #[test]
     fn literals_cost_nothing() {
         let (p, platform, mem) = ctx_fixture();
-        let ctx = CostCtx::new(&p, &platform, CoreId(0), 1, &mem);
+        let ctx = CostCtx::new(&p, &platform, CoreId(0), &mem);
         let mut calls = Vec::new();
         assert_eq!(ctx.expr_cost(&Expr::int(5), "f", &mut calls), 0);
         assert_eq!(ctx.expr_cost(&Expr::real(2.5), "f", &mut calls), 0);
@@ -324,7 +295,7 @@ mod tests {
         let p = parse_program("real f(real x, int n) { return x; }").unwrap();
         let platform = Platform::kit_tile_noc(1, 2);
         let mem = MemoryMap::new();
-        let ctx = CostCtx::new(&p, &platform, CoreId(0), 1, &mem);
+        let ctx = CostCtx::new(&p, &platform, CoreId(0), &mem);
         let mut calls = Vec::new();
         let fexpr = parse_expr("x + x").unwrap();
         let iexpr = parse_expr("n + n").unwrap();
@@ -337,7 +308,7 @@ mod tests {
     #[test]
     fn array_access_includes_index_cost() {
         let (p, platform, mem) = ctx_fixture();
-        let ctx = CostCtx::new(&p, &platform, CoreId(0), 1, &mem);
+        let ctx = CostCtx::new(&p, &platform, CoreId(0), &mem);
         let mut calls = Vec::new();
         let simple = parse_expr("x").unwrap();
         let indexed = parse_expr("a[i]").unwrap();
@@ -345,7 +316,7 @@ mod tests {
     }
 
     #[test]
-    fn shared_placement_is_expensive_and_contention_dependent() {
+    fn shared_placement_is_expensive() {
         let (p, platform, mut mem) = ctx_fixture();
         mem.insert(
             "a",
@@ -355,14 +326,28 @@ mod tests {
                 size_bytes: 64,
             },
         );
-        let ctx1 = CostCtx::new(&p, &platform, CoreId(0), 1, &mem);
-        let ctx2 = CostCtx::new(&p, &platform, CoreId(0), 2, &mem);
+        let ctx = CostCtx::new(&p, &platform, CoreId(0), &mem);
         let e = parse_expr("a[0]").unwrap();
         let mut calls = Vec::new();
-        let c1 = ctx1.expr_cost(&e, "f", &mut calls);
-        let c2 = ctx2.expr_cost(&e, "f", &mut calls);
-        assert!(c2 > c1, "more contenders ⇒ higher worst-case access");
-        assert!(c1 > ctx1.timing().local_access);
+        let c1 = ctx.expr_cost(&e, "f", &mut calls);
+        assert!(c1 > ctx.timing().local_access);
+    }
+
+    #[test]
+    fn another_cores_spm_costs_a_shared_access() {
+        let (p, platform, mut mem) = ctx_fixture();
+        mem.insert(
+            "a",
+            argo_adl::Placement {
+                space: MemSpace::Spm(CoreId(1)),
+                base_addr: 0,
+                size_bytes: 64,
+            },
+        );
+        let remote = CostCtx::new(&p, &platform, CoreId(0), &mem);
+        assert_eq!(remote.access_cost("a"), remote.shared_access_cost());
+        let owner = CostCtx::new(&p, &platform, CoreId(1), &mem);
+        assert_eq!(owner.access_cost("a"), platform.core(CoreId(1)).spm_latency);
     }
 
     #[test]
@@ -376,7 +361,7 @@ mod tests {
                 size_bytes: 64,
             },
         );
-        let mut ctx = CostCtx::new(&p, &platform, CoreId(0), 4, &mem);
+        let mut ctx = CostCtx::new(&p, &platform, CoreId(0), &mem);
         ctx.overrides.insert("a".into(), 1);
         assert_eq!(ctx.access_cost("a"), 1);
     }
@@ -384,7 +369,7 @@ mod tests {
     #[test]
     fn intrinsics_charge_by_name() {
         let (p, platform, mem) = ctx_fixture();
-        let ctx = CostCtx::new(&p, &platform, CoreId(0), 1, &mem);
+        let ctx = CostCtx::new(&p, &platform, CoreId(0), &mem);
         let mut calls = Vec::new();
         let sqrt = parse_expr("sqrt(x)").unwrap();
         let fmax = parse_expr("fmax(x, x)").unwrap();
@@ -403,7 +388,7 @@ mod tests {
         .unwrap();
         let platform = Platform::xentium_manycore(1);
         let mem = MemoryMap::new();
-        let ctx = CostCtx::new(&p, &platform, CoreId(0), 1, &mem);
+        let ctx = CostCtx::new(&p, &platform, CoreId(0), &mem);
         let mut calls = Vec::new();
         let e = parse_expr("g(x) * 2.0").unwrap();
         let c = ctx.expr_cost(&e, "f", &mut calls);
@@ -423,8 +408,8 @@ mod tests {
             },
         );
         let cached = platform.clone().with_caches(argo_adl::CacheConfig::small());
-        let ctx_plain = CostCtx::new(&p, &platform, CoreId(0), 1, &mem);
-        let ctx_cache = CostCtx::new(&p, &cached, CoreId(0), 1, &mem);
+        let ctx_plain = CostCtx::new(&p, &platform, CoreId(0), &mem);
+        let ctx_cache = CostCtx::new(&p, &cached, CoreId(0), &mem);
         assert!(ctx_cache.shared_access_cost() > ctx_plain.shared_access_cost());
     }
 }

@@ -245,7 +245,7 @@ mod tests {
         argo_ir::validate::validate(&p).unwrap();
         let platform = Platform::xentium_manycore(1);
         let mem = MemoryMap::new();
-        let ctx = CostCtx::new(&p, &platform, CoreId(0), 1, &mem);
+        let ctx = CostCtx::new(&p, &platform, CoreId(0), &mem);
         let bounds = loop_bounds(&p, "main", &ValueCtx::default()).unwrap();
         let fw = function_wcets(&ctx, &bounds).unwrap();
         let schema = fw["main"];

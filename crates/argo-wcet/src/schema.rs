@@ -15,6 +15,7 @@ use crate::WcetError;
 use argo_adl::MemSpace;
 use argo_ir::ast::*;
 use argo_ir::interp::OpClass;
+use argo_ir::resolve::Resolution;
 use argo_ir::StmtId;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
@@ -193,47 +194,30 @@ pub struct TaskCoster<'p> {
 }
 
 impl<'p> TaskCoster<'p> {
-    /// Indexes the top-level statements of `func` and collects the
-    /// functions it reaches: the functions whose loops the value
-    /// analysis ([`crate::value::loop_bounds_resolved`]) bounds.
+    /// Indexes the top-level statements of `func` and takes the
+    /// functions it reaches from `resolution` (which must resolve
+    /// `program`): the same functions whose loops the value analysis
+    /// ([`crate::value::loop_bounds_resolved`]) bounds.
     ///
     /// # Errors
     ///
     /// Returns [`WcetError`] if `program` has no function `func`.
-    pub fn new(program: &'p Program, func: &str) -> Result<TaskCoster<'p>, WcetError> {
-        let position = |name: &str| program.functions.iter().position(|f| f.name == name);
-        let entry =
-            position(func).ok_or_else(|| WcetError::new(format!("no function `{func}`")))?;
-        let mut reached = vec![false; program.functions.len()];
-        reached[entry] = true;
-        let mut queue = vec![entry];
-        while let Some(fi) = queue.pop() {
-            let names = program.functions[fi]
-                .body
-                .stmts
-                .iter()
-                .flat_map(argo_ir::visit::called_functions);
-            for name in names {
-                if argo_ir::intrinsics::is_intrinsic(&name) {
-                    continue;
-                }
-                if let Some(ci) = position(&name) {
-                    if !std::mem::replace(&mut reached[ci], true) {
-                        queue.push(ci);
-                    }
-                }
-            }
-        }
-        reached[entry] = false;
+    pub fn new(
+        program: &'p Program,
+        resolution: &Resolution,
+        func: &str,
+    ) -> Result<TaskCoster<'p>, WcetError> {
+        let entry = resolution
+            .function_index(func)
+            .ok_or_else(|| WcetError::new(format!("no function `{func}`")))?;
         let f = &program.functions[entry];
         Ok(TaskCoster {
             func: &f.name,
             stmts: f.body.stmts.iter().map(|s| (s.id, s)).collect(),
-            callees: program
-                .functions
-                .iter()
-                .zip(reached)
-                .filter_map(|(g, r)| r.then_some(g))
+            callees: resolution
+                .reached_from(entry)
+                .into_iter()
+                .map(|i| &program.functions[i])
                 .collect(),
         })
     }
@@ -279,8 +263,9 @@ impl<'p> TaskCoster<'p> {
 }
 
 /// WCET of the top-level statements with the given ids inside `func`,
-/// for one task. It indexes `func` on every call; to cost many tasks,
-/// build one [`TaskCoster`] and call [`TaskCoster::task_wcet`].
+/// for one task. It resolves the program and indexes `func` on every
+/// call; to cost many tasks, build one [`TaskCoster`] and call
+/// [`TaskCoster::task_wcet`].
 ///
 /// # Errors
 ///
@@ -293,7 +278,8 @@ pub fn stmt_ids_wcet(
     func: &str,
     ids: &[StmtId],
 ) -> Result<u64, WcetError> {
-    TaskCoster::new(ctx.program, func)?.task_wcet(ctx, bounds, fn_wcets, ids)
+    let resolution = Resolution::of(ctx.program);
+    TaskCoster::new(ctx.program, &resolution, func)?.task_wcet(ctx, bounds, fn_wcets, ids)
 }
 
 fn loop_bound_of(_ctx: &CostCtx<'_>, bounds: &LoopBounds, s: &Stmt) -> Result<u64, WcetError> {
@@ -357,12 +343,7 @@ fn cache_refined_ctx<'c, 'a>(
     for (name, _, _) in &arrays {
         refined.overrides.insert(name.clone(), cache.hit_cycles);
     }
-    let miss_cost = cache.hit_cycles
-        + cache.miss_penalty
-        + ctx
-            .platform
-            .worst_case_shared_access(ctx.core, ctx.contenders);
-    let fill = loop_fill_cost(&arrays, &cache, miss_cost);
+    let fill = loop_fill_cost(&arrays, &cache, ctx.shared_access_cost());
     (Cow::Owned(refined), fill)
 }
 
@@ -378,7 +359,7 @@ mod tests {
         argo_ir::validate::validate(&p).unwrap();
         let platform = Platform::xentium_manycore(1);
         let mem = MemoryMap::new();
-        let ctx = CostCtx::new(&p, &platform, CoreId(0), 1, &mem);
+        let ctx = CostCtx::new(&p, &platform, CoreId(0), &mem);
         let bounds = loop_bounds(&p, "main", &ValueCtx::default()).unwrap();
         function_wcets(&ctx, &bounds).unwrap()["main"]
     }
@@ -456,7 +437,7 @@ mod tests {
         .unwrap();
         let platform = Platform::xentium_manycore(1);
         let mem = MemoryMap::new();
-        let ctx = CostCtx::new(&p, &platform, CoreId(0), 1, &mem);
+        let ctx = CostCtx::new(&p, &platform, CoreId(0), &mem);
         let err = function_wcets(&ctx, &LoopBounds::new()).unwrap_err();
         assert!(err.msg.contains("no loop bound"));
     }
@@ -470,10 +451,8 @@ mod tests {
         let bounds = loop_bounds(&p, "main", &ValueCtx::default()).unwrap();
         let x = Platform::xentium_manycore(1);
         let l = Platform::kit_tile_noc(1, 1);
-        let wx =
-            function_wcets(&CostCtx::new(&p, &x, CoreId(0), 1, &mem), &bounds).unwrap()["main"];
-        let wl =
-            function_wcets(&CostCtx::new(&p, &l, CoreId(0), 1, &mem), &bounds).unwrap()["main"];
+        let wx = function_wcets(&CostCtx::new(&p, &x, CoreId(0), &mem), &bounds).unwrap()["main"];
+        let wl = function_wcets(&CostCtx::new(&p, &l, CoreId(0), &mem), &bounds).unwrap()["main"];
         assert!(wl > wx);
     }
 
@@ -485,7 +464,7 @@ mod tests {
         let p = parse_program(src).unwrap();
         let platform = Platform::xentium_manycore(1);
         let mem = MemoryMap::new();
-        let ctx = CostCtx::new(&p, &platform, CoreId(0), 1, &mem);
+        let ctx = CostCtx::new(&p, &platform, CoreId(0), &mem);
         let bounds = loop_bounds(&p, "main", &ValueCtx::default()).unwrap();
         let fw = function_wcets(&ctx, &bounds).unwrap();
         let f = p.function("main").unwrap();
@@ -502,28 +481,5 @@ mod tests {
         // The two loop tasks together account for the whole body.
         assert!(t1 + t2 <= whole);
         assert!(t1 + t2 >= whole - 5, "decl statements cost ~0");
-    }
-
-    #[test]
-    fn shared_contention_inflates_task_wcet() {
-        let src = "void main(real a[16]) { int i; \
-             for (i=0;i<16;i=i+1) { a[i] = a[i] + 1.0; } }";
-        let p = parse_program(src).unwrap();
-        let platform = Platform::xentium_manycore(4);
-        let mut mem = MemoryMap::new();
-        mem.insert(
-            "a",
-            argo_adl::Placement {
-                space: argo_adl::MemSpace::Shared,
-                base_addr: 0,
-                size_bytes: 128,
-            },
-        );
-        let bounds = loop_bounds(&p, "main", &ValueCtx::default()).unwrap();
-        let w1 = function_wcets(&CostCtx::new(&p, &platform, CoreId(0), 1, &mem), &bounds).unwrap()
-            ["main"];
-        let w4 = function_wcets(&CostCtx::new(&p, &platform, CoreId(0), 4, &mem), &bounds).unwrap()
-            ["main"];
-        assert!(w4 > w1, "contenders inflate WCET: {w1} vs {w4}");
     }
 }

@@ -115,9 +115,9 @@ pub fn task_shared_accesses(htg: &Htg, graph: &TaskGraph, mem: &MemoryMap) -> Ve
 
 /// Runs the system-level analysis on a parallel program.
 ///
-/// `iso_wcet[t]` must be the code-level WCET of task `t` computed with
-/// `contenders = 1`; `shared_accesses[t]` its worst-case shared-access
-/// count (see [`task_shared_accesses`]).
+/// `iso_wcet[t]` must be the isolated code-level WCET of task `t` (what
+/// [`crate::cost::CostCtx`] prices: one contender); `shared_accesses[t]`
+/// its worst-case shared-access count (see [`task_shared_accesses`]).
 ///
 /// # Panics
 ///

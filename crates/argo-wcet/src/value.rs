@@ -120,11 +120,6 @@ impl Interval {
             _ => Interval::TOP,
         }
     }
-
-    /// Returns `true` if both endpoints are finite.
-    pub fn is_bounded(self) -> bool {
-        self.lo.is_some() && self.hi.is_some()
-    }
 }
 
 /// Analysis context: ranges for entry-function integer parameters.
@@ -204,14 +199,8 @@ pub fn loop_bounds_resolved(
     }
     // Callee loops: analyse every function reachable from `func` with ⊤
     // parameters (conservative: their own literal bounds must suffice).
-    let mut visited = vec![false; resolution.functions.len()];
-    visited[entry] = true;
-    let mut queue: Vec<u32> = resolution.function(entry).callees.clone();
-    while let Some(fi) = queue.pop() {
-        if std::mem::replace(&mut visited[fi as usize], true) {
-            continue;
-        }
-        let rfunc = resolution.function(fi as usize);
+    for fi in resolution.reached_from(entry) {
+        let rfunc = resolution.function(fi);
         let mut env = vec![Interval::TOP; rfunc.frame_len as usize];
         let mut an = Analyzer {
             resolution,
@@ -221,7 +210,6 @@ pub fn loop_bounds_resolved(
         };
         an.block(&rfunc.body, &mut env)?;
         an.publish_fixpoint_rounds();
-        queue.extend_from_slice(&rfunc.callees);
     }
     Ok(bounds)
 }
@@ -599,6 +587,5 @@ mod tests {
             Interval::range(10, 20).div(Interval::exact(3)),
             Interval::range(3, 6)
         );
-        assert!(!Interval::TOP.is_bounded());
     }
 }

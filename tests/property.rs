@@ -110,7 +110,7 @@ proptest! {
         let p = parse_program(&src).expect("parses");
         let platform = Platform::xentium_manycore(1);
         let mem = MemoryMap::new();
-        let ctx = CostCtx::new(&p, &platform, CoreId(0), 1, &mem);
+        let ctx = CostCtx::new(&p, &platform, CoreId(0), &mem);
         let bounds = loop_bounds(&p, "main", &ValueCtx::default()).expect("bounded");
         let fw = function_wcets(&ctx, &bounds).expect("schema");
         let ipet = function_wcet_ipet(&ctx, &bounds, &fw, "main").expect("ipet");
@@ -124,7 +124,7 @@ proptest! {
         let p = parse_program(&src).expect("parses");
         let platform = Platform::xentium_manycore(1);
         let mem = MemoryMap::new();
-        let ctx = CostCtx::new(&p, &platform, CoreId(0), 1, &mem);
+        let ctx = CostCtx::new(&p, &platform, CoreId(0), &mem);
         let bounds = loop_bounds(&p, "main", &ValueCtx::default()).expect("bounded");
         let fw = function_wcets(&ctx, &bounds).expect("schema");
 
@@ -140,7 +140,7 @@ proptest! {
             fn on_intrinsic(&mut self, name: &str) {
                 self.total += self.ctx.intrinsic_cost(name);
             }
-            fn on_access(&mut self, base: &str, _k: argo_ir::interp::AccessKind) {
+            fn on_access(&mut self, base: &str) {
                 self.total += self.ctx.access_cost(base);
             }
         }

@@ -288,7 +288,8 @@ fn task_coster_matches_one_shot_stmt_ids_wcet() {
                 let artifact = flow(&bus).run_frontend().expect("frontend");
                 let (program, bounds) = (&artifact.program, &artifact.bounds);
                 let symbols = program_symbols(program);
-                let coster = TaskCoster::new(program, uc.entry).expect("entry exists");
+                let coster =
+                    TaskCoster::new(program, &artifact.resolution, uc.entry).expect("entry exists");
                 let shared = all_shared(program, uc.entry);
                 for platform in [&bus, &noc, &cached] {
                     let finished = flow(platform)
@@ -307,7 +308,6 @@ fn task_coster_matches_one_shot_stmt_ids_wcet() {
                                 program,
                                 platform,
                                 CoreId(core),
-                                1,
                                 mem,
                                 &symbols,
                             );
