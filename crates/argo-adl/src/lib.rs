@@ -149,6 +149,22 @@ pub struct Platform {
     pub interconnect: Interconnect,
 }
 
+/// One core's prices as the code-level analysis reads them
+/// ([`Platform::cost_view`]): two cores with equal views cost every
+/// statement alike under the same placement.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CostView<'a> {
+    /// The core's timing table.
+    pub timing: &'a CoreTiming,
+    /// The core's scratchpad latency.
+    pub spm_latency: u64,
+    /// The core's data cache, if any.
+    pub cache: Option<CacheConfig>,
+    /// One shared-memory access with no other contender:
+    /// `worst_case_shared_access(core, 1)`.
+    pub shared_access: u64,
+}
+
 /// Error for malformed platform descriptions.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlatformError {
@@ -349,6 +365,25 @@ impl Platform {
             MemSpace::Local => Some(c.timing.local_access),
             MemSpace::Spm(owner) if owner == core => Some(c.spm_latency),
             MemSpace::Spm(_) | MemSpace::Shared => None,
+        }
+    }
+
+    /// Everything the code-level analysis prices on `core`: its timing
+    /// table, its scratchpad latency, its data cache and its isolated
+    /// shared-access price. Scratchpad capacities, other cores, tiles
+    /// and arbitration parameters reach the core's costs only through
+    /// that one price.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `core` is out of range.
+    pub fn cost_view(&self, core: CoreId) -> CostView<'_> {
+        let c = self.core(core);
+        CostView {
+            timing: &c.timing,
+            spm_latency: c.spm_latency,
+            cache: c.cache,
+            shared_access: self.worst_case_shared_access(core, 1),
         }
     }
 

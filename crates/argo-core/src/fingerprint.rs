@@ -13,16 +13,19 @@
 //!
 //! Two kinds of things carry fingerprints:
 //!
-//! * **inputs** — [`Platform`] and [`ToolchainConfig`] implement
-//!   [`Fingerprintable`]; a platform's cosmetic `name` is deliberately
-//!   excluded (two platforms differing only in name behave identically);
+//! * **inputs** — [`Platform`], [`CostView`] and [`ToolchainConfig`]
+//!   implement [`Fingerprintable`]; a platform's cosmetic `name` is
+//!   deliberately excluded (two platforms differing only in name behave
+//!   identically);
 //! * **artifacts** — [`FrontendArtifact`](crate::FrontendArtifact),
 //!   [`CostTable`](crate::CostTable) and
 //!   [`BackendResult`](crate::BackendResult) implement the
 //!   [`Artifact`](crate::Artifact) trait whose `fingerprint()` hashes
 //!   the artifact *content*.
 
-use argo_adl::{Arbitration, CacheConfig, Core, CoreKind, CoreTiming, Interconnect, Platform};
+use argo_adl::{
+    Arbitration, CacheConfig, Core, CoreKind, CoreTiming, CostView, Interconnect, Platform,
+};
 use argo_sched::TaskGraph;
 use argo_wcet::value::ValueCtx;
 use std::fmt;
@@ -213,6 +216,18 @@ impl Fingerprintable for Arbitration {
     }
 }
 
+fn feed_cache(cache: Option<&CacheConfig>, h: &mut FingerprintHasher) {
+    match cache {
+        None => {
+            h.write_str("no-cache");
+        }
+        Some(cfg) => {
+            h.write_str("cache");
+            cfg.feed(h);
+        }
+    }
+}
+
 fn feed_core(core: &Core, h: &mut FingerprintHasher) {
     h.write_u64(core.id.0 as u64);
     h.write_str(match core.kind {
@@ -222,17 +237,22 @@ fn feed_core(core: &Core, h: &mut FingerprintHasher) {
     });
     core.timing.feed(h);
     h.write_u64(core.spm_bytes).write_u64(core.spm_latency);
-    match &core.cache {
-        None => {
-            h.write_str("no-cache");
-        }
-        Some(cfg) => {
-            h.write_str("cache");
-            cfg.feed(h);
-        }
-    }
+    feed_cache(core.cache.as_ref(), h);
     h.write_u64(core.tile.0 as u64)
         .write_u64(core.tile.1 as u64);
+}
+
+/// Canonical fingerprint of one core's cost view: its timing table,
+/// scratchpad latency, data cache and isolated shared-access price —
+/// everything the code-level analysis reads for the core.
+impl Fingerprintable for CostView<'_> {
+    fn feed(&self, h: &mut FingerprintHasher) {
+        h.write_str("cost-view");
+        self.timing.feed(h);
+        h.write_u64(self.spm_latency);
+        feed_cache(self.cache.as_ref(), h);
+        h.write_u64(self.shared_access);
+    }
 }
 
 /// Canonical platform fingerprint.

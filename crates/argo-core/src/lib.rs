@@ -42,6 +42,16 @@
 //! Failures are structured [`Diagnostic`]s (a [`Stage`], an
 //! [`ErrorCode`], the offending entity, a rendered message).
 //!
+//! ## Cache keys
+//!
+//! Each key hashes exactly what its stage reads:
+//!
+//! | `argo-dse` tier | key | inputs |
+//! |-----------------|-----|--------|
+//! | 1, frontend | [`Toolflow::frontend_fingerprint`] | program text, entry, granularity, chunking, value context, core count |
+//! | 2, seed costs | [`Toolflow::seed_cost_fingerprint`] | the frontend key and core 0's [`CostView`](argo_adl::CostView): its timing, scratchpad latency, cache and isolated shared-access price |
+//! | 3, schedule | [`schedule_fingerprint`] | task graph (costs and edges), the whole platform, scheduler |
+//!
 //! ## Error codes
 //!
 //! [`Diagnostic::code`] replaces the legacy stringly-typed stage names:
@@ -495,18 +505,45 @@ mod tests {
             base.frontend_fingerprint().unwrap(),
             cores.frontend_fingerprint().unwrap()
         );
-        // An SPM-only platform change keeps the frontend key but moves
-        // the seed-costs key.
+        // An SPM-only platform change keeps both keys: round 0 places
+        // every array in shared memory, and the seed key reads only
+        // core 0's cost view.
         let mut spm_platform = Platform::xentium_manycore(4);
         spm_platform.cores[0].spm_bytes = 1234;
-        let spm = Toolflow::new(program, "main").platform(&spm_platform);
+        let spm = Toolflow::new(program.clone(), "main").platform(&spm_platform);
         assert_eq!(
             base.frontend_fingerprint().unwrap(),
             spm.frontend_fingerprint().unwrap()
         );
-        assert_ne!(
+        assert_eq!(
             base.seed_cost_fingerprint().unwrap(),
             spm.seed_cost_fingerprint().unwrap()
+        );
+        // A core-0 timing or shared-latency change keeps the frontend
+        // key but moves the seed-costs key.
+        let mut timing_platform = Platform::xentium_manycore(4);
+        timing_platform.cores[0].timing.float_mul += 1;
+        let mut latency_platform = Platform::xentium_manycore(4);
+        latency_platform.shared.latency += 1;
+        for moved in [&timing_platform, &latency_platform] {
+            let flow = Toolflow::new(program.clone(), "main").platform(moved);
+            assert_eq!(
+                base.frontend_fingerprint().unwrap(),
+                flow.frontend_fingerprint().unwrap()
+            );
+            assert_ne!(
+                base.seed_cost_fingerprint().unwrap(),
+                flow.seed_cost_fingerprint().unwrap()
+            );
+        }
+        // A platform without cores is a diagnostic, not a panic.
+        let mut coreless = Platform::xentium_manycore(1);
+        coreless.cores.clear();
+        let flow = Toolflow::new(program, "main").platform(&coreless);
+        let err = flow.seed_cost_fingerprint().unwrap_err();
+        assert_eq!(
+            (err.stage, err.code),
+            (Stage::SeedCosts, ErrorCode::InvalidPlatform)
         );
     }
 

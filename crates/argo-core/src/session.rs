@@ -267,21 +267,40 @@ impl<'a> Toolflow<'a> {
     }
 
     /// Canonical fingerprint of the seed-costs stage *inputs*: the
-    /// frontend fingerprint plus the full platform fingerprint (the
-    /// round-0 cost table depends on both, but not on the scheduler,
-    /// MHP mode or feedback budget) — the second-tier cache key of
-    /// `argo-dse`.
+    /// frontend fingerprint plus core 0's [`CostView`](argo_adl::CostView)
+    /// — the second-tier cache key of `argo-dse`. Round 0 costs every
+    /// task on core 0 under the all-shared placement, so the table reads
+    /// nothing else of the platform: scratchpad capacities, other cores,
+    /// tiles and arbitration weights reach it only through core 0's
+    /// isolated shared-access price, and points that differ only there
+    /// (an SPM axis) share one table. The scheduler, MHP mode and
+    /// feedback budget never reach it.
     ///
     /// # Errors
     ///
-    /// [`ErrorCode::MissingPlatform`] when no platform is bound.
+    /// [`ErrorCode::MissingPlatform`] when no platform is bound,
+    /// [`ErrorCode::InvalidPlatform`] when it has no cores.
     pub fn seed_cost_fingerprint(&self) -> Result<Fingerprint, Diagnostic> {
-        let platform = self.require_platform(Stage::SeedCosts)?;
+        let platform = self.require_seed_platform()?;
         let mut h = FingerprintHasher::new();
         h.write_str("seed-cost-inputs");
         h.write_fingerprint(self.frontend_fingerprint()?);
-        platform.feed(&mut h);
+        platform.cost_view(CoreId(0)).feed(&mut h);
         Ok(h.finish())
+    }
+
+    /// The platform round 0 costs on: bound, with a core 0.
+    fn require_seed_platform(&self) -> Result<&'a Platform, Diagnostic> {
+        let platform = self.require_platform(Stage::SeedCosts)?;
+        if platform.cores.is_empty() {
+            return Err(Diagnostic::new(
+                Stage::SeedCosts,
+                ErrorCode::InvalidPlatform,
+                "platform has no cores",
+            )
+            .with_entity(&platform.name));
+        }
+        Ok(platform)
     }
 
     /// Runs `body` as pipeline stage `stage`, bracketed by observer
@@ -409,16 +428,17 @@ impl<'a> Toolflow<'a> {
 
     /// Runs the seed-costs stage on a frontend artifact: feedback round
     /// 0, every task costed on core 0 under the conservative all-shared
-    /// placement. The table depends only on `(artifact, entry,
-    /// platform)`, not on the scheduler or MHP mode, so design-space
-    /// points that share a platform and program can reuse it (the
-    /// second cache tier of `argo-dse`).
+    /// placement. The table depends only on the artifact, the entry and
+    /// core 0's cost view ([`Toolflow::seed_cost_fingerprint`]), so
+    /// design-space points that share a program and that view reuse it
+    /// (the second cache tier of `argo-dse`).
     ///
     /// # Errors
     ///
-    /// Returns a [`Diagnostic`] if the code-level analysis fails.
+    /// Returns a [`Diagnostic`] if the platform has no cores or the
+    /// code-level analysis fails.
     pub fn run_seed_costs(&self, artifact: &FrontendArtifact) -> Result<CostTable, Diagnostic> {
-        let platform = self.require_platform(Stage::SeedCosts)?;
+        let platform = self.require_seed_platform()?;
         let entry = self.entry.as_str();
         self.run_stage(Stage::SeedCosts, || {
             let program = &artifact.program;
@@ -441,9 +461,10 @@ impl<'a> Toolflow<'a> {
     /// (§ II-D) and the sequential baseline.
     ///
     /// `seed` optionally supplies the round-0 task costs (as produced
-    /// by [`Toolflow::run_seed_costs`] for the same artifact and
-    /// platform), skipping the first code-level WCET pass; the result
-    /// is identical either way.
+    /// by [`Toolflow::run_seed_costs`] for the same artifact on any
+    /// platform with the same [`Toolflow::seed_cost_fingerprint`], such
+    /// as this one with another scratchpad capacity), skipping the first
+    /// code-level WCET pass; the result is identical either way.
     ///
     /// The result's parallel program shares the artifact's program and
     /// HTG. A caller that keeps the artifact (a cache) passes a clone,
@@ -485,6 +506,9 @@ impl<'a> Toolflow<'a> {
             let coster = TaskCoster::new(program, &artifact.resolution, entry)
                 .map_err(|e| backend_err(ErrorCode::CodeWcetFailed, e))?;
             let mut graph = TaskGraph::skeleton_from_htg(htg);
+            // One scheduling context prices each core's shared access
+            // once, for every round, the gate and the baseline.
+            let ctx = SchedCtx::with_comm(platform, CommModel::SignalOnly);
             let mut iterations = 0;
             for round in 0..cfg.feedback_rounds.max(1) {
                 let _round_span = argo_trace::span("backend.round");
@@ -509,10 +533,6 @@ impl<'a> Toolflow<'a> {
                 // the key covers everything a scheduler observes — the
                 // graph (costs + edges), the platform and the scheduler
                 // kind — so a hit is byte-identical to a rebuild.
-                let ctx = SchedCtx {
-                    platform,
-                    comm: CommModel::SignalOnly,
-                };
                 let mut build = || match cfg.scheduler {
                     crate::SchedulerKind::List => ListScheduler::new().schedule(&graph, &ctx),
                     crate::SchedulerKind::BranchAndBound => {
@@ -571,11 +591,7 @@ impl<'a> Toolflow<'a> {
             // `argo-verify` is the always-on external check.
             #[cfg(debug_assertions)]
             {
-                let gate_ctx = SchedCtx {
-                    platform,
-                    comm: CommModel::SignalOnly,
-                };
-                if let Err(e) = schedule.validate(&graph, &gate_ctx) {
+                if let Err(e) = schedule.validate(&graph, &ctx) {
                     panic!("backend produced an unsound schedule: {e}");
                 }
             }
@@ -606,13 +622,9 @@ impl<'a> Toolflow<'a> {
             );
 
             // --- Sequential baseline: same tasks, one core, no overlap.
-            let seq_ctx = SchedCtx {
-                platform,
-                comm: CommModel::SignalOnly,
-            };
             let seq = evaluate_assignment(
                 &parallel.graph,
-                &seq_ctx,
+                &ctx,
                 &vec![CoreId(0); parallel.graph.len()],
             );
             let sequential_bound = seq.makespan();

@@ -5,8 +5,11 @@
 //! scheduler and the memory/interference configuration, so a sweep along
 //! the scheduler axis (or any axis that leaves program and platform
 //! alone) re-derives identical frontends and identical round-0 WCET
-//! tables. This cache keys both artifact tiers by the driver's canonical
-//! [`Fingerprint`]s — [`argo_core::Toolflow::frontend_fingerprint`] and
+//! tables. The round-0 table reads only core 0's cost view (its timing,
+//! scratchpad latency, cache and isolated shared-access price), so a
+//! scratchpad-capacity axis shares it too. This cache keys both artifact
+//! tiers by the driver's canonical [`Fingerprint`]s —
+//! [`argo_core::Toolflow::frontend_fingerprint`] and
 //! [`argo_core::Toolflow::seed_cost_fingerprint`] — so *any* two points
 //! that would recompute the same artifact share one entry, even across
 //! different `DesignSpace`s or repeated runs on one [`crate::Explorer`].

@@ -483,8 +483,8 @@ impl Explorer {
         let artifact = self.cache.frontend(frontend_key, || flow.run_frontend())?;
 
         // Tier 2: round-0 code-level WCETs — shared by every point with
-        // the same frontend artifact *and* platform (e.g. the scheduler
-        // axis).
+        // the same frontend artifact and core 0's cost view (e.g. the
+        // scheduler, MHP and SPM axes).
         let cost_key = flow
             .seed_cost_fingerprint()
             .expect("platform is bound on the session");

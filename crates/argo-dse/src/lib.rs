@@ -21,8 +21,9 @@
 //!   store exploiting the staged [`argo_core`] pipeline: points sharing
 //!   `(program, transforms, core count)` reuse one
 //!   [`argo_core::FrontendArtifact`] (HTG extraction), points sharing
-//!   `(program, platform)` additionally reuse the round-0 code-level WCET
-//!   table ([`argo_core::Toolflow::run_seed_costs`]), and backend
+//!   that and core 0's cost view additionally reuse the round-0
+//!   code-level WCET table ([`argo_core::Toolflow::run_seed_costs`]),
+//!   whatever their scratchpad capacities, and backend
 //!   feedback rounds sharing `(task graph, platform, scheduler)` reuse
 //!   the mapping-stage schedule through the [`argo_core::ScheduleCache`]
 //!   hook. Hit/miss counters for every tier are surfaced in every

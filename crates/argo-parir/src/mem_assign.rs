@@ -76,6 +76,9 @@ pub fn assign(
     // multi-core (shared).
     let mut spm_candidates: BTreeMap<CoreId, Vec<SpmCandidate>> = BTreeMap::new();
     let mut shared_arrays: Vec<&str> = Vec::new();
+    // Each candidate core's all-contender shared-access price, priced
+    // once per call.
+    let mut shared_cost: Vec<Option<u64>> = vec![None; platform.core_count()];
     for (v, ty) in &symbols {
         if !ty.is_array() {
             continue; // scalars default to Local via MemoryMap::space_of
@@ -84,7 +87,9 @@ pub fn assign(
         if owners.len() == 1 {
             let core = *owners.iter().next().expect("len 1");
             let accesses = access_gain.get(&(v.as_str(), core)).copied().unwrap_or(1);
-            let shared_cost = platform.worst_case_shared_access(core, platform.core_count());
+            let shared_cost = *shared_cost[core.0].get_or_insert_with(|| {
+                platform.worst_case_shared_access(core, platform.core_count())
+            });
             let spm_cost = platform.core(core).spm_latency;
             let gain = accesses.saturating_mul(shared_cost.saturating_sub(spm_cost));
             spm_candidates.entry(core).or_default().push(SpmCandidate {

@@ -187,10 +187,7 @@ mod tests {
         // Independent tasks with unequal sizes: list scheduling by rank is
         // already decent, but SA must find a balanced split too.
         let p = Platform::xentium_manycore(2);
-        let ctx = SchedCtx {
-            platform: &p,
-            comm: CommModel::Free,
-        };
+        let ctx = SchedCtx::with_comm(&p, CommModel::Free);
         let g = TaskGraph {
             cost: vec![8, 7, 6, 5, 4, 3, 3],
             edges: vec![],

@@ -396,10 +396,7 @@ mod tests {
     fn optimal_on_independent_tasks() {
         // 4 independent unit tasks on 2 cores: optimum = 2 per core.
         let p = Platform::xentium_manycore(2);
-        let ctx = SchedCtx {
-            platform: &p,
-            comm: CommModel::Free,
-        };
+        let ctx = SchedCtx::with_comm(&p, CommModel::Free);
         let g = TaskGraph {
             cost: vec![10, 10, 10, 10],
             edges: vec![],
@@ -415,10 +412,7 @@ mod tests {
     fn optimal_on_asymmetric_loads() {
         // Costs 7,5,4,4,3 on 2 cores; total 23, optimum = 12 (7+5 | 4+4+3).
         let p = Platform::xentium_manycore(2);
-        let ctx = SchedCtx {
-            platform: &p,
-            comm: CommModel::Free,
-        };
+        let ctx = SchedCtx::with_comm(&p, CommModel::Free);
         let g = TaskGraph {
             cost: vec![7, 5, 4, 4, 3],
             edges: vec![],
@@ -436,10 +430,7 @@ mod tests {
         // two 3s on separate cores and ends at 7; the optimum 3+3 | 2+2+2
         // meets the work bound 12 / 2 exactly, one below the seed.
         let p = Platform::xentium_manycore(2);
-        let ctx = SchedCtx {
-            platform: &p,
-            comm: CommModel::Free,
-        };
+        let ctx = SchedCtx::with_comm(&p, CommModel::Free);
         let g = TaskGraph {
             cost: vec![3, 3, 2, 2, 2],
             edges: vec![],
@@ -455,10 +446,7 @@ mod tests {
     #[test]
     fn respects_critical_path_bound() {
         let p = Platform::xentium_manycore(4);
-        let ctx = SchedCtx {
-            platform: &p,
-            comm: CommModel::Free,
-        };
+        let ctx = SchedCtx::with_comm(&p, CommModel::Free);
         let g = diamond();
         let s = BranchAndBound::new().schedule(&g, &ctx);
         assert!(s.makespan() >= g.critical_path());
@@ -497,10 +485,7 @@ mod tests {
         // Under signal-only comm a 2×4 mesh prices a core by its hop
         // distance from the shared memory at tile (0, 0).
         let noc = Platform::kit_tile_noc(2, 4);
-        let ctx = SchedCtx {
-            platform: &noc,
-            comm: CommModel::SignalOnly,
-        };
+        let ctx = SchedCtx::with_comm(&noc, CommModel::SignalOnly);
         let table = CommTable::new(&g, &ctx);
         let model = Model::new(&g, &g.index(), &ctx, &table);
         assert_eq!(
@@ -647,7 +632,7 @@ mod tests {
         ];
         for platform in &platforms {
             for comm in comms {
-                let ctx = SchedCtx { platform, comm };
+                let ctx = SchedCtx::with_comm(platform, comm);
                 for (seed, (tasks, family)) in
                     (3..=8).flat_map(|n| families.map(|f| (n, f))).enumerate()
                 {

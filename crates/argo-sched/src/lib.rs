@@ -299,20 +299,37 @@ pub enum CommModel {
 }
 
 /// Scheduling context: the target platform plus cost-model knobs.
+///
+/// The constructors price one shared-memory access per core with every
+/// core contending, `worst_case_shared_access(c, core_count)`, once,
+/// whatever the comm model: [`CommModel::SignalOnly`] reads that table
+/// instead of re-running the arbitration bound per query, and it stays
+/// right after a later write to `comm`.
 #[derive(Debug, Clone)]
 pub struct SchedCtx<'a> {
     /// The target platform (core count, comm costs).
-    pub platform: &'a Platform,
+    platform: &'a Platform,
     /// Communication model.
     pub comm: CommModel,
+    /// Core → its all-contender shared-access price on `platform`.
+    shared_access: Vec<u64>,
 }
 
 impl<'a> SchedCtx<'a> {
     /// Creates a context with the conservative platform comm model.
     pub fn new(platform: &'a Platform) -> SchedCtx<'a> {
+        SchedCtx::with_comm(platform, CommModel::PlatformWorstCase)
+    }
+
+    /// Creates a context with the comm model `comm`.
+    pub fn with_comm(platform: &'a Platform, comm: CommModel) -> SchedCtx<'a> {
+        let k = platform.core_count();
         SchedCtx {
             platform,
-            comm: CommModel::PlatformWorstCase,
+            comm,
+            shared_access: (0..k)
+                .map(|c| platform.worst_case_shared_access(CoreId(c), k))
+                .collect(),
         }
     }
 
@@ -324,11 +341,7 @@ impl<'a> SchedCtx<'a> {
                 self.platform
                     .worst_case_comm(from, to, bytes, self.platform.core_count())
             }
-            CommModel::SignalOnly => {
-                let k = self.platform.core_count();
-                self.platform.worst_case_shared_access(from, k)
-                    + self.platform.worst_case_shared_access(to, k)
-            }
+            CommModel::SignalOnly => self.shared_access[from.0] + self.shared_access[to.0],
         }
     }
 
@@ -734,7 +747,7 @@ mod tests {
         let mut cases = 0;
         for platform in &platforms {
             for comm in comms {
-                let ctx = SchedCtx { platform, comm };
+                let ctx = SchedCtx::with_comm(platform, comm);
                 let m = ctx.cores();
                 for seed in 0..8u64 {
                     let params = RandomGraphParams {
@@ -773,6 +786,78 @@ mod tests {
             }
         }
         assert!(cases >= 1000, "{cases} cases");
+    }
+
+    /// The context's per-core price table gives what the formulas give,
+    /// whichever model the context was built with, on presets beyond
+    /// the equal-weight WRR ones the goldens reach.
+    #[test]
+    fn comm_cost_equals_the_direct_formula() {
+        use argo_adl::Arbitration;
+        let platforms = [
+            Platform::xentium_manycore(1),
+            Platform::xentium_manycore(2),
+            Platform::xentium_manycore(3),
+            Platform::xentium_manycore(4),
+            Platform::xentium_manycore(8),
+            Platform::kit_tile_noc(2, 2),
+            Platform::kit_tile_noc(2, 4),
+            Platform::generic_bus(
+                4,
+                Arbitration::Tdma {
+                    slot_cycles: 8,
+                    total_slots: 4,
+                },
+            ),
+            Platform::generic_bus(
+                4,
+                Arbitration::FixedPriority {
+                    priorities: vec![2, 0, 3, 1],
+                },
+            ),
+            Platform::generic_bus(
+                4,
+                Arbitration::Wrr {
+                    weights: vec![3, 1, 2, 5],
+                    slot_cycles: 4,
+                },
+            ),
+        ];
+        let comms = [
+            CommModel::Free,
+            CommModel::PlatformWorstCase,
+            CommModel::SignalOnly,
+        ];
+        for p in &platforms {
+            let n = p.core_count();
+            for built in comms {
+                let mut ctx = SchedCtx::with_comm(p, built);
+                for comm in comms {
+                    ctx.comm = comm;
+                    for (from, to) in (0..n).flat_map(|f| (0..n).map(move |t| (f, t))) {
+                        let (from, to) = (CoreId(from), CoreId(to));
+                        for bytes in [0, 8, 64, 4096] {
+                            let direct = match comm {
+                                CommModel::Free => 0,
+                                CommModel::PlatformWorstCase => {
+                                    p.worst_case_comm(from, to, bytes, n)
+                                }
+                                CommModel::SignalOnly => {
+                                    p.worst_case_shared_access(from, n)
+                                        + p.worst_case_shared_access(to, n)
+                                }
+                            };
+                            assert_eq!(
+                                ctx.comm_cost(from, to, bytes),
+                                direct,
+                                "{} built {built:?} queried {comm:?} {from}->{to} {bytes} B",
+                                p.name
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -819,10 +904,7 @@ mod tests {
     fn free_comm_model_is_cheaper() {
         let p = Platform::xentium_manycore(2);
         let ctx_wc = SchedCtx::new(&p);
-        let ctx_free = SchedCtx {
-            platform: &p,
-            comm: CommModel::Free,
-        };
+        let ctx_free = SchedCtx::with_comm(&p, CommModel::Free);
         let g = diamond();
         let a = vec![CoreId(0), CoreId(0), CoreId(1), CoreId(0)];
         let s_wc = evaluate_assignment(&g, &ctx_wc, &a);

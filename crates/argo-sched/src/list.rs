@@ -186,10 +186,7 @@ mod tests {
     #[test]
     fn parallelises_fork_join() {
         let p = Platform::xentium_manycore(4);
-        let ctx = SchedCtx {
-            platform: &p,
-            comm: CommModel::Free,
-        };
+        let ctx = SchedCtx::with_comm(&p, CommModel::Free);
         let g = fork_join(8, 1000);
         let s = ListScheduler::new().schedule(&g, &ctx);
         let seq = sequential_schedule(&g, &ctx);
@@ -231,10 +228,7 @@ mod tests {
     #[test]
     fn insertion_never_hurts() {
         let p = Platform::xentium_manycore(3);
-        let ctx = SchedCtx {
-            platform: &p,
-            comm: CommModel::Free,
-        };
+        let ctx = SchedCtx::with_comm(&p, CommModel::Free);
         let g = fork_join(7, 350);
         let with_ins = ListScheduler { insertion: true }.schedule(&g, &ctx);
         let without = ListScheduler { insertion: false }.schedule(&g, &ctx);

@@ -326,10 +326,7 @@ mod tests {
         let costs: std::collections::BTreeMap<_, _> =
             htg.top_level.iter().map(|&t| (t, 100u64)).collect();
         let graph = argo_sched::TaskGraph::from_htg(&htg, &costs);
-        let ctx = SchedCtx {
-            platform,
-            comm: CommModel::Free,
-        };
+        let ctx = SchedCtx::with_comm(platform, CommModel::Free);
         // Force the two loops onto different cores (decl task with them).
         let assignment: Vec<CoreId> = (0..graph.len())
             .map(|t| {

@@ -252,10 +252,7 @@ mod tests {
         let costs: std::collections::BTreeMap<_, _> =
             htg.top_level.iter().map(|&t| (t, 10u64)).collect();
         let graph = TaskGraph::from_htg(&htg, &costs);
-        let ctx = SchedCtx {
-            platform,
-            comm: CommModel::Free,
-        };
+        let ctx = SchedCtx::with_comm(platform, CommModel::Free);
         let schedule = evaluate_assignment(&graph, &ctx, &vec![CoreId(0); graph.len()]);
         let mem =
             argo_parir::mem_assign::assign(&program, &htg, &graph, &schedule, platform).unwrap();

@@ -35,16 +35,25 @@ pub struct SpmAllocation {
 /// Exact 0/1-knapsack allocation via dynamic programming over capacity
 /// quantised to 8-byte words. Exact as long as all sizes are multiples of
 /// 8 (always true for mini-C arrays of `int`/`real`).
+///
+/// The table spans `min(capacity, Σ candidate sizes)` words, so its size
+/// follows the program, not the requested capacity. That stays exact:
+/// once every candidate fits, each backtrack step sees a capacity of at
+/// least the remaining candidates' total, so the table takes exactly the
+/// positive-gain candidates, as a full-width one does.
 pub fn allocate_exact(candidates: &[SpmCandidate], capacity_bytes: u64) -> SpmAllocation {
-    let words = (capacity_bytes / 8) as usize;
     let n = candidates.len();
-    if n == 0 || words == 0 {
+    if n == 0 || capacity_bytes / 8 == 0 {
         return SpmAllocation {
             chosen: vec![],
             used_bytes: 0,
             saved_cycles: 0,
         };
     }
+    let total_words = candidates
+        .iter()
+        .fold(0u64, |sum, c| sum.saturating_add(c.size_bytes.div_ceil(8)));
+    let words = (capacity_bytes / 8).min(total_words) as usize;
     // dp[w] = best gain with capacity w; keep choice bits per item.
     let mut dp = vec![0u64; words + 1];
     let mut take = vec![vec![false; words + 1]; n];
@@ -169,6 +178,21 @@ mod tests {
         let e = allocate_exact(&cands, 1 << 20);
         assert_eq!(e.chosen.len(), 2);
         assert_eq!(e.saved_cycles, 30);
+    }
+
+    #[test]
+    fn capacity_beyond_the_candidates_total_places_as_the_total() {
+        let cands = vec![
+            cand("a", 100, 10),
+            cand("b", 200, 0),
+            cand("c", 64, 7),
+            cand("d", 8, 1),
+        ];
+        let total: u64 = cands.iter().map(|c| c.size_bytes.div_ceil(8) * 8).sum();
+        let at_total = allocate_exact(&cands, total);
+        assert_eq!(allocate_exact(&cands, u64::MAX), at_total);
+        assert_eq!(allocate_exact(&cands, 1 << 40), at_total);
+        assert_eq!(at_total.chosen, vec!["a", "c", "d"]);
     }
 
     #[test]

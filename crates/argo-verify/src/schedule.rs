@@ -127,10 +127,7 @@ pub fn check_schedule(
         }
     }
 
-    let ctx = SchedCtx {
-        platform,
-        comm: CommModel::SignalOnly,
-    };
+    let ctx = SchedCtx::with_comm(platform, CommModel::SignalOnly);
     let idx = TaskGraphIndex::new(graph);
     for t in 0..n {
         for &(f, bytes) in idx.preds(t) {

@@ -12,7 +12,7 @@
 //! core were the only one on the interconnect. Contention is added once,
 //! by the system-level analysis (`crate::system`).
 
-use argo_adl::{CoreId, MemoryMap, Platform};
+use argo_adl::{CoreId, CostView, MemoryMap, Platform};
 use argo_ir::ast::*;
 use argo_ir::interp::OpClass;
 use argo_ir::types::Scalar;
@@ -36,14 +36,20 @@ pub fn program_symbols(program: &Program) -> ProgramSymbols {
 
 /// Static cost-model context for one core: the platform's prices under
 /// one placement, in isolation (no contenders).
+///
+/// The core's [`CostView`] is taken once, when the context is built:
+/// timing, cache and the isolated shared-access price come from it, so
+/// no access re-derives the arbitration bound.
 #[derive(Debug, Clone)]
 pub struct CostCtx<'a> {
     /// The program under analysis.
     pub program: &'a Program,
     /// The target platform.
-    pub platform: &'a Platform,
+    platform: &'a Platform,
     /// The core the analysed code runs on.
-    pub core: CoreId,
+    core: CoreId,
+    /// The core's prices.
+    pub(crate) view: CostView<'a>,
     /// Variable placements.
     pub mem: &'a MemoryMap,
     /// Per-variable access-cost overrides (used by the cache persistence
@@ -69,6 +75,7 @@ impl<'a> CostCtx<'a> {
             program,
             platform,
             core,
+            view: platform.cost_view(core),
             mem,
             overrides: BTreeMap::new(),
             symbols: Cow::Owned(program_symbols(program)),
@@ -88,6 +95,7 @@ impl<'a> CostCtx<'a> {
             program,
             platform,
             core,
+            view: platform.cost_view(core),
             mem,
             overrides: BTreeMap::new(),
             symbols: Cow::Borrowed(symbols),
@@ -96,7 +104,7 @@ impl<'a> CostCtx<'a> {
 
     /// The timing table of the analysed core.
     pub fn timing(&self) -> &argo_adl::CoreTiming {
-        &self.platform.core(self.core).timing
+        self.view.timing
     }
 
     /// Symbol table of `func`.
@@ -122,8 +130,8 @@ impl<'a> CostCtx<'a> {
     /// the data cache when the core has one (conservatively a miss
     /// unless an override says otherwise).
     pub fn shared_access_cost(&self) -> u64 {
-        let base = self.platform.worst_case_shared_access(self.core, 1);
-        match self.platform.core(self.core).cache {
+        let base = self.view.shared_access;
+        match self.view.cache {
             Some(cache) => cache.hit_cycles + cache.miss_penalty + base,
             None => base,
         }

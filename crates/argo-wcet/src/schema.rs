@@ -310,7 +310,7 @@ fn cache_refined_ctx<'c, 'a>(
     func: &str,
     loop_stmt: &Stmt,
 ) -> (Cow<'c, CostCtx<'a>>, u64) {
-    let Some(cache) = ctx.platform.core(ctx.core).cache else {
+    let Some(cache) = ctx.view.cache else {
         return (Cow::Borrowed(ctx), 0);
     };
     // Collect shared arrays accessed in the loop subtree.

@@ -132,10 +132,7 @@ pub fn analyze(
     let n = pp.graph.len();
     assert_eq!(iso_wcet.len(), n, "iso_wcet length");
     assert_eq!(shared_accesses.len(), n, "shared_accesses length");
-    let ctx = SchedCtx {
-        platform,
-        comm: CommModel::SignalOnly,
-    };
+    let ctx = SchedCtx::with_comm(platform, CommModel::SignalOnly);
 
     let delta = |t: usize, k: usize| -> u64 {
         let core = pp.schedule.assignment[t];
@@ -380,10 +377,7 @@ mod tests {
         let costs: BTreeMap<_, _> = htg.top_level.iter().map(|&t| (t, 5000u64)).collect();
         let graph = TaskGraph::from_htg(&htg, &costs);
         let platform = Platform::xentium_manycore(4);
-        let ctx = SchedCtx {
-            platform: &platform,
-            comm: CommModel::SignalOnly,
-        };
+        let ctx = SchedCtx::with_comm(&platform, CommModel::SignalOnly);
         let schedule = ListScheduler::new().schedule(&graph, &ctx);
         let mem =
             argo_parir::mem_assign::assign(&program, &htg, &graph, &schedule, &platform).unwrap();

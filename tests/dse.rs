@@ -250,6 +250,33 @@ fn changed_fingerprints_re_evaluate_instead_of_replaying() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The seed-cost tier keys on core 0's cost view, which a scratchpad
+/// capacity does not reach: across an SPM axis the round-0 table is
+/// built once per (app, platform kind, core count), and every row still
+/// equals the same point evaluated alone by a fresh explorer.
+#[test]
+fn spm_axis_shares_one_seed_cost_table() {
+    let space = DesignSpace::new()
+        .apps(["egpws", "polka", "weaa"].map(String::from))
+        .platforms(vec![PlatformKind::Bus, PlatformKind::Noc])
+        .cores(vec![1, 4, 8])
+        .spm_capacities(vec![None, Some(0), Some(4096), Some(1 << 20)]);
+    let explorer = Explorer::with_threads(1);
+    let report = explorer.explore(&space);
+    assert_eq!(report.rows.len(), 72);
+    assert_eq!(report.failures(), 0);
+    let stats = explorer.cache_stats();
+    assert_eq!(
+        (stats.cost_misses, stats.cost_hits),
+        (18, 54),
+        "one seed-cost build per app × platform kind × core count"
+    );
+    for row in &report.rows {
+        let alone = Explorer::with_threads(1).evaluate_point(row.point.clone(), &space);
+        assert_eq!(&alone, row, "{}", row.point.label());
+    }
+}
+
 /// The same space explored by a fresh explorer with a different thread
 /// count yields the same CSV — ordering is deterministic, not luck.
 #[test]

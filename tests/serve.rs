@@ -552,6 +552,60 @@ fn stats_stage_wall_equals_sum_of_per_session_spans() {
     server.join();
 }
 
+/// A compile that differs from an earlier one only in its scratchpad
+/// capacity reuses the earlier seed-cost table: `seed_cost_runs` stays
+/// put, and the reply is byte-identical to a fresh daemon's.
+#[test]
+fn an_spm_only_change_reuses_the_seed_costs() {
+    const SPM: &str = r#"{"id": 2, "kind": "compile", "app": "polka", "platform": "bus", "cores": 8, "spm": 1048576}"#;
+    let seed_cost_runs = |client: &mut Client| {
+        let stats = client.request(r#"{"id": 0, "kind": "stats"}"#).unwrap();
+        let frame = stats.frame().unwrap();
+        let stages = frame.get("result").unwrap().get("stages").unwrap();
+        stages.get("seed_cost_runs").unwrap().as_u64().unwrap()
+    };
+    let server = boot(None, ServeConfig::default());
+    let mut client = Client::connect_tcp(server.addr()).unwrap();
+    let first = client
+        .request(r#"{"id": 1, "kind": "compile", "app": "polka", "platform": "bus", "cores": 8}"#)
+        .unwrap();
+    assert!(first.is_ok(), "{}", first.terminal);
+    assert_eq!(seed_cost_runs(&mut client), 1);
+    let warm = client.request(SPM).unwrap();
+    assert!(warm.is_ok(), "{}", warm.terminal);
+    assert_eq!(seed_cost_runs(&mut client), 1);
+
+    let fresh = boot(None, ServeConfig::default());
+    let cold = Client::connect_tcp(fresh.addr())
+        .unwrap()
+        .request(SPM)
+        .unwrap();
+    assert_eq!(warm.terminal, cold.terminal);
+    for handle in [server, fresh] {
+        handle.shutdown();
+        handle.join();
+    }
+}
+
+/// A scratchpad far larger than the program (1 TiB) compiles: the
+/// placement knapsack is sized by the candidates, not by the capacity,
+/// and the daemon answers the next request.
+#[test]
+fn a_terabyte_scratchpad_compiles_and_the_daemon_answers_on() {
+    let server = boot(None, ServeConfig::default());
+    let mut client = Client::connect_tcp(server.addr()).unwrap();
+    let reply = client
+        .request(
+            r#"{"id": 1, "kind": "compile", "app": "egpws", "cores": 1, "spm": 1099511627776}"#,
+        )
+        .unwrap();
+    assert!(reply.is_ok(), "{}", reply.terminal);
+    let stats = client.request(r#"{"id": 2, "kind": "stats"}"#).unwrap();
+    assert!(stats.is_ok(), "{}", stats.terminal);
+    server.shutdown();
+    server.join();
+}
+
 /// A search request runs like an explore request: its points' stages
 /// are counted in `stats`, on the request's thread budget.
 #[test]

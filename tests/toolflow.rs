@@ -21,10 +21,16 @@
 //!    before DOALL chunking, so the chunker sees them as affine.
 //! 7. **Access counts** — a task's worst-case accesses to a shared
 //!    array count both branches of a conditional.
+//! 8. **Seed-cost key** (property) — the seed-cost table and its key
+//!    ignore every platform field outside core 0's cost view, and the
+//!    key moves with every field inside it.
 
-use argo_adl::{CacheConfig, CoreId, MemSpace, MemoryMap, Placement, Platform};
+use argo_adl::{
+    Arbitration, CacheConfig, CoreId, Interconnect, MemSpace, MemoryMap, Placement, Platform,
+};
 use argo_core::{
-    Artifact, CollectingObserver, Fingerprintable, SchedulerKind, Stage, ToolchainConfig, Toolflow,
+    Artifact, CollectingObserver, CostTable, Fingerprint, Fingerprintable, SchedulerKind, Stage,
+    ToolchainConfig, Toolflow,
 };
 use argo_dse::PlatformKind;
 use argo_htg::Granularity;
@@ -447,4 +453,125 @@ fn shared_accesses_count_accesses_in_both_branches() {
     assert_ne!(pp.schedule.assignment[1], pp.schedule.assignment[2]);
     assert_eq!(pp.memory_map.space_of("a"), MemSpace::Shared);
     assert_eq!(result.shared_accesses, [0, 128, 128]);
+}
+
+/// A named platform edit for the seed-key property tests.
+type Perturbation = (&'static str, fn(&mut Platform));
+
+/// The seed-key property tests' base platforms: the 4-core bus, the
+/// 2×2 NoC and the cached 4-core bus.
+fn seed_key_platforms() -> [Platform; 3] {
+    [
+        Platform::xentium_manycore(4),
+        Platform::kit_tile_noc(2, 2),
+        Platform::xentium_manycore(4).with_caches(CacheConfig::small()),
+    ]
+}
+
+/// Runs `check` on every seed app × seed-key platform × perturbation
+/// that changes the platform, with the unperturbed session's frontend
+/// artifact, seed key and cost table; returns how many ran.
+fn for_each_perturbed_seed_point(
+    perturbations: &[Perturbation],
+    check: impl Fn(&str, &Toolflow<'_>, &argo_core::FrontendArtifact, Fingerprint, &CostTable),
+) -> usize {
+    let mut checked = 0;
+    for uc in argo_apps::all_use_cases(42) {
+        for base in seed_key_platforms() {
+            let flow = Toolflow::new(uc.program.clone(), uc.entry).platform(&base);
+            let artifact = flow.run_frontend().expect("frontend");
+            let key = flow.seed_cost_fingerprint().unwrap();
+            let table = flow.run_seed_costs(&artifact).expect("seed costs");
+            for (what, perturb) in perturbations {
+                let mut p = base.clone();
+                perturb(&mut p);
+                if p == base {
+                    continue;
+                }
+                let perturbed = Toolflow::new(uc.program.clone(), uc.entry).platform(&p);
+                assert_eq!(
+                    perturbed.frontend_fingerprint().unwrap(),
+                    flow.frontend_fingerprint().unwrap()
+                );
+                let case = format!("{} on {}: {what}", uc.name, base.name);
+                check(&case, &perturbed, &artifact, key, &table);
+                checked += 1;
+            }
+        }
+    }
+    checked
+}
+
+/// Round 0 costs every task on core 0 under the all-shared placement,
+/// so an edit outside core 0's cost view — any scratchpad capacity,
+/// another core's timing, cache or scratchpad latency, the name, the
+/// shared memory's size, the arbitration weights — leaves both the
+/// seed-cost table and its key unchanged.
+#[test]
+fn seed_costs_and_key_ignore_fields_outside_core_zeros_view() {
+    let outside: [Perturbation; 10] = [
+        ("every core's spm_bytes = 0", |p| {
+            p.cores.iter_mut().for_each(|c| c.spm_bytes = 0)
+        }),
+        ("every core's spm_bytes = 1 MiB", |p| {
+            p.cores.iter_mut().for_each(|c| c.spm_bytes = 1 << 20)
+        }),
+        ("core 0's spm_bytes + 4096", |p| {
+            p.cores[0].spm_bytes += 4096
+        }),
+        ("core 1's timing", |p| p.cores[1].timing.float_mul += 3),
+        ("core 1's cache", |p| {
+            p.cores[1].cache = Some(CacheConfig::large())
+        }),
+        ("core 1's spm_latency", |p| p.cores[1].spm_latency += 5),
+        ("core 3's intrinsics", |p| {
+            p.cores[3].timing.intrinsic_default += 7
+        }),
+        ("name", |p| p.name.push_str("-renamed")),
+        ("shared.size_bytes", |p| p.shared.size_bytes *= 2),
+        ("arbitration weights", |p| match &mut p.interconnect {
+            Interconnect::Bus {
+                arbitration: Arbitration::Wrr { weights, .. },
+            } => weights[1..].iter_mut().for_each(|w| *w += 2),
+            Interconnect::Noc { wrr_weight, .. } => *wrr_weight += 2,
+            Interconnect::Bus { .. } => {}
+        }),
+    ];
+    let checked =
+        for_each_perturbed_seed_point(&outside, |case, perturbed, artifact, key, table| {
+            assert_eq!(perturbed.seed_cost_fingerprint().unwrap(), key, "{case}");
+            let costs = perturbed.run_seed_costs(artifact).expect("seed costs");
+            assert_eq!(&costs, table, "{case}");
+        });
+    // The cached bus has no scratchpad to empty.
+    assert_eq!(checked, 3 * (3 * outside.len() - 1));
+}
+
+/// An edit inside core 0's cost view — a timing entry, its scratchpad
+/// latency or cache, the shared memory's latency, the NoC's router
+/// latency — moves the seed key.
+#[test]
+fn seed_key_moves_with_fields_inside_core_zeros_view() {
+    let inside: [Perturbation; 6] = [
+        ("core 0's float_mul", |p| p.cores[0].timing.float_mul += 1),
+        ("core 0's local_access", |p| {
+            p.cores[0].timing.local_access += 1
+        }),
+        ("core 0's spm_latency", |p| p.cores[0].spm_latency += 1),
+        ("core 0's cache", |p| {
+            let cache = p.cores[0].cache.get_or_insert(CacheConfig::small());
+            cache.miss_penalty += 1;
+        }),
+        ("shared.latency", |p| p.shared.latency += 1),
+        ("router_latency", |p| {
+            if let Interconnect::Noc { router_latency, .. } = &mut p.interconnect {
+                *router_latency += 1;
+            }
+        }),
+    ];
+    let checked = for_each_perturbed_seed_point(&inside, |case, perturbed, _, key, _| {
+        assert_ne!(perturbed.seed_cost_fingerprint().unwrap(), key, "{case}");
+    });
+    // The router latency exists on the NoC only.
+    assert_eq!(checked, 3 * (3 * inside.len() - 2));
 }
