@@ -64,7 +64,7 @@
 //! | `"loop-bounds"` | [`ErrorCode::UnboundedLoop`] | frontend |
 //! | `"extract"` | [`ErrorCode::ExtractionFailed`] | frontend |
 //! | *(new)* | [`ErrorCode::EmptyHtg`] | frontend/backend |
-//! | `"platform"` | [`ErrorCode::InvalidPlatform`] | backend |
+//! | `"platform"` | [`ErrorCode::InvalidPlatform`] | seed-costs/backend |
 //! | *(new)* | [`ErrorCode::MissingPlatform`] | backend |
 //! | `"code-wcet"`, `"task-wcet"` | [`ErrorCode::CodeWcetFailed`] | seed-costs/backend |
 //! | *(new — name-resolving drivers)* | [`ErrorCode::UnknownProgram`] | frontend |
@@ -540,11 +540,16 @@ mod tests {
         let mut coreless = Platform::xentium_manycore(1);
         coreless.cores.clear();
         let flow = Toolflow::new(program, "main").platform(&coreless);
-        let err = flow.seed_cost_fingerprint().unwrap_err();
-        assert_eq!(
-            (err.stage, err.code),
-            (Stage::SeedCosts, ErrorCode::InvalidPlatform)
-        );
+        let art = flow.run_frontend().unwrap();
+        for err in [
+            flow.seed_cost_fingerprint().unwrap_err(),
+            flow.run_seed_costs(&art).unwrap_err(),
+        ] {
+            assert_eq!(
+                (err.stage, err.code),
+                (Stage::SeedCosts, ErrorCode::InvalidPlatform)
+            );
+        }
     }
 
     #[test]

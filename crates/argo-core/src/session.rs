@@ -270,11 +270,11 @@ impl<'a> Toolflow<'a> {
     /// frontend fingerprint plus core 0's [`CostView`](argo_adl::CostView)
     /// — the second-tier cache key of `argo-dse`. Round 0 costs every
     /// task on core 0 under the all-shared placement, so the table reads
-    /// nothing else of the platform: scratchpad capacities, other cores,
-    /// tiles and arbitration weights reach it only through core 0's
-    /// isolated shared-access price, and points that differ only there
-    /// (an SPM axis) share one table. The scheduler, MHP mode and
-    /// feedback budget never reach it.
+    /// nothing of the platform beyond that view: scratchpad capacities,
+    /// other cores, tiles and arbitration weights reach it only through
+    /// core 0's isolated shared-access price, and points that differ
+    /// only in them (an SPM axis) share one table. The scheduler, MHP
+    /// mode and feedback budget never reach it.
     ///
     /// # Errors
     ///
