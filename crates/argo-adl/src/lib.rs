@@ -16,6 +16,10 @@
 //!   (WRR), giving the bandwidth/latency guarantees \[12\] the system-level
 //!   WCET analysis needs.
 //!
+//! [`PlatformKind`] names the two families for the command-line drivers
+//! and the design-space explorer, and builds either one for a core
+//! count (the NoC on a near-square grid).
+//!
 //! The module layout:
 //!
 //! * [`timing`] — per-operation worst-case core timing tables;
@@ -478,6 +482,74 @@ impl Platform {
     }
 }
 
+/// The two target platform families of § III-B.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PlatformKind {
+    /// Recore Xentium-style many-core on a WRR shared bus
+    /// ([`Platform::xentium_manycore`]).
+    Bus,
+    /// KIT tile-based NoC, cores on a near-square grid
+    /// ([`Platform::kit_tile_noc`]).
+    Noc,
+}
+
+impl PlatformKind {
+    /// Every family, in the order the CLIs list them.
+    pub const ALL: [PlatformKind; 2] = [PlatformKind::Bus, PlatformKind::Noc];
+
+    /// Short label used in reports and CLI flags.
+    pub fn label(&self) -> &'static str {
+        match self {
+            PlatformKind::Bus => "bus",
+            PlatformKind::Noc => "noc",
+        }
+    }
+
+    /// Parses a [`PlatformKind::label`]; the error names the accepted
+    /// labels.
+    pub fn parse(s: &str) -> Result<PlatformKind, String> {
+        let labels = PlatformKind::ALL.map(|k| k.label());
+        PlatformKind::ALL
+            .into_iter()
+            .find(|k| k.label() == s)
+            .ok_or_else(|| format!("unknown platform `{s}` (expected {})", labels.join("|")))
+    }
+
+    /// Builds the concrete platform for `cores` cores, optionally
+    /// overriding every core's scratchpad capacity.
+    pub fn build(&self, cores: usize, spm_bytes: Option<u64>) -> Platform {
+        let mut platform = match self {
+            PlatformKind::Bus => Platform::xentium_manycore(cores),
+            PlatformKind::Noc => {
+                let (rows, cols) = near_square_grid(cores);
+                Platform::kit_tile_noc(rows, cols)
+            }
+        };
+        if let Some(bytes) = spm_bytes {
+            for core in &mut platform.cores {
+                core.spm_bytes = bytes;
+            }
+        }
+        platform
+    }
+}
+
+impl fmt::Display for PlatformKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.label())
+    }
+}
+
+/// Factors `n` into the most square `rows × cols` grid with `rows ≤ cols`.
+fn near_square_grid(n: usize) -> (usize, usize) {
+    let n = n.max(1);
+    let mut rows = (n as f64).sqrt() as usize;
+    while rows > 1 && !n.is_multiple_of(rows) {
+        rows -= 1;
+    }
+    (rows.max(1), n / rows.max(1))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -582,6 +654,28 @@ mod tests {
         assert!(p.validate().is_err());
         let p2 = Platform::xentium_manycore(2).with_caches(CacheConfig::small());
         p2.validate().unwrap();
+    }
+
+    #[test]
+    fn near_square_grids_are_exact() {
+        for n in 1..=32 {
+            let (r, c) = near_square_grid(n);
+            assert_eq!(r * c, n, "grid for {n}");
+            assert!(r <= c);
+        }
+        assert_eq!(near_square_grid(4), (2, 2));
+        assert_eq!(near_square_grid(8), (2, 4));
+        assert_eq!(near_square_grid(7), (1, 7));
+    }
+
+    #[test]
+    fn platform_build_applies_spm_override() {
+        let p = PlatformKind::Bus.build(2, Some(4096));
+        assert!(p.cores.iter().all(|c| c.spm_bytes == 4096));
+        assert_eq!(p.core_count(), 2);
+        let q = PlatformKind::Noc.build(6, None);
+        assert_eq!(q.core_count(), 6);
+        q.validate().unwrap();
     }
 
     #[test]

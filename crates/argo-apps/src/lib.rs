@@ -40,18 +40,46 @@ pub struct UseCase {
     pub args: Vec<ArgVal>,
 }
 
-/// Builds all three use cases with the given RNG seed.
+/// Builds a use case from an RNG seed.
+pub type Builder = fn(u64) -> UseCase;
+
+/// The built-in use cases, in report order: (name, one-line title,
+/// builder). The name equals the built [`UseCase::name`]. Every driver
+/// that names a use case looks it up here.
+pub const USE_CASES: [(&str, &str, Builder); 3] = [
+    (
+        "egpws",
+        "Enhanced Ground Proximity Warning System (aerospace)",
+        egpws::use_case,
+    ),
+    (
+        "weaa",
+        "Wake Encounter Avoidance and Advisory (aerospace)",
+        weaa::use_case,
+    ),
+    (
+        "polka",
+        "POLKA polarization camera (industrial imaging)",
+        polka::use_case,
+    ),
+];
+
+/// Builds every built-in use case with the given RNG seed, in
+/// [`USE_CASES`] order.
 ///
 /// # Panics
 ///
 /// Panics only if the embedded sources fail to parse — a bug, covered by
 /// tests.
 pub fn all_use_cases(seed: u64) -> Vec<UseCase> {
-    vec![
-        egpws::use_case(seed),
-        weaa::use_case(seed),
-        polka::use_case(seed),
-    ]
+    USE_CASES.iter().map(|(_, _, build)| build(seed)).collect()
+}
+
+/// Builds the built-in use case called `name` with the given RNG seed,
+/// or `None` if no use case has that name.
+pub fn use_case(name: &str, seed: u64) -> Option<UseCase> {
+    let (_, _, build) = USE_CASES.iter().find(|(known, ..)| *known == name)?;
+    Some(build(seed))
 }
 
 #[cfg(test)]
@@ -68,6 +96,29 @@ mod tests {
                 .call_full(uc.entry, uc.args.clone(), &mut NullHook)
                 .unwrap_or_else(|e| panic!("{}: {e}", uc.name));
         }
+    }
+
+    #[test]
+    fn use_case_looks_names_up_in_the_registry() {
+        let modules: [Builder; 3] = [egpws::use_case, weaa::use_case, polka::use_case];
+        for (name, module) in ["egpws", "weaa", "polka"].into_iter().zip(modules) {
+            let (found, direct) = (use_case(name, 42).unwrap(), module(42));
+            assert_eq!(found.name, name);
+            assert_eq!(found.entry, direct.entry, "{name}");
+            assert_eq!(
+                argo_ir::printer::print_program(&found.program),
+                argo_ir::printer::print_program(&direct.program),
+                "{name}"
+            );
+            assert_eq!(
+                format!("{:?}", found.args),
+                format!("{:?}", direct.args),
+                "{name}"
+            );
+        }
+        assert!(use_case("nosuchapp", 42).is_none());
+        let order: Vec<&str> = all_use_cases(42).iter().map(|uc| uc.name).collect();
+        assert_eq!(order, ["egpws", "weaa", "polka"]);
     }
 
     #[test]

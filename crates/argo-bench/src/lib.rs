@@ -114,7 +114,7 @@ pub fn e3_tightness() -> String {
          workload   mhp-mode     bound      observed  bound/observed\n",
     );
     let platform = Platform::xentium_manycore(4);
-    let polka = &argo_apps::all_use_cases(42)[2];
+    let polka = argo_apps::use_case("polka", 42).expect("polka is a built-in use case");
     let pipe_src = r#"
         void main(real a[256], real b[256], real c[256], real d[256], real e[256]) {
             int i;
@@ -135,7 +135,7 @@ pub fn e3_tightness() -> String {
         ("pipelines", &pipe_program, "main", pipe_args),
     ];
     for (wname, program, entry, args) in workloads {
-        for mhp in [MhpMode::Naive, MhpMode::Static, MhpMode::Windows] {
+        for mhp in MhpMode::ALL {
             let cfg = ToolchainConfig {
                 mhp,
                 ..Default::default()
@@ -253,7 +253,7 @@ pub fn e6_arch_predictability() -> String {
         "E6 architecture predictability (POLKA, 4 cores): bound and tightness\n\
          variant            bound      observed  bound/obs\n",
     );
-    let uc = &argo_apps::all_use_cases(42)[2];
+    let uc = argo_apps::use_case("polka", 42).expect("polka is a built-in use case");
     let variants: Vec<(String, Platform)> = vec![
         ("wrr-spm".into(), Platform::xentium_manycore(4)),
         (
@@ -315,11 +315,7 @@ pub fn e7_granularity() -> String {
     let space = argo_dse::DesignSpace::new()
         .app("weaa")
         .cores(vec![4])
-        .granularities(vec![
-            Granularity::Loop,
-            Granularity::Block,
-            Granularity::Stmt,
-        ]);
+        .granularities(Granularity::ALL.to_vec());
     let report = argo_dse::Explorer::new().explore(&space);
     for row in &report.rows {
         let m = row.outcome.as_ref().expect("compile");
@@ -460,7 +456,7 @@ pub fn e9_search_quality() -> String {
 
     let space = DesignSpace::new()
         .app("egpws")
-        .platforms(vec![PlatformKind::Bus, PlatformKind::Noc])
+        .platforms(PlatformKind::ALL.to_vec())
         .cores(vec![1, 2, 4, 6])
         .schedulers(vec![SchedulerKind::List, SchedulerKind::BranchAndBound])
         .granularities(vec![Granularity::Loop, Granularity::Block])
@@ -546,11 +542,7 @@ pub fn run_binary(
             std::process::ExitCode::SUCCESS
         }
         Err(payload) => {
-            let msg = payload
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| payload.downcast_ref::<&str>().copied())
-                .unwrap_or("unknown panic");
+            let msg = argo_core::diag::panic_message(&*payload);
             eprintln!("{name}: FAILED: {msg}");
             std::process::ExitCode::FAILURE
         }
@@ -699,12 +691,7 @@ mod tests {
         let table = e7_granularity();
         let platform = Platform::xentium_manycore(4);
         let uc = argo_apps::weaa::use_case(42);
-        for (line, g) in
-            table
-                .lines()
-                .skip(2)
-                .zip([Granularity::Loop, Granularity::Block, Granularity::Stmt])
-        {
+        for (line, g) in table.lines().skip(2).zip(Granularity::ALL) {
             let cfg = ToolchainConfig {
                 granularity: g,
                 ..Default::default()

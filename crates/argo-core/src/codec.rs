@@ -456,79 +456,31 @@ impl Codec for Fingerprint {
 
 // --- diagnostics --------------------------------------------------------
 
+/// Decodes a one-byte tag as an index into `table`, a variant table
+/// listed in declaration order (the order `variant as u8` encodes).
+fn decode_tag<T: Copy>(d: &mut Decoder<'_>, table: &[T], what: &str) -> Result<T, DecodeError> {
+    let b = d.u8()?;
+    table
+        .get(usize::from(b))
+        .copied()
+        .ok_or_else(|| DecodeError::new(format!("invalid {what} tag {b}")))
+}
+
 impl Codec for Stage {
     fn encode(&self, e: &mut Encoder) {
-        e.u8(match self {
-            Stage::Frontend => 0,
-            Stage::SeedCosts => 1,
-            Stage::Backend => 2,
-            Stage::Verify => 3,
-        });
+        e.u8(*self as u8);
     }
     fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        match d.u8()? {
-            0 => Ok(Stage::Frontend),
-            1 => Ok(Stage::SeedCosts),
-            2 => Ok(Stage::Backend),
-            3 => Ok(Stage::Verify),
-            b => Err(DecodeError::new(format!("invalid Stage tag {b}"))),
-        }
+        decode_tag(d, &Stage::ALL, "Stage")
     }
 }
 
 impl Codec for ErrorCode {
     fn encode(&self, e: &mut Encoder) {
-        e.u8(match self {
-            ErrorCode::InvalidProgram => 0,
-            ErrorCode::UnknownProgram => 1,
-            ErrorCode::UnknownEntry => 2,
-            ErrorCode::MissingPlatform => 3,
-            ErrorCode::InvalidPlatform => 4,
-            ErrorCode::TransformFailed => 5,
-            ErrorCode::UnboundedLoop => 6,
-            ErrorCode::ExtractionFailed => 7,
-            ErrorCode::EmptyHtg => 8,
-            ErrorCode::CodeWcetFailed => 9,
-            ErrorCode::MemAssignFailed => 10,
-            ErrorCode::ParallelModelFailed => 11,
-            ErrorCode::DataRace => 12,
-            ErrorCode::UnsoundSchedule => 13,
-            ErrorCode::PlacementOverflow => 14,
-            ErrorCode::CommOrdering => 15,
-            ErrorCode::UninitRead => 16,
-            ErrorCode::DeadStore => 17,
-            ErrorCode::UnreachableStmt => 18,
-            ErrorCode::InternalError => 19,
-            ErrorCode::DeadlineExceeded => 20,
-            ErrorCode::LeaderFailed => 21,
-        });
+        e.u8(*self as u8);
     }
     fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(match d.u8()? {
-            0 => ErrorCode::InvalidProgram,
-            1 => ErrorCode::UnknownProgram,
-            2 => ErrorCode::UnknownEntry,
-            3 => ErrorCode::MissingPlatform,
-            4 => ErrorCode::InvalidPlatform,
-            5 => ErrorCode::TransformFailed,
-            6 => ErrorCode::UnboundedLoop,
-            7 => ErrorCode::ExtractionFailed,
-            8 => ErrorCode::EmptyHtg,
-            9 => ErrorCode::CodeWcetFailed,
-            10 => ErrorCode::MemAssignFailed,
-            11 => ErrorCode::ParallelModelFailed,
-            12 => ErrorCode::DataRace,
-            13 => ErrorCode::UnsoundSchedule,
-            14 => ErrorCode::PlacementOverflow,
-            15 => ErrorCode::CommOrdering,
-            16 => ErrorCode::UninitRead,
-            17 => ErrorCode::DeadStore,
-            18 => ErrorCode::UnreachableStmt,
-            19 => ErrorCode::InternalError,
-            20 => ErrorCode::DeadlineExceeded,
-            21 => ErrorCode::LeaderFailed,
-            b => return Err(DecodeError::new(format!("invalid ErrorCode tag {b}"))),
-        })
+        decode_tag(d, &ErrorCode::ALL, "ErrorCode")
     }
 }
 

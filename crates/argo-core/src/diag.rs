@@ -1,11 +1,6 @@
-//! Structured tool-flow diagnostics.
-//!
-//! The legacy driver reported failures as `ToolchainError { stage:
-//! &'static str, msg }` — a stringly-typed pair that callers could only
-//! compare against magic literals. [`Diagnostic`] replaces it with a
-//! typed triple: the pipeline [`Stage`] the failure belongs to, a
-//! machine-matchable [`ErrorCode`], and (when known) the offending
-//! entity (a function, loop, core or variable name), plus a rendered
+//! Structured tool-flow diagnostics: the pipeline [`Stage`] a failure
+//! belongs to, a machine-matchable [`ErrorCode`], the offending entity
+//! when known (a function, loop, core or variable name), and a rendered
 //! human-readable message.
 
 use std::fmt;
@@ -34,24 +29,30 @@ pub enum Stage {
 }
 
 impl Stage {
-    /// Stable lower-case label (used in rendered messages and reports).
-    pub fn label(&self) -> &'static str {
+    /// Every stage, in pipeline order. A stage's index here is its
+    /// declaration index and its codec tag.
+    pub const ALL: [Stage; 4] = [
+        Stage::Frontend,
+        Stage::SeedCosts,
+        Stage::Backend,
+        Stage::Verify,
+    ];
+
+    /// Stable span name, `stage.<label>`: the session driver records one
+    /// span of this name per stage it runs.
+    pub fn span_name(&self) -> &'static str {
         match self {
-            Stage::Frontend => "frontend",
-            Stage::SeedCosts => "seed-costs",
-            Stage::Backend => "backend",
-            Stage::Verify => "verify",
+            Stage::Frontend => "stage.frontend",
+            Stage::SeedCosts => "stage.seed-costs",
+            Stage::Backend => "stage.backend",
+            Stage::Verify => "stage.verify",
         }
     }
 
-    /// All stages in pipeline order.
-    pub fn all() -> [Stage; 4] {
-        [
-            Stage::Frontend,
-            Stage::SeedCosts,
-            Stage::Backend,
-            Stage::Verify,
-        ]
+    /// Stable lower-case label (used in rendered messages and reports):
+    /// the span name without its `stage.` prefix.
+    pub fn label(&self) -> &'static str {
+        &self.span_name()["stage.".len()..]
     }
 }
 
@@ -61,10 +62,8 @@ impl fmt::Display for Stage {
     }
 }
 
-/// Machine-matchable classification of a tool-flow failure.
-///
-/// See the error-code table in the [crate-level docs](crate) for the
-/// mapping from the legacy stage strings.
+/// Machine-matchable classification of a tool-flow failure (the
+/// [crate-level docs](crate) list which stage emits each code).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ErrorCode {
     /// The input (or transformed) program failed IR validation.
@@ -135,6 +134,33 @@ pub enum ErrorCode {
 }
 
 impl ErrorCode {
+    /// Every code, in declaration order. A code's index here is its
+    /// codec tag.
+    pub const ALL: [ErrorCode; 22] = [
+        ErrorCode::InvalidProgram,
+        ErrorCode::UnknownProgram,
+        ErrorCode::UnknownEntry,
+        ErrorCode::MissingPlatform,
+        ErrorCode::InvalidPlatform,
+        ErrorCode::TransformFailed,
+        ErrorCode::UnboundedLoop,
+        ErrorCode::ExtractionFailed,
+        ErrorCode::EmptyHtg,
+        ErrorCode::CodeWcetFailed,
+        ErrorCode::MemAssignFailed,
+        ErrorCode::ParallelModelFailed,
+        ErrorCode::DataRace,
+        ErrorCode::UnsoundSchedule,
+        ErrorCode::PlacementOverflow,
+        ErrorCode::CommOrdering,
+        ErrorCode::UninitRead,
+        ErrorCode::DeadStore,
+        ErrorCode::UnreachableStmt,
+        ErrorCode::InternalError,
+        ErrorCode::DeadlineExceeded,
+        ErrorCode::LeaderFailed,
+    ];
+
     /// Stable kebab-case label (used in rendered messages and reports).
     pub fn label(&self) -> &'static str {
         match self {
@@ -181,6 +207,20 @@ impl ErrorCode {
             ErrorCode::InternalError | ErrorCode::DeadlineExceeded | ErrorCode::LeaderFailed
         )
     }
+}
+
+/// The text of a caught panic payload, for the
+/// [`ErrorCode::InternalError`] diagnostic or message that reports it
+/// (`&str` and `String` payloads cover `panic!` and failed assertions).
+///
+/// Pass `&*payload`: a `&Box<dyn Any + Send>` coerces to the box
+/// itself, which holds no string.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("<non-string panic payload>")
 }
 
 impl fmt::Display for ErrorCode {
@@ -268,7 +308,27 @@ mod tests {
         assert_eq!(ErrorCode::InternalError.label(), "internal-error");
         assert_eq!(ErrorCode::DeadlineExceeded.label(), "deadline-exceeded");
         assert_eq!(ErrorCode::LeaderFailed.label(), "leader-failed");
-        assert_eq!(Stage::all().len(), 4);
+        assert_eq!(Stage::Backend.span_name(), "stage.backend");
+    }
+
+    #[test]
+    fn variant_tables_are_in_declaration_order() {
+        for (i, stage) in Stage::ALL.into_iter().enumerate() {
+            assert_eq!(stage as usize, i, "{stage}");
+        }
+        for (i, code) in ErrorCode::ALL.into_iter().enumerate() {
+            assert_eq!(code as usize, i, "{code}");
+        }
+    }
+
+    #[test]
+    fn panic_messages_read_str_and_string_payloads() {
+        let payload = std::panic::catch_unwind(|| panic!("boom {}", 7)).unwrap_err();
+        assert_eq!(panic_message(&*payload), "boom 7");
+        let payload = std::panic::catch_unwind(|| panic!("static")).unwrap_err();
+        assert_eq!(panic_message(&*payload), "static");
+        let payload = std::panic::catch_unwind(|| std::panic::panic_any(7u8)).unwrap_err();
+        assert_eq!(panic_message(&*payload), "<non-string panic payload>");
     }
 
     #[test]

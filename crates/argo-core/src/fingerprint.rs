@@ -26,7 +26,7 @@
 use argo_adl::{
     Arbitration, CacheConfig, Core, CoreKind, CoreTiming, CostView, Interconnect, Platform,
 };
-use argo_sched::TaskGraph;
+use argo_sched::{CommModel, SchedCtx, TaskGraph};
 use argo_wcet::value::ValueCtx;
 use std::fmt;
 
@@ -317,24 +317,40 @@ impl Fingerprintable for TaskGraph {
     }
 }
 
-/// Canonical cache key for one mapping-stage invocation: the task graph
-/// (costs + edges), the platform and the scheduler kind — the third
-/// cache tier of `argo-dse` (ROADMAP item (c)). Two invocations with
-/// equal keys produce identical [`argo_sched::Schedule`]s, because
-/// every scheduler in the workspace is a deterministic function of
-/// these inputs (the annealer's seed is fixed).
+/// Canonical cache key for one mapping-stage invocation — the third
+/// cache tier of `argo-dse`: the task graph (costs + edges), the
+/// scheduling context's view (its comm model, core count and per-core
+/// [`SchedCtx::shared_access`] prices) and the scheduler kind. Under
+/// [`CommModel::SignalOnly`] or [`CommModel::Free`] that view is all a
+/// scheduler reads of the platform, and every scheduler in the
+/// workspace is a deterministic function of these inputs (the
+/// annealer's seed is fixed), so two invocations with equal keys
+/// produce identical [`argo_sched::Schedule`]s. A scratchpad capacity,
+/// a timing table or a cache does not move the key.
 ///
-/// Takes the platform as a precomputed [`Fingerprint`] so backend
-/// feedback loops hash the platform once, not once per round.
+/// # Panics
+///
+/// Panics on a [`CommModel::PlatformWorstCase`] context: its edge
+/// prices read the interconnect and the edge volumes, not the table.
 pub fn schedule_fingerprint(
     graph: &TaskGraph,
-    platform_fp: Fingerprint,
+    ctx: &SchedCtx<'_>,
     scheduler: SchedulerKind,
 ) -> Fingerprint {
+    let comm = match ctx.comm {
+        CommModel::Free => "free",
+        CommModel::SignalOnly => "signal-only",
+        CommModel::PlatformWorstCase => {
+            panic!("schedule_fingerprint does not cover platform-worst-case comm prices")
+        }
+    };
     let mut h = FingerprintHasher::new();
     h.write_str("schedule-inputs");
     graph.feed(&mut h);
-    h.write_fingerprint(platform_fp);
+    h.write_str(comm).write_u64(ctx.cores() as u64);
+    for &price in ctx.shared_access() {
+        h.write_u64(price);
+    }
     h.write_str(scheduler.label());
     h.finish()
 }

@@ -50,31 +50,32 @@
 //! |-----------------|-----|--------|
 //! | 1, frontend | [`Toolflow::frontend_fingerprint`] | program text, entry, granularity, chunking, value context, core count |
 //! | 2, seed costs | [`Toolflow::seed_cost_fingerprint`] | the frontend key and core 0's [`CostView`](argo_adl::CostView): its timing, scratchpad latency, cache and isolated shared-access price |
-//! | 3, schedule | [`schedule_fingerprint`] | task graph (costs and edges), the whole platform, scheduler |
+//! | 3, schedule | [`schedule_fingerprint`] | task graph (costs and edges), the scheduling context's comm model, core count and per-core all-contender shared-access prices, scheduler |
 //!
 //! ## Error codes
 //!
-//! [`Diagnostic::code`] replaces the legacy stringly-typed stage names:
+//! [`Diagnostic::code`] classifies every failure; the stage that emits
+//! each code:
 //!
-//! | legacy `stage` string | [`ErrorCode`] | [`Stage`] |
-//! |-----------------------|---------------|-----------|
-//! | `"validate"`, `"validate-post-transform"` | [`ErrorCode::InvalidProgram`] | frontend |
-//! | `"entry"` | [`ErrorCode::UnknownEntry`] | frontend |
-//! | `"transform"`, `"chunk"` | [`ErrorCode::TransformFailed`] | frontend |
-//! | `"loop-bounds"` | [`ErrorCode::UnboundedLoop`] | frontend |
-//! | `"extract"` | [`ErrorCode::ExtractionFailed`] | frontend |
-//! | *(new)* | [`ErrorCode::EmptyHtg`] | frontend/backend |
-//! | `"platform"` | [`ErrorCode::InvalidPlatform`] | seed-costs/backend |
-//! | *(new)* | [`ErrorCode::MissingPlatform`] | backend |
-//! | `"code-wcet"`, `"task-wcet"` | [`ErrorCode::CodeWcetFailed`] | seed-costs/backend |
-//! | *(new — name-resolving drivers)* | [`ErrorCode::UnknownProgram`] | frontend |
-//! | `"mem-assign"` | [`ErrorCode::MemAssignFailed`] | backend |
-//! | `"parallel-model"` | [`ErrorCode::ParallelModelFailed`] | backend |
-//! | *(new — `argo-verify` race detector)* | [`ErrorCode::DataRace`] | verify |
-//! | *(new — `argo-verify` schedule validator)* | [`ErrorCode::UnsoundSchedule`] | verify |
-//! | *(new — `argo-verify` placement validator)* | [`ErrorCode::PlacementOverflow`] | verify |
-//! | *(new — `argo-verify` comm-ordering check)* | [`ErrorCode::CommOrdering`] | verify |
-//! | *(new — `argo-verify` lints)* | [`ErrorCode::UninitRead`], [`ErrorCode::DeadStore`], [`ErrorCode::UnreachableStmt`] | verify |
+//! | [`ErrorCode`] | [`Stage`] |
+//! |---------------|-----------|
+//! | [`ErrorCode::InvalidProgram`] | frontend |
+//! | [`ErrorCode::UnknownProgram`] (name-resolving drivers) | frontend |
+//! | [`ErrorCode::UnknownEntry`] | frontend |
+//! | [`ErrorCode::TransformFailed`] | frontend |
+//! | [`ErrorCode::UnboundedLoop`] | frontend |
+//! | [`ErrorCode::ExtractionFailed`] | frontend |
+//! | [`ErrorCode::EmptyHtg`] | frontend/backend |
+//! | [`ErrorCode::InvalidPlatform`] | seed-costs/backend |
+//! | [`ErrorCode::MissingPlatform`] | backend |
+//! | [`ErrorCode::CodeWcetFailed`] | seed-costs/backend |
+//! | [`ErrorCode::MemAssignFailed`] | backend |
+//! | [`ErrorCode::ParallelModelFailed`] | backend |
+//! | [`ErrorCode::DataRace`] (`argo-verify` race detector) | verify |
+//! | [`ErrorCode::UnsoundSchedule`] (`argo-verify` schedule validator) | verify |
+//! | [`ErrorCode::PlacementOverflow`] (`argo-verify` placement validator) | verify |
+//! | [`ErrorCode::CommOrdering`] (`argo-verify` comm-ordering check) | verify |
+//! | [`ErrorCode::UninitRead`], [`ErrorCode::DeadStore`], [`ErrorCode::UnreachableStmt`] (`argo-verify` lints) | verify |
 
 pub mod artifact;
 pub mod cancel;
@@ -90,14 +91,18 @@ pub use codec::{Codec, DecodeError, Decoder, Encoder};
 pub use diag::{Diagnostic, ErrorCode, Stage};
 pub use fingerprint::{schedule_fingerprint, Fingerprint, FingerprintHasher, Fingerprintable};
 pub use observer::{
-    stage_span_name, CollectingObserver, Fanout, FeedbackSnapshot, NullObserver, StageEvent,
-    StageObserver, StageSummary, TraceObserver,
+    CollectingObserver, Fanout, FeedbackSnapshot, NullObserver, StageEvent, StageObserver,
+    StageSummary, TraceObserver,
 };
 pub use session::{ScheduleCache, Toolflow};
 
 pub(crate) use session::feed_frontend_config;
 
 use argo_htg::Granularity;
+use argo_sched::anneal::SimulatedAnnealing;
+use argo_sched::bnb::BranchAndBound;
+use argo_sched::list::ListScheduler;
+use argo_sched::{SchedCtx, Schedule, Scheduler, TaskGraph};
 use argo_wcet::system::MhpMode;
 use argo_wcet::value::ValueCtx;
 
@@ -113,6 +118,13 @@ pub enum SchedulerKind {
 }
 
 impl SchedulerKind {
+    /// Every scheduler, in the order the CLI lists them.
+    pub const ALL: [SchedulerKind; 3] = [
+        SchedulerKind::List,
+        SchedulerKind::BranchAndBound,
+        SchedulerKind::Anneal,
+    ];
+
     /// Stable lower-case label, shared by reports, CLI parsing and the
     /// canonical fingerprint encodings (a single source of truth: a new
     /// variant fails to compile until it has a label).
@@ -124,20 +136,27 @@ impl SchedulerKind {
         }
     }
 
+    /// Schedules `graph` in `ctx` with this kind's scheduler at its
+    /// default parameters.
+    pub fn schedule(&self, graph: &TaskGraph, ctx: &SchedCtx<'_>) -> Schedule {
+        match self {
+            SchedulerKind::List => ListScheduler::new().schedule(graph, ctx),
+            SchedulerKind::BranchAndBound => BranchAndBound::new().schedule(graph, ctx),
+            SchedulerKind::Anneal => SimulatedAnnealing::new().schedule(graph, ctx),
+        }
+    }
+
     /// Parses a [`SchedulerKind::label`].
     ///
     /// # Errors
     ///
     /// Returns a message naming the accepted labels.
     pub fn parse(s: &str) -> Result<SchedulerKind, String> {
-        match s {
-            "list" => Ok(SchedulerKind::List),
-            "bnb" => Ok(SchedulerKind::BranchAndBound),
-            "anneal" => Ok(SchedulerKind::Anneal),
-            other => Err(format!(
-                "unknown scheduler `{other}` (expected list|bnb|anneal)"
-            )),
-        }
+        let labels = SchedulerKind::ALL.map(|k| k.label());
+        SchedulerKind::ALL
+            .into_iter()
+            .find(|k| k.label() == s)
+            .ok_or_else(|| format!("unknown scheduler `{s}` (expected {})", labels.join("|")))
     }
 }
 
@@ -179,6 +198,7 @@ mod tests {
     use argo_adl::Platform;
     use argo_ir::ast::Program;
     use argo_ir::parse::parse_program;
+    use argo_sched::{CommModel, SchedCtx};
 
     // A compute-heavy map + reduction, the shape of the paper's use-case
     // kernels (transcendental math per element). Compute-to-traffic ratio
@@ -247,11 +267,7 @@ mod tests {
 
     #[test]
     fn all_schedulers_produce_valid_results() {
-        for sk in [
-            SchedulerKind::List,
-            SchedulerKind::BranchAndBound,
-            SchedulerKind::Anneal,
-        ] {
+        for sk in SchedulerKind::ALL {
             let program = parse_program(MAP_REDUCE).unwrap();
             let platform = Platform::xentium_manycore(2);
             let cfg = ToolchainConfig {
@@ -428,11 +444,7 @@ mod tests {
     fn seeded_backend_matches_unseeded() {
         let program = parse_program(MAP_REDUCE).unwrap();
         let platform = Platform::xentium_manycore(4);
-        for sk in [
-            SchedulerKind::List,
-            SchedulerKind::BranchAndBound,
-            SchedulerKind::Anneal,
-        ] {
+        for sk in SchedulerKind::ALL {
             let cfg = ToolchainConfig {
                 scheduler: sk,
                 ..Default::default()
@@ -665,17 +677,22 @@ mod tests {
         let mut rewired = base.clone();
         rewired.edges[0] = (0, 2, 16);
         assert_ne!(base.fingerprint(), rewired.fingerprint());
-        // The composite key separates scheduler kinds and platforms.
-        let p = Platform::xentium_manycore(2).fingerprint();
-        let q = Platform::xentium_manycore(3).fingerprint();
+        // The composite key separates scheduler kinds, comm models and
+        // scheduling contexts, and has no platform-worst-case form.
+        let (p, q) = (Platform::xentium_manycore(2), Platform::xentium_manycore(3));
+        let signal = SchedCtx::with_comm(&p, CommModel::SignalOnly);
+        let list = |ctx: &SchedCtx<'_>| schedule_fingerprint(&base, ctx, SchedulerKind::List);
+        let anneal = schedule_fingerprint(&base, &signal, SchedulerKind::Anneal);
+        assert_ne!(list(&signal), anneal);
         assert_ne!(
-            schedule_fingerprint(&base, p, SchedulerKind::List),
-            schedule_fingerprint(&base, p, SchedulerKind::Anneal)
+            list(&signal),
+            list(&SchedCtx::with_comm(&q, CommModel::SignalOnly))
         );
         assert_ne!(
-            schedule_fingerprint(&base, p, SchedulerKind::List),
-            schedule_fingerprint(&base, q, SchedulerKind::List)
+            list(&signal),
+            list(&SchedCtx::with_comm(&p, CommModel::Free))
         );
+        assert!(std::panic::catch_unwind(|| list(&SchedCtx::new(&p))).is_err());
     }
 
     #[test]

@@ -169,19 +169,6 @@ impl StageObserver for Fanout<'_> {
     }
 }
 
-/// Stable span name for a pipeline stage: `stage.<label>`. The session
-/// driver's tracer spans and `argo-dse`'s `TimingObserver` aggregator
-/// both key stage time under these names, so every view of "where did
-/// the stage time go" agrees.
-pub fn stage_span_name(stage: Stage) -> &'static str {
-    match stage {
-        Stage::Frontend => "stage.frontend",
-        Stage::SeedCosts => "stage.seed-costs",
-        Stage::Backend => "stage.backend",
-        Stage::Verify => "stage.verify",
-    }
-}
-
 /// One recorded observer callback, in arrival order.
 #[derive(Debug, Clone)]
 pub enum StageEvent {

@@ -23,10 +23,7 @@ use argo_htg::extract::extract;
 use argo_htg::TaskId;
 use argo_ir::ast::Program;
 use argo_parir::ParallelProgram;
-use argo_sched::anneal::SimulatedAnnealing;
-use argo_sched::bnb::BranchAndBound;
-use argo_sched::list::ListScheduler;
-use argo_sched::{evaluate_assignment, CommModel, SchedCtx, Schedule, Scheduler, TaskGraph};
+use argo_sched::{evaluate_assignment, CommModel, SchedCtx, Schedule, TaskGraph};
 use argo_transform::chunk::chunk_all_parallel_loops;
 use argo_transform::fold::fold_program;
 use argo_wcet::cost::{program_symbols, CostCtx, ProgramSymbols};
@@ -55,9 +52,10 @@ pub(crate) fn feed_frontend_config(cfg: &ToolchainConfig, h: &mut FingerprintHas
 /// of `argo-dse` (ROADMAP item (c)).
 ///
 /// The backend's § II-E feedback loop invokes the scheduler once per
-/// round on the round's re-costed task graph. Sweep axes that do not
-/// move the graph or the platform (the MHP mode, the feedback budget)
-/// re-derive byte-identical schedules; a cache bound via
+/// round on the round's re-costed task graph. Sweep axes that move
+/// neither the graph nor the scheduling context's core count and
+/// shared-access prices (the MHP mode, the feedback budget, scratchpad
+/// capacities) re-derive byte-identical schedules; a cache bound via
 /// [`Toolflow::schedule_cache`] intercepts each invocation and may
 /// serve it from a previous session. Implementations must be
 /// `Sync` (DSE workers share one cache) and must return exactly what
@@ -331,7 +329,7 @@ impl<'a> Toolflow<'a> {
         // Stage span on the global tracer (inert unless `--trace` enabled
         // it); sub-phase and per-point spans opened inside `body` nest
         // under it on the same thread.
-        let _span = argo_trace::span(crate::observer::stage_span_name(stage));
+        let _span = argo_trace::span(stage.span_name());
         let Some(obs) = self.observer else {
             return body();
         };
@@ -494,7 +492,6 @@ impl<'a> Toolflow<'a> {
 
             // --- Iterative schedule ↔ placement ↔ WCET loop (§ II-E).
             let (program, htg) = (&*artifact.program, &*artifact.htg);
-            let platform_fp = platform.fingerprint();
             let mut mem = all_shared_map(program, entry);
             let mut schedule: Option<Schedule> = None;
             // Hoisted out of the feedback loop: the symbol tables, the
@@ -531,24 +528,14 @@ impl<'a> Toolflow<'a> {
                 // Mapping/scheduling stage, routed through the schedule
                 // cache when one is bound (third `argo-dse` cache tier):
                 // the key covers everything a scheduler observes — the
-                // graph (costs + edges), the platform and the scheduler
-                // kind — so a hit is byte-identical to a rebuild.
-                let mut build = || match cfg.scheduler {
-                    crate::SchedulerKind::List => ListScheduler::new().schedule(&graph, &ctx),
-                    crate::SchedulerKind::BranchAndBound => {
-                        BranchAndBound::new().schedule(&graph, &ctx)
-                    }
-                    crate::SchedulerKind::Anneal => {
-                        SimulatedAnnealing::new().schedule(&graph, &ctx)
-                    }
-                };
+                // graph (costs + edges), the context's core count and
+                // shared-access prices, and the scheduler kind — so a
+                // hit is byte-identical to a rebuild.
+                let mut build = || cfg.scheduler.schedule(&graph, &ctx);
                 let sched: Schedule = match self.sched_cache {
                     Some(cache) => {
-                        let key = crate::fingerprint::schedule_fingerprint(
-                            &graph,
-                            platform_fp,
-                            cfg.scheduler,
-                        );
+                        let key =
+                            crate::fingerprint::schedule_fingerprint(&graph, &ctx, cfg.scheduler);
                         cache.schedule(key, &mut build)
                     }
                     None => build(),

@@ -241,8 +241,9 @@ type Built<T> = Result<Arc<T>, Diagnostic>;
 /// [`argo_core::ScheduleCache`], so binding the whole cache to a
 /// session via [`argo_core::Toolflow::schedule_cache`] is enough to
 /// share schedules across points whose feedback rounds re-derive
-/// identical `(task graph, platform, scheduler)` inputs (ROADMAP item
-/// (c)) — e.g. the MHP axis, or converged rounds within one backend.
+/// identical inputs — task graph, scheduling context (core count and
+/// shared-access prices) and scheduler — e.g. the MHP and SPM axes, or
+/// converged rounds within one backend.
 pub struct ArtifactCache {
     store: Option<Arc<Store>>,
     frontend: Tier<Built<FrontendArtifact>>,

@@ -186,11 +186,7 @@ mod tests {
             })
         });
         let payload = result.unwrap_err();
-        let msg = payload
-            .downcast_ref::<&str>()
-            .copied()
-            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-            .expect("panic payload is a message");
+        let msg = argo_core::diag::panic_message(&*payload);
         assert!(msg.contains("job five exploded"), "got: {msg}");
     }
 }

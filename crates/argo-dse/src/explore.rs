@@ -24,6 +24,7 @@ use crate::observe::{TierTiming, TimingObserver};
 use crate::pareto::{pareto_front, Objectives};
 use crate::report::{ExplorationReport, PointMetrics, ReportRow, SearchInfo, StoredPoint};
 use crate::space::{DesignSpace, ExplorationPoint};
+use argo_core::diag::panic_message;
 use argo_core::{
     Diagnostic, ErrorCode, Fanout, Fingerprint, FingerprintHasher, Fingerprintable, NullObserver,
     Stage, ToolchainConfig, Toolflow,
@@ -36,16 +37,6 @@ use argo_wcet::value::ValueCtx;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-
-/// Best-effort text of a caught panic payload (`&str` and `String`
-/// payloads cover `panic!` and failed assertions).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
-    payload
-        .downcast_ref::<&str>()
-        .copied()
-        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-        .unwrap_or("<non-string panic payload>")
-}
 
 /// The `argo_dse_point_wall_us` histogram handle, resolved once.
 fn point_wall_histogram() -> &'static Arc<argo_trace::Histogram> {
@@ -159,21 +150,20 @@ impl Explorer {
         if let Some(cached) = memo.get(&(name.to_string(), seed)) {
             return cached.clone();
         }
-        let resolved = match name {
-            "egpws" => Ok(argo_apps::egpws::use_case(seed)),
-            "weaa" => Ok(argo_apps::weaa::use_case(seed)),
-            "polka" => Ok(argo_apps::polka::use_case(seed)),
-            other => Err(Diagnostic::new(
-                Stage::Frontend,
-                ErrorCode::UnknownProgram,
-                format!(
-                    "unknown use case `{other}` (built-ins: egpws, weaa, polka; \
-                     or register a custom program)"
-                ),
-            )
-            .with_entity(other)),
-        }
-        .map(|uc| Arc::new(ResolvedApp::new(uc.program, uc.entry)));
+        let resolved = argo_apps::use_case(name, seed)
+            .map(|uc| Arc::new(ResolvedApp::new(uc.program, uc.entry)))
+            .ok_or_else(|| {
+                let names = argo_apps::USE_CASES.map(|(name, ..)| name);
+                Diagnostic::new(
+                    Stage::Frontend,
+                    ErrorCode::UnknownProgram,
+                    format!(
+                        "unknown use case `{name}` (built-ins: {}; or register a custom program)",
+                        names.join(", ")
+                    ),
+                )
+                .with_entity(name)
+            });
         memo.insert((name.to_string(), seed), resolved.clone());
         resolved
     }
@@ -239,7 +229,7 @@ impl Explorer {
                             outcome: Err(Diagnostic::new(
                                 Stage::Backend,
                                 ErrorCode::InternalError,
-                                format!("point evaluation panicked: {}", panic_message(&payload)),
+                                format!("point evaluation panicked: {}", panic_message(&*payload)),
                             )),
                         }
                     }
@@ -590,11 +580,7 @@ mod tests {
             &DesignSpace::new()
                 .app("tiny")
                 .cores(vec![2])
-                .schedulers(vec![
-                    SchedulerKind::List,
-                    SchedulerKind::BranchAndBound,
-                    SchedulerKind::Anneal,
-                ]),
+                .schedulers(SchedulerKind::ALL.to_vec()),
         );
         let s = ex.cache_stats();
         // One frontend and one cost table, shared across 3 schedulers.
@@ -658,6 +644,11 @@ mod tests {
                 let err = row.outcome.as_ref().unwrap_err();
                 assert_eq!(err.code, argo_core::ErrorCode::InternalError);
                 assert!(err.message.contains("panicked"), "{}", err.message);
+                assert!(
+                    err.message.contains("chaos: injected panic"),
+                    "the row carries the panic's own text: {}",
+                    err.message
+                );
             }
         }
         // Same store dir, healthy backend: had the panic rows been

@@ -24,9 +24,10 @@
 //!   that and core 0's cost view additionally reuse the round-0
 //!   code-level WCET table ([`argo_core::Toolflow::run_seed_costs`]),
 //!   whatever their scratchpad capacities, and backend
-//!   feedback rounds sharing `(task graph, platform, scheduler)` reuse
-//!   the mapping-stage schedule through the [`argo_core::ScheduleCache`]
-//!   hook. Hit/miss counters for every tier are surfaced in every
+//!   feedback rounds sharing the task graph, the scheduling context's
+//!   core count and shared-access prices, and the scheduler reuse the
+//!   mapping-stage schedule through the [`argo_core::ScheduleCache`]
+//!   hook, again whatever the scratchpad capacities. Hit/miss counters for every tier are surfaced in every
 //!   report;
 //! * [`Explorer::explore`] / [`Explorer::search`] — the exhaustive sweep
 //!   and the budgeted steered sweep: `search` hands point selection to an

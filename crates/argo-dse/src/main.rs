@@ -162,11 +162,7 @@ fn parse_explore_args(args: &[String]) -> Result<Options, String> {
             "--schedulers" => {
                 let v = value()?;
                 space.schedulers = if v == "all" {
-                    vec![
-                        SchedulerKind::List,
-                        SchedulerKind::BranchAndBound,
-                        SchedulerKind::Anneal,
-                    ]
+                    SchedulerKind::ALL.to_vec()
                 } else {
                     split_list(v)
                         .into_iter()
@@ -275,12 +271,8 @@ fn run_explore(args: &[String]) -> Result<bool, String> {
         std::fs::write(path, report.to_json()).map_err(|e| format!("writing {path}: {e}"))?;
     }
     if let Some(path) = &opts.trace {
-        argo_trace::write_chrome_trace(argo_trace::global(), std::path::Path::new(path))
+        argo_trace::write_trace(std::path::Path::new(path))
             .map_err(|e| format!("writing {path}: {e}"))?;
-        eprint!(
-            "{}",
-            argo_trace::flame_summary(&argo_trace::global().snapshot(), 12)
-        );
     }
     if !opts.quiet {
         print!("{}", report.to_text());
@@ -303,9 +295,9 @@ fn main() -> ExitCode {
             }
         },
         Some("list-apps") => {
-            println!("egpws  — Enhanced Ground Proximity Warning System (aerospace)");
-            println!("weaa   — Wake Encounter Avoidance and Advisory (aerospace)");
-            println!("polka  — POLKA polarization camera (industrial imaging)");
+            for (name, title, _) in argo_apps::USE_CASES {
+                println!("{name:<6} — {title}");
+            }
             ExitCode::SUCCESS
         }
         Some("help") | Some("--help") | Some("-h") | None => {

@@ -6,73 +6,10 @@
 //! the order reports present rows in — independent of how many worker
 //! threads evaluate them.
 
-use argo_adl::Platform;
+pub use argo_adl::PlatformKind;
 use argo_core::SchedulerKind;
 use argo_htg::Granularity;
 use argo_wcet::system::MhpMode;
-use std::fmt;
-
-/// The two target platform families of § III-B.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlatformKind {
-    /// Recore Xentium-style many-core on a WRR shared bus.
-    Bus,
-    /// KIT tile-based NoC (cores arranged on a near-square grid).
-    Noc,
-}
-
-impl PlatformKind {
-    /// Short label used in reports and CLI flags.
-    pub fn label(&self) -> &'static str {
-        match self {
-            PlatformKind::Bus => "bus",
-            PlatformKind::Noc => "noc",
-        }
-    }
-
-    /// Parses a CLI label.
-    pub fn parse(s: &str) -> Result<PlatformKind, String> {
-        match s {
-            "bus" => Ok(PlatformKind::Bus),
-            "noc" => Ok(PlatformKind::Noc),
-            other => Err(format!("unknown platform `{other}` (expected bus|noc)")),
-        }
-    }
-
-    /// Builds the concrete platform for `cores` cores, optionally
-    /// overriding every core's scratchpad capacity.
-    pub fn build(&self, cores: usize, spm_bytes: Option<u64>) -> Platform {
-        let mut platform = match self {
-            PlatformKind::Bus => Platform::xentium_manycore(cores),
-            PlatformKind::Noc => {
-                let (rows, cols) = near_square_grid(cores);
-                Platform::kit_tile_noc(rows, cols)
-            }
-        };
-        if let Some(bytes) = spm_bytes {
-            for core in &mut platform.cores {
-                core.spm_bytes = bytes;
-            }
-        }
-        platform
-    }
-}
-
-impl fmt::Display for PlatformKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
-/// Factors `n` into the most square `rows × cols` grid with `rows ≤ cols`.
-fn near_square_grid(n: usize) -> (usize, usize) {
-    let n = n.max(1);
-    let mut rows = (n as f64).sqrt() as usize;
-    while rows > 1 && !n.is_multiple_of(rows) {
-        rows -= 1;
-    }
-    (rows.max(1), n / rows.max(1))
-}
 
 /// One fully-specified toolflow configuration to compile and analyze.
 #[derive(Debug, Clone, PartialEq)]
@@ -285,13 +222,9 @@ mod tests {
     fn cartesian_product_size_and_order() {
         let space = DesignSpace::new()
             .app("egpws")
-            .platforms(vec![PlatformKind::Bus, PlatformKind::Noc])
+            .platforms(PlatformKind::ALL.to_vec())
             .cores(vec![1, 2, 4, 8])
-            .schedulers(vec![
-                SchedulerKind::List,
-                SchedulerKind::BranchAndBound,
-                SchedulerKind::Anneal,
-            ]);
+            .schedulers(SchedulerKind::ALL.to_vec());
         let pts = space.points();
         assert_eq!(pts.len(), 24);
         assert_eq!(space.len(), 24);
@@ -304,46 +237,34 @@ mod tests {
     }
 
     #[test]
-    fn near_square_grids_are_exact() {
-        for n in 1..=32 {
-            let (r, c) = near_square_grid(n);
-            assert_eq!(r * c, n, "grid for {n}");
-            assert!(r <= c);
-        }
-        assert_eq!(near_square_grid(4), (2, 2));
-        assert_eq!(near_square_grid(8), (2, 4));
-        assert_eq!(near_square_grid(7), (1, 7));
-    }
-
-    #[test]
-    fn platform_build_applies_spm_override() {
-        let p = PlatformKind::Bus.build(2, Some(4096));
-        assert!(p.cores.iter().all(|c| c.spm_bytes == 4096));
-        assert_eq!(p.core_count(), 2);
-        let q = PlatformKind::Noc.build(6, None);
-        assert_eq!(q.core_count(), 6);
-        q.validate().unwrap();
-    }
-
-    #[test]
     fn labels_round_trip() {
-        for k in [
-            SchedulerKind::List,
-            SchedulerKind::BranchAndBound,
-            SchedulerKind::Anneal,
-        ] {
+        for k in SchedulerKind::ALL {
             assert_eq!(SchedulerKind::parse(k.label()).unwrap(), k);
         }
-        for g in [Granularity::Loop, Granularity::Block, Granularity::Stmt] {
+        for g in Granularity::ALL {
             assert_eq!(Granularity::parse(g.label()).unwrap(), g);
         }
-        for m in [MhpMode::Naive, MhpMode::Static, MhpMode::Windows] {
+        for m in MhpMode::ALL {
             assert_eq!(MhpMode::parse(m.label()).unwrap(), m);
         }
-        for p in [PlatformKind::Bus, PlatformKind::Noc] {
+        for p in PlatformKind::ALL {
             assert_eq!(PlatformKind::parse(p.label()).unwrap(), p);
         }
-        assert!(SchedulerKind::parse("heft").is_err());
+        let errors = [
+            SchedulerKind::parse("heft").unwrap_err(),
+            Granularity::parse("x").unwrap_err(),
+            MhpMode::parse("x").unwrap_err(),
+            PlatformKind::parse("x").unwrap_err(),
+        ];
+        assert_eq!(
+            errors,
+            [
+                "unknown scheduler `heft` (expected list|bnb|anneal)",
+                "unknown granularity `x` (expected loop|block|stmt)",
+                "unknown MHP mode `x` (expected naive|static|windows)",
+                "unknown platform `x` (expected bus|noc)",
+            ]
+        );
     }
 
     #[test]

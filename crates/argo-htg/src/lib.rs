@@ -75,6 +75,9 @@ pub enum Granularity {
 }
 
 impl Granularity {
+    /// Every granularity, from the coarsest to the finest.
+    pub const ALL: [Granularity; 3] = [Granularity::Loop, Granularity::Block, Granularity::Stmt];
+
     /// Stable lower-case label, shared by reports, CLI flags, wire
     /// requests and fingerprints.
     pub fn label(&self) -> &'static str {
@@ -91,14 +94,11 @@ impl Granularity {
     ///
     /// Returns a message naming the accepted labels.
     pub fn parse(s: &str) -> Result<Granularity, String> {
-        match s {
-            "loop" => Ok(Granularity::Loop),
-            "block" => Ok(Granularity::Block),
-            "stmt" => Ok(Granularity::Stmt),
-            other => Err(format!(
-                "unknown granularity `{other}` (expected loop|block|stmt)"
-            )),
-        }
+        let labels = Granularity::ALL.map(|g| g.label());
+        Granularity::ALL
+            .into_iter()
+            .find(|g| g.label() == s)
+            .ok_or_else(|| format!("unknown granularity `{s}` (expected {})", labels.join("|")))
     }
 }
 

@@ -59,15 +59,6 @@ pub fn assign(
             }
         }
     }
-    // When the graph carries no HTG ids (synthetic), fall back to all
-    // arrays shared.
-    if graph.htg_ids.is_empty() {
-        for (v, ty) in &symbols {
-            if ty.is_array() {
-                cores_of.entry(v.as_str()).or_default().insert(CoreId(0));
-            }
-        }
-    }
 
     let mut map = MemoryMap::new();
     let mut shared_cursor = 0u64;

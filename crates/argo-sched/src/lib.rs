@@ -349,6 +349,13 @@ impl<'a> SchedCtx<'a> {
     pub fn cores(&self) -> usize {
         self.platform.core_count()
     }
+
+    /// Core → its all-contender shared-access price: everything a
+    /// [`CommModel::SignalOnly`] context reads of the platform besides
+    /// the core count.
+    pub fn shared_access(&self) -> &[u64] {
+        &self.shared_access
+    }
 }
 
 /// A static schedule: mapping + start times.

@@ -70,14 +70,15 @@ pub use strategy::{BatchEvalFn, Evaluator, SearchStrategy};
 /// parameters (`exhaustive` is not a strategy — drivers treat it as
 /// "skip the search layer").
 pub fn parse_strategy(label: &str) -> Result<Box<dyn SearchStrategy>, String> {
-    match label {
-        "ga" => Ok(Box::new(Genetic::new())),
-        "anneal" => Ok(Box::new(Annealing::new())),
-        "halving" => Ok(Box::new(SuccessiveHalving::new())),
-        other => Err(format!(
-            "unknown strategy `{other}` (expected exhaustive|ga|anneal|halving)"
-        )),
+    let mut strategies = all_strategies();
+    if let Some(i) = strategies.iter().position(|s| s.name() == label) {
+        return Ok(strategies.swap_remove(i));
     }
+    let names: Vec<&str> = strategies.iter().map(|s| s.name()).collect();
+    Err(format!(
+        "unknown strategy `{label}` (expected exhaustive|{})",
+        names.join("|")
+    ))
 }
 
 /// All built-in strategies with default parameters, in CLI-label order
@@ -100,7 +101,10 @@ mod tests {
             assert_eq!(parse_strategy(label).unwrap().name(), label);
         }
         assert!(parse_strategy("exhaustive").is_err());
-        assert!(parse_strategy("tabu").is_err());
+        assert_eq!(
+            parse_strategy("tabu").err().unwrap(),
+            "unknown strategy `tabu` (expected exhaustive|ga|anneal|halving)"
+        );
         assert_eq!(all_strategies().len(), 3);
     }
 }

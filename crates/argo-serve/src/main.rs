@@ -118,12 +118,8 @@ fn run(opts: Options) -> Result<(), String> {
     eprintln!("argo-serve: listening on {}", server.addr());
     server.join();
     if let Some(path) = &opts.trace {
-        argo_trace::write_chrome_trace(argo_trace::global(), std::path::Path::new(path))
+        argo_trace::write_trace(std::path::Path::new(path))
             .map_err(|e| format!("writing {path}: {e}"))?;
-        eprint!(
-            "{}",
-            argo_trace::flame_summary(&argo_trace::global().snapshot(), 12)
-        );
     }
     eprintln!("argo-serve: shut down");
     Ok(())

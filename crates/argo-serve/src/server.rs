@@ -17,6 +17,7 @@
 
 use crate::proto::{self, Envelope, PointSpec, Request, SearchSpec};
 use crate::singleflight::{LeaderFailed, SingleFlight};
+use argo_core::diag::panic_message;
 use argo_core::{
     CancelToken, Diagnostic, Fanout, FeedbackSnapshot, NullObserver, Stage, StageObserver,
     StageSummary,
@@ -696,11 +697,11 @@ impl Inner {
                     "argo-serve: request id={} kind={} panicked: {}",
                     envelope.id,
                     envelope.request.kind(),
-                    panic_message(&payload)
+                    panic_message(&*payload)
                 );
                 error_body(
                     "internal-error",
-                    &format!("request execution panicked: {}", panic_message(&payload)),
+                    &format!("request execution panicked: {}", panic_message(&*payload)),
                 )
             })
         });
@@ -1002,15 +1003,6 @@ fn protocol_error(id: u64, code: &str, message: &str) -> String {
         id,
         error_body(code, message)
     )
-}
-
-/// Best-effort extraction of a panic payload's message.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
-    payload
-        .downcast_ref::<&str>()
-        .copied()
-        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-        .unwrap_or("<non-string panic payload>")
 }
 
 /// Deterministic body for a one-point request.

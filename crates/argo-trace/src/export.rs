@@ -3,7 +3,7 @@
 //! span name).
 
 use crate::json::escape;
-use crate::span::{thread_names, SpanRecord, Tracer};
+use crate::span::{thread_names, SpanRecord};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
@@ -47,9 +47,14 @@ pub fn chrome_trace(records: &[SpanRecord]) -> String {
     out
 }
 
-/// Writes the tracer's current snapshot as Chrome trace JSON to `path`.
-pub fn write_chrome_trace(tracer: &Tracer, path: &std::path::Path) -> std::io::Result<()> {
-    std::fs::write(path, chrome_trace(&tracer.snapshot()))
+/// Writes the global tracer's spans as Chrome trace JSON to `path` and
+/// prints their top-12 flame summary to stderr: what `--trace PATH`
+/// does on `argo-dse explore`, `argo-verify` and `argo-serve`.
+pub fn write_trace(path: &std::path::Path) -> std::io::Result<()> {
+    let records = crate::global().snapshot();
+    std::fs::write(path, chrome_trace(&records))?;
+    eprint!("{}", flame_summary(&records, 12));
+    Ok(())
 }
 
 /// Per-name totals in a flame summary.
@@ -128,6 +133,7 @@ pub fn flame_summary(records: &[SpanRecord], n: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::span::Tracer;
     use std::borrow::Cow;
 
     fn rec(id: u64, parent: u64, name: &'static str, start: u64, dur: u64) -> SpanRecord {

@@ -12,8 +12,8 @@
 //!   trace-event JSON (open in Perfetto or `chrome://tracing`) and a
 //!   text top-N self-time table, both behind `--trace out.json` on
 //!   `argo-dse explore`, `argo-verify` and `argo-serve`.
-//! - **Metrics** ([`Registry`], [`Counter`], [`Gauge`],
-//!   [`Histogram`]): atomic counters/gauges and fixed-bucket latency
+//! - **Metrics** ([`Registry`], [`Counter`], [`Histogram`]): atomic
+//!   counters and fixed-bucket latency
 //!   histograms with p50/p90/p99 derivation, rendered as Prometheus
 //!   text exposition (the `argo-serve` `metrics` request).
 //! - **JSON** ([`json`]): the workspace's one JSON reader
@@ -86,8 +86,8 @@ pub mod json;
 mod metrics;
 mod span;
 
-pub use export::{chrome_trace, flame_rows, flame_summary, write_chrome_trace, FlameRow};
-pub use metrics::{Counter, Gauge, Histogram, Registry, COUNT_BUCKETS, LATENCY_US_BUCKETS};
+pub use export::{chrome_trace, flame_rows, flame_summary, write_trace, FlameRow};
+pub use metrics::{Counter, Histogram, Registry, COUNT_BUCKETS, LATENCY_US_BUCKETS};
 pub use span::{current_thread_id, thread_names, Span, SpanRecord, Tracer};
 
 use std::borrow::Cow;

@@ -1,4 +1,4 @@
-//! Metrics: atomic counters/gauges, fixed-bucket histograms with
+//! Metrics: atomic counters, fixed-bucket histograms with
 //! quantile derivation, and a registry with Prometheus text exposition.
 //!
 //! Metric names follow Prometheus conventions
@@ -10,7 +10,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Monotonic counter.
@@ -30,27 +30,6 @@ impl Counter {
 
     /// Current value.
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// Settable signed gauge.
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicI64);
-
-impl Gauge {
-    /// Sets the value.
-    pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Adds `n` (may be negative).
-    pub fn add(&self, n: i64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)
     }
 }
@@ -175,7 +154,6 @@ impl Histogram {
 #[derive(Debug, Clone)]
 enum Metric {
     Counter(Arc<Counter>),
-    Gauge(Arc<Gauge>),
     Histogram(Arc<Histogram>),
 }
 
@@ -207,22 +185,6 @@ impl Registry {
         match metric {
             Metric::Counter(c) => c.clone(),
             _ => panic!("metric `{name}` is not a counter"),
-        }
-    }
-
-    /// The gauge named `name`, created on first use.
-    ///
-    /// # Panics
-    ///
-    /// If `name` is already registered as a different metric kind.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut metrics = self.metrics.lock().unwrap();
-        let metric = metrics
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Gauge(Arc::new(Gauge::default())));
-        match metric {
-            Metric::Gauge(g) => g.clone(),
-            _ => panic!("metric `{name}` is not a gauge"),
         }
     }
 
@@ -269,7 +231,6 @@ impl Registry {
             let (base, labels) = split_labels(name);
             let kind = match metric {
                 Metric::Counter(_) => "counter",
-                Metric::Gauge(_) => "gauge",
                 Metric::Histogram(_) => "histogram",
             };
             if base != last_base {
@@ -279,9 +240,6 @@ impl Registry {
             match metric {
                 Metric::Counter(c) => {
                     let _ = writeln!(out, "{name} {}", c.get());
-                }
-                Metric::Gauge(g) => {
-                    let _ = writeln!(out, "{name} {}", g.get());
                 }
                 Metric::Histogram(h) => {
                     let (rows, total) = h.cumulative();
@@ -322,7 +280,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_and_gauge_roundtrip() {
+    fn counter_roundtrip() {
         let r = Registry::new();
         let c = r.counter("argo_test_total");
         c.inc();
@@ -333,10 +291,6 @@ mod tests {
             5,
             "get-or-create returns the same cell"
         );
-        let g = r.gauge("argo_test_gauge");
-        g.set(-7);
-        g.add(2);
-        assert_eq!(g.get(), -5);
     }
 
     #[test]
@@ -415,7 +369,6 @@ mod tests {
         let r = Registry::new();
         r.counter("argo_req_total{kind=\"compile\"}").add(3);
         r.counter("argo_req_total{kind=\"verify\"}").inc();
-        r.gauge("argo_queue_depth").set(2);
         let h = r.histogram("argo_lat_us{kind=\"compile\"}", &[10, 100]);
         h.observe(7);
         h.observe(50);
@@ -428,8 +381,6 @@ mod tests {
             "one TYPE line per base name:\n{text}"
         );
         assert!(text.contains("argo_req_total{kind=\"compile\"} 3"));
-        assert!(text.contains("# TYPE argo_queue_depth gauge"));
-        assert!(text.contains("argo_queue_depth 2"));
         assert!(text.contains("argo_lat_us_bucket{kind=\"compile\",le=\"10\"} 1"));
         assert!(text.contains("argo_lat_us_bucket{kind=\"compile\",le=\"+Inf\"} 3"));
         assert!(text.contains("argo_lat_us_sum{kind=\"compile\"} 5057"));

@@ -11,20 +11,23 @@
 //! passes the default gate (no error-severity findings), 1 when any
 //! gate fails, 2 on usage errors.
 
-use argo_adl::Platform;
+use argo_adl::PlatformKind;
 use argo_core::{ErrorCode, ToolchainConfig, Toolflow};
 use argo_verify::{parse_code, verify_backend, VerifyConfig};
 use argo_wcet::system::MhpMode;
 use std::process::ExitCode;
 
-const USAGE: &str = "argo-verify — independent static verification (ARGO toolflow)
+fn usage() -> String {
+    let apps = argo_apps::USE_CASES.map(|(name, ..)| name).join(", ");
+    format!(
+        "argo-verify — independent static verification (ARGO toolflow)
 
 USAGE:
     argo-verify [OPTIONS]
     argo-verify help
 
 OPTIONS:
-    --app NAME[,NAME...]   use cases: egpws, weaa, polka or all (default: all)
+    --app NAME[,NAME...]   use cases: {apps} or all (default: all)
     --mhp MODE[,MODE...]   naive|static|windows or all (default: all)
     --platform KIND        bus|noc (default: bus)
     --cores N              core count (default: 4)
@@ -35,13 +38,15 @@ OPTIONS:
     --trace PATH           record spans and write a Chrome trace-event
                            JSON there; a flame summary goes to stderr
     --quiet                only print failing reports
-";
+"
+    )
+}
 
 fn parse_mhp_list(spec: &str) -> Result<Vec<MhpMode>, String> {
     let mut out = Vec::new();
     for part in spec.split(',').map(str::trim).filter(|p| !p.is_empty()) {
         match part {
-            "all" => out.extend([MhpMode::Naive, MhpMode::Static, MhpMode::Windows]),
+            "all" => out.extend(MhpMode::ALL),
             mode => out.push(MhpMode::parse(mode)?),
         }
     }
@@ -54,7 +59,7 @@ fn parse_mhp_list(spec: &str) -> Result<Vec<MhpMode>, String> {
 struct Opts {
     apps: Vec<String>,
     mhp: Vec<MhpMode>,
-    noc: bool,
+    platform: PlatformKind,
     cores: usize,
     spm: Option<u64>,
     allow: Vec<ErrorCode>,
@@ -65,9 +70,9 @@ struct Opts {
 
 fn parse_opts(args: &[String]) -> Result<Opts, String> {
     let mut opts = Opts {
-        apps: vec!["egpws".into(), "weaa".into(), "polka".into()],
-        mhp: vec![MhpMode::Naive, MhpMode::Static, MhpMode::Windows],
-        noc: false,
+        apps: argo_apps::USE_CASES.map(|(name, ..)| name.into()).to_vec(),
+        mhp: MhpMode::ALL.to_vec(),
+        platform: PlatformKind::Bus,
         cores: 4,
         spm: None,
         allow: Vec::new(),
@@ -86,7 +91,7 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
             "--app" => {
                 let v = value()?;
                 if v == "all" {
-                    opts.apps = vec!["egpws".into(), "weaa".into(), "polka".into()];
+                    opts.apps = argo_apps::USE_CASES.map(|(name, ..)| name.into()).to_vec();
                 } else {
                     opts.apps = v
                         .split(',')
@@ -96,11 +101,7 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
                 }
             }
             "--mhp" => opts.mhp = parse_mhp_list(&value()?)?,
-            "--platform" => match value()?.as_str() {
-                "bus" => opts.noc = false,
-                "noc" => opts.noc = true,
-                other => return Err(format!("unknown platform `{other}`")),
-            },
+            "--platform" => opts.platform = PlatformKind::parse(&value()?)?,
             "--cores" => {
                 opts.cores = value()?
                     .parse()
@@ -134,36 +135,17 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
     Ok(opts)
 }
 
-fn build_platform(opts: &Opts) -> Platform {
-    let mut platform = if opts.noc {
-        // Squarest grid holding the requested core count.
-        let rows = (1..=opts.cores)
-            .filter(|&r| opts.cores.is_multiple_of(r))
-            .min_by_key(|&r| (opts.cores / r).abs_diff(r))
-            .unwrap_or(1);
-        Platform::kit_tile_noc(rows, opts.cores / rows)
-    } else {
-        Platform::xentium_manycore(opts.cores)
-    };
-    if let Some(spm) = opts.spm {
-        for core in &mut platform.cores {
-            core.spm_bytes = spm;
-        }
-    }
-    platform
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().is_some_and(|a| a == "help" || a == "--help") {
-        print!("{USAGE}");
+        print!("{}", usage());
         return ExitCode::SUCCESS;
     }
     let opts = match parse_opts(&args) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}");
-            eprint!("{USAGE}");
+            eprint!("{}", usage());
             return ExitCode::from(2);
         }
     };
@@ -171,13 +153,17 @@ fn main() -> ExitCode {
         argo_trace::enable_spans();
         argo_trace::enable_metrics();
     }
-    let platform = build_platform(&opts);
-    let use_cases = argo_apps::all_use_cases(opts.seed);
+    let platform = opts.platform.build(opts.cores, opts.spm);
 
     let mut failed = false;
     for name in &opts.apps {
-        let Some(uc) = use_cases.iter().find(|u| u.name == name.as_str()) else {
-            eprintln!("error: unknown app `{name}` (expected egpws, weaa or polka)");
+        let Some(uc) = argo_apps::use_case(name, opts.seed) else {
+            let names = argo_apps::USE_CASES.map(|(name, ..)| name);
+            let (last, rest) = names.split_last().expect("use cases are registered");
+            eprintln!(
+                "error: unknown app `{name}` (expected {} or {last})",
+                rest.join(", ")
+            );
             return ExitCode::from(2);
         };
         for &mhp in &opts.mhp {
@@ -209,16 +195,10 @@ fn main() -> ExitCode {
         }
     }
     if let Some(path) = &opts.trace {
-        if let Err(e) =
-            argo_trace::write_chrome_trace(argo_trace::global(), std::path::Path::new(path))
-        {
+        if let Err(e) = argo_trace::write_trace(std::path::Path::new(path)) {
             eprintln!("error: writing {path}: {e}");
             return ExitCode::from(2);
         }
-        eprint!(
-            "{}",
-            argo_trace::flame_summary(&argo_trace::global().snapshot(), 12)
-        );
     }
     if failed {
         ExitCode::FAILURE

@@ -40,6 +40,9 @@ pub enum MhpMode {
 }
 
 impl MhpMode {
+    /// Every mode, from the loosest to the tightest.
+    pub const ALL: [MhpMode; 3] = [MhpMode::Naive, MhpMode::Static, MhpMode::Windows];
+
     /// Stable short label, shared by CLI flags, wire requests and
     /// fingerprints (`Display` gives the longer report names).
     pub fn label(&self) -> &'static str {
@@ -56,14 +59,11 @@ impl MhpMode {
     ///
     /// Returns a message naming the accepted labels.
     pub fn parse(s: &str) -> Result<MhpMode, String> {
-        match s {
-            "naive" => Ok(MhpMode::Naive),
-            "static" => Ok(MhpMode::Static),
-            "windows" => Ok(MhpMode::Windows),
-            other => Err(format!(
-                "unknown MHP mode `{other}` (expected naive|static|windows)"
-            )),
-        }
+        let labels = MhpMode::ALL.map(|m| m.label());
+        MhpMode::ALL
+            .into_iter()
+            .find(|m| m.label() == s)
+            .ok_or_else(|| format!("unknown MHP mode `{s}` (expected {})", labels.join("|")))
     }
 }
 
@@ -414,7 +414,7 @@ mod tests {
     fn bounds_never_undercut_isolated_schedule() {
         let (pp, platform, iso, acc) = fixture();
         let base = pp.schedule.makespan();
-        for mode in [MhpMode::Naive, MhpMode::Static, MhpMode::Windows] {
+        for mode in MhpMode::ALL {
             let r = analyze(&pp, &platform, &iso, &acc, mode);
             assert!(r.bound >= base.min(r.bound), "mode {mode}");
             // Inflated task WCETs dominate isolated ones.
@@ -427,7 +427,7 @@ mod tests {
     #[test]
     fn contenders_bounded_by_core_count() {
         let (pp, platform, iso, acc) = fixture();
-        for mode in [MhpMode::Naive, MhpMode::Static, MhpMode::Windows] {
+        for mode in MhpMode::ALL {
             let r = analyze(&pp, &platform, &iso, &acc, mode);
             for &k in &r.contenders {
                 assert!(k >= 1 && k <= platform.core_count());

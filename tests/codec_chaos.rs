@@ -30,38 +30,6 @@ use std::fmt::Debug;
 
 // --- generators ---------------------------------------------------------
 
-const STAGES: [Stage; 4] = [
-    Stage::Frontend,
-    Stage::SeedCosts,
-    Stage::Backend,
-    Stage::Verify,
-];
-
-const CODES: [ErrorCode; 22] = [
-    ErrorCode::InvalidProgram,
-    ErrorCode::UnknownProgram,
-    ErrorCode::UnknownEntry,
-    ErrorCode::MissingPlatform,
-    ErrorCode::InvalidPlatform,
-    ErrorCode::TransformFailed,
-    ErrorCode::UnboundedLoop,
-    ErrorCode::ExtractionFailed,
-    ErrorCode::EmptyHtg,
-    ErrorCode::CodeWcetFailed,
-    ErrorCode::MemAssignFailed,
-    ErrorCode::ParallelModelFailed,
-    ErrorCode::DataRace,
-    ErrorCode::UnsoundSchedule,
-    ErrorCode::PlacementOverflow,
-    ErrorCode::CommOrdering,
-    ErrorCode::UninitRead,
-    ErrorCode::DeadStore,
-    ErrorCode::UnreachableStmt,
-    ErrorCode::InternalError,
-    ErrorCode::DeadlineExceeded,
-    ErrorCode::LeaderFailed,
-];
-
 /// Arbitrary Unicode strings, including multibyte code points, so the
 /// length-prefixed UTF-8 framing is exercised at every byte width.
 fn arb_string() -> BoxedStrategy<String> {
@@ -76,8 +44,8 @@ fn arb_string() -> BoxedStrategy<String> {
 
 fn arb_diagnostic() -> BoxedStrategy<Diagnostic> {
     (
-        (0usize..STAGES.len()).prop_map(|i| STAGES[i]),
-        (0usize..CODES.len()).prop_map(|i| CODES[i]),
+        (0usize..Stage::ALL.len()).prop_map(|i| Stage::ALL[i]),
+        (0usize..ErrorCode::ALL.len()).prop_map(|i| ErrorCode::ALL[i]),
         (any::<bool>(), arb_string()).prop_map(|(some, s)| some.then_some(s)),
         arb_string(),
     )

@@ -61,7 +61,7 @@ const TINY: &str = r#"
 fn tiny_space() -> DesignSpace {
     DesignSpace::new()
         .app("tiny")
-        .platforms(vec![PlatformKind::Bus, PlatformKind::Noc])
+        .platforms(PlatformKind::ALL.to_vec())
         .cores(vec![1, 2, 4])
         .schedulers(vec![SchedulerKind::List, SchedulerKind::Anneal])
 }
@@ -250,15 +250,17 @@ fn changed_fingerprints_re_evaluate_instead_of_replaying() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The seed-cost tier keys on core 0's cost view, which a scratchpad
-/// capacity does not reach: across an SPM axis the round-0 table is
-/// built once per (app, platform kind, core count), and every row still
-/// equals the same point evaluated alone by a fresh explorer.
+/// The seed-cost tier keys on core 0's cost view and the schedule tier
+/// on the scheduling context's view, neither of which a scratchpad
+/// capacity reaches: across an SPM axis the round-0 table is built once
+/// per (app, platform kind, core count), a schedule is built once per
+/// distinct task graph, and every row still equals the same point
+/// evaluated alone by a fresh explorer.
 #[test]
 fn spm_axis_shares_one_seed_cost_table() {
     let space = DesignSpace::new()
         .apps(["egpws", "polka", "weaa"].map(String::from))
-        .platforms(vec![PlatformKind::Bus, PlatformKind::Noc])
+        .platforms(PlatformKind::ALL.to_vec())
         .cores(vec![1, 4, 8])
         .spm_capacities(vec![None, Some(0), Some(4096), Some(1 << 20)]);
     let explorer = Explorer::with_threads(1);
@@ -270,6 +272,11 @@ fn spm_axis_shares_one_seed_cost_table() {
         (stats.cost_misses, stats.cost_hits),
         (18, 54),
         "one seed-cost build per app × platform kind × core count"
+    );
+    assert_eq!(
+        (stats.sched_misses, stats.sched_hits),
+        (49, 119),
+        "the SPM axis shares schedules wherever the task graph matches"
     );
     for row in &report.rows {
         let alone = Explorer::with_threads(1).evaluate_point(row.point.clone(), &space);
@@ -299,7 +306,7 @@ fn egpws_acceptance_shape_sweep() {
     let explorer = Explorer::new();
     let space = DesignSpace::new()
         .app("egpws")
-        .platforms(vec![PlatformKind::Bus, PlatformKind::Noc])
+        .platforms(PlatformKind::ALL.to_vec())
         .cores(vec![1, 2])
         .schedulers(vec![SchedulerKind::List, SchedulerKind::Anneal]);
     let report = explorer.explore(&space);
@@ -327,7 +334,7 @@ fn egpws_acceptance_shape_sweep() {
 fn bnb_sweep_matches_golden_csv() {
     let space = DesignSpace::new()
         .apps(["egpws", "polka", "weaa"].map(String::from))
-        .platforms(vec![PlatformKind::Bus, PlatformKind::Noc])
+        .platforms(PlatformKind::ALL.to_vec())
         .cores(vec![1, 2, 4, 8])
         .schedulers(vec![SchedulerKind::BranchAndBound]);
     let csv = Explorer::with_threads(1).explore(&space).to_csv();
@@ -350,13 +357,9 @@ fn bnb_sweep_matches_golden_csv() {
 fn granularity_sweep_matches_golden_csv() {
     let space = DesignSpace::new()
         .apps(["egpws", "polka", "weaa"].map(String::from))
-        .platforms(vec![PlatformKind::Bus, PlatformKind::Noc])
+        .platforms(PlatformKind::ALL.to_vec())
         .cores(vec![1, 2, 4, 8])
-        .granularities(vec![
-            Granularity::Loop,
-            Granularity::Block,
-            Granularity::Stmt,
-        ])
+        .granularities(Granularity::ALL.to_vec())
         .chunking(vec![true, false]);
     let csv = Explorer::with_threads(1).explore(&space).to_csv();
     assert_eq!(
@@ -375,7 +378,7 @@ fn granularity_sweep_matches_golden_csv() {
 fn anneal_sweep_matches_golden_csv() {
     let space = DesignSpace::new()
         .apps(["egpws", "polka", "weaa"].map(String::from))
-        .platforms(vec![PlatformKind::Bus, PlatformKind::Noc])
+        .platforms(PlatformKind::ALL.to_vec())
         .cores(vec![1, 2, 4, 8])
         .schedulers(vec![SchedulerKind::Anneal]);
     let csv = Explorer::with_threads(1).explore(&space).to_csv();
@@ -384,4 +387,22 @@ fn anneal_sweep_matches_golden_csv() {
         include_str!("golden/sweep_anneal.csv"),
         "annealing sweep drifted from the golden CSV"
     );
+}
+
+/// `PlatformKind::Noc` lays `n` cores out on the grid the squarest
+/// divisor pair gives: the first `rows` dividing `n` that minimises
+/// `|n / rows - rows|`.
+#[test]
+fn noc_platforms_match_the_divisor_grid_rule() {
+    for n in 1..=64usize {
+        let rows = (1..=n)
+            .filter(|&r| n.is_multiple_of(r))
+            .min_by_key(|&r| (n / r).abs_diff(r))
+            .unwrap();
+        assert_eq!(
+            PlatformKind::Noc.build(n, None),
+            argo_adl::Platform::kit_tile_noc(rows, n / rows),
+            "{n} cores"
+        );
+    }
 }

@@ -18,8 +18,8 @@
 
 use argo_adl::{CacheConfig, Platform};
 use argo_core::{
-    Artifact, Codec, CollectingObserver, FingerprintHasher, SchedulerKind, Stage, StageEvent,
-    ToolchainConfig, Toolflow,
+    Artifact, Codec, CollectingObserver, ErrorCode, FingerprintHasher, SchedulerKind, Stage,
+    StageEvent, ToolchainConfig, Toolflow,
 };
 use argo_dse::PlatformKind;
 use argo_htg::Granularity;
@@ -52,7 +52,7 @@ fn check_or_update(name: &str, actual: &str) {
 fn reports_match_pre_resolution_goldens() {
     let platform = Platform::xentium_manycore(4);
     for uc in argo_apps::all_use_cases(42) {
-        for mhp in [MhpMode::Naive, MhpMode::Static, MhpMode::Windows] {
+        for mhp in MhpMode::ALL {
             let cfg = ToolchainConfig {
                 mhp,
                 ..Default::default()
@@ -159,7 +159,7 @@ fn stage_fingerprints_and_encodings_match_golden() {
     let mut actual = String::new();
     for uc in argo_apps::all_use_cases(42) {
         for (label, platform) in &platforms {
-            for mhp in [MhpMode::Naive, MhpMode::Static, MhpMode::Windows] {
+            for mhp in MhpMode::ALL {
                 for scheduler in [SchedulerKind::List, SchedulerKind::Anneal] {
                     let cfg = ToolchainConfig {
                         mhp,
@@ -212,4 +212,59 @@ fn stage_fingerprints_and_encodings_match_golden() {
         }
     }
     check_or_update("stage_fingerprints.txt", &actual);
+}
+
+/// Every `Stage` and `ErrorCode` label with the one byte the codec
+/// writes for it. The point archive stores these bytes inside archived
+/// diagnostics, so a reordered or renumbered variant must fail here.
+const STAGE_TAGS: [(&str, u8); 4] = [
+    ("frontend", 0),
+    ("seed-costs", 1),
+    ("backend", 2),
+    ("verify", 3),
+];
+const ERROR_CODE_TAGS: [(&str, u8); 22] = [
+    ("invalid-program", 0),
+    ("unknown-program", 1),
+    ("unknown-entry", 2),
+    ("missing-platform", 3),
+    ("invalid-platform", 4),
+    ("transform-failed", 5),
+    ("unbounded-loop", 6),
+    ("extraction-failed", 7),
+    ("empty-htg", 8),
+    ("code-wcet-failed", 9),
+    ("mem-assign-failed", 10),
+    ("parallel-model-failed", 11),
+    ("data-race", 12),
+    ("unsound-schedule", 13),
+    ("placement-overflow", 14),
+    ("comm-ordering", 15),
+    ("uninit-read", 16),
+    ("dead-store", 17),
+    ("unreachable-stmt", 18),
+    ("internal-error", 19),
+    ("deadline-exceeded", 20),
+    ("leader-failed", 21),
+];
+
+/// Decodes every one-byte input as `T` and returns the (label, byte)
+/// pairs that decode, after checking each re-encodes to its byte.
+fn decodable_tags<T: Codec>(label: impl Fn(&T) -> &'static str) -> Vec<(&'static str, u8)> {
+    (0..=u8::MAX)
+        .filter_map(|b| {
+            let v = T::from_bytes(&[b]).ok()?;
+            assert_eq!(v.to_bytes(), [b], "{} re-encodes to its tag", label(&v));
+            Some((label(&v), b))
+        })
+        .collect()
+}
+
+#[test]
+fn diagnostic_tags_match_the_pinned_byte_table() {
+    assert_eq!(decodable_tags::<Stage>(Stage::label), STAGE_TAGS);
+    assert_eq!(
+        decodable_tags::<ErrorCode>(ErrorCode::label),
+        ERROR_CODE_TAGS
+    );
 }

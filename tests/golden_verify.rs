@@ -48,8 +48,6 @@ fn check_or_update(name: &str, actual: &str) {
     );
 }
 
-const ALL_MODES: [MhpMode; 3] = [MhpMode::Naive, MhpMode::Static, MhpMode::Windows];
-
 fn compile(name: &str, mhp: MhpMode, platform: &Platform) -> BackendResult {
     let uc = argo_apps::all_use_cases(42)
         .into_iter()
@@ -76,7 +74,7 @@ fn rendered(name: &str, mhp: MhpMode, platform: &Platform) -> String {
 fn verify_reports_match_goldens_and_are_run_to_run_stable() {
     let platform = Platform::xentium_manycore(4);
     for app in ["egpws", "weaa", "polka"] {
-        for mhp in ALL_MODES {
+        for mhp in MhpMode::ALL {
             let first = rendered(app, mhp, &platform);
             let second = rendered(app, mhp, &platform);
             assert_eq!(first, second, "{app} [{mhp}] not run-to-run stable");
@@ -91,7 +89,7 @@ fn race_findings_on_edgeless_task_graphs_match_the_golden() {
     for cores in [4, 8] {
         let platform = Platform::xentium_manycore(cores);
         for app in ["egpws", "weaa", "polka"] {
-            for mhp in ALL_MODES {
+            for mhp in MhpMode::ALL {
                 let mut r = compile(app, mhp, &platform);
                 r.parallel.graph.edges.clear();
                 if mhp == MhpMode::Windows {

@@ -91,7 +91,7 @@ fn tiny_explorer(threads: usize) -> Explorer {
 fn tiny_space(seed: u64) -> DesignSpace {
     DesignSpace::new()
         .app("tiny")
-        .platforms(vec![PlatformKind::Bus, PlatformKind::Noc])
+        .platforms(PlatformKind::ALL.to_vec())
         .cores(vec![1, 2, 4])
         .schedulers(vec![SchedulerKind::List, SchedulerKind::Anneal])
         .chunking(vec![true, false])
@@ -202,7 +202,7 @@ fn front_vectors(report: &argo_dse::ExplorationReport) -> BTreeSet<[u64; 3]> {
 fn strategies_recover_the_front_of_a_512_point_lattice_within_a_quarter_budget() {
     let space = DesignSpace::new()
         .app("egpws")
-        .platforms(vec![PlatformKind::Bus, PlatformKind::Noc])
+        .platforms(PlatformKind::ALL.to_vec())
         .cores(vec![1, 2, 4, 6])
         .schedulers(vec![SchedulerKind::List, SchedulerKind::BranchAndBound])
         .granularities(vec![Granularity::Loop, Granularity::Block])

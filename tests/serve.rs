@@ -587,6 +587,37 @@ fn an_spm_only_change_reuses_the_seed_costs() {
     }
 }
 
+/// Two compiles that differ only between two scratchpad capacities that
+/// both hold every array place memory alike, so each feedback round
+/// schedules the same task graph in the same scheduling context: the
+/// second compile builds no schedule (`sched_misses` stays put), and
+/// its reply is byte-identical to a fresh daemon's.
+#[test]
+fn an_spm_only_change_that_keeps_the_placement_reuses_the_schedules() {
+    const FIRST: &str = r#"{"id": 1, "kind": "compile", "app": "polka", "platform": "bus", "cores": 8, "spm": 1048576}"#;
+    const SECOND: &str = r#"{"id": 2, "kind": "compile", "app": "polka", "platform": "bus", "cores": 8, "spm": 1048584}"#;
+    let server = boot(None, ServeConfig::default());
+    let mut client = Client::connect_tcp(server.addr()).unwrap();
+    let first = client.request(FIRST).unwrap();
+    assert!(first.is_ok(), "{}", first.terminal);
+    let misses = server.cache_stats().sched_misses;
+    assert!(misses > 0);
+    let warm = client.request(SECOND).unwrap();
+    assert!(warm.is_ok(), "{}", warm.terminal);
+    assert_eq!(server.cache_stats().sched_misses, misses);
+
+    let fresh = boot(None, ServeConfig::default());
+    let cold = Client::connect_tcp(fresh.addr())
+        .unwrap()
+        .request(SECOND)
+        .unwrap();
+    assert_eq!(warm.terminal, cold.terminal);
+    for handle in [server, fresh] {
+        handle.shutdown();
+        handle.join();
+    }
+}
+
 /// A scratchpad far larger than the program (1 TiB) compiles: the
 /// placement knapsack is sized by the candidates, not by the capacity,
 /// and the daemon answers the next request.

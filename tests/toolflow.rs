@@ -24,17 +24,22 @@
 //! 8. **Seed-cost key** (property) — the seed-cost table and its key
 //!    ignore every platform field outside core 0's cost view, and the
 //!    key moves with every field inside it.
+//! 9. **Schedule key** (property) — on a fixed task graph, the schedule
+//!    every scheduler builds and its key ignore every platform field
+//!    outside the scheduling context's view, and the key moves with
+//!    every field inside it.
 
 use argo_adl::{
     Arbitration, CacheConfig, CoreId, Interconnect, MemSpace, MemoryMap, Placement, Platform,
 };
 use argo_core::{
-    Artifact, CollectingObserver, CostTable, Fingerprint, Fingerprintable, SchedulerKind, Stage,
-    ToolchainConfig, Toolflow,
+    schedule_fingerprint, Artifact, CollectingObserver, CostTable, Fingerprint, Fingerprintable,
+    SchedulerKind, Stage, ToolchainConfig, Toolflow,
 };
 use argo_dse::PlatformKind;
 use argo_htg::Granularity;
 use argo_parir::mem_assign;
+use argo_sched::{CommModel, SchedCtx, TaskGraph};
 use argo_wcet::cost::{program_symbols, CostCtx};
 use argo_wcet::schema::{function_wcets, stmt_ids_wcet, TaskCoster};
 use argo_wcet::system::MhpMode;
@@ -47,7 +52,7 @@ use std::sync::Arc;
 #[test]
 fn staged_session_report_is_byte_identical_to_one_shot_run() {
     for uc in argo_apps::all_use_cases(42) {
-        for mhp in [MhpMode::Naive, MhpMode::Static, MhpMode::Windows] {
+        for mhp in MhpMode::ALL {
             let platform = Platform::xentium_manycore(4);
             let cfg = ToolchainConfig {
                 mhp,
@@ -277,7 +282,7 @@ fn all_shared(program: &argo_ir::ast::Program, entry: &str) -> MemoryMap {
 fn task_coster_matches_one_shot_stmt_ids_wcet() {
     let mut spm_views = 0;
     for uc in argo_apps::all_use_cases(42) {
-        for granularity in [Granularity::Loop, Granularity::Block, Granularity::Stmt] {
+        for granularity in Granularity::ALL {
             for cores in [1, 2, 4, 8] {
                 let cfg = ToolchainConfig {
                     granularity,
@@ -354,7 +359,7 @@ fn task_coster_matches_one_shot_stmt_ids_wcet() {
 #[test]
 fn parallel_program_shares_the_artifact_and_the_last_placement() {
     for uc in argo_apps::all_use_cases(42) {
-        for granularity in [Granularity::Loop, Granularity::Block, Granularity::Stmt] {
+        for granularity in Granularity::ALL {
             for cores in [1, 2, 4, 8] {
                 let bus = PlatformKind::Bus.build(cores, None);
                 let noc = PlatformKind::Noc.build(cores, None);
@@ -571,6 +576,126 @@ fn seed_key_moves_with_fields_inside_core_zeros_view() {
     ];
     let checked = for_each_perturbed_seed_point(&inside, |case, perturbed, _, key, _| {
         assert_ne!(perturbed.seed_cost_fingerprint().unwrap(), key, "{case}");
+    });
+    // The router latency exists on the NoC only.
+    assert_eq!(checked, 3 * (3 * inside.len() - 2));
+}
+
+/// Runs `check` on every seed app × seed-key platform × perturbation
+/// that changes the platform, with the app's final task graph on the
+/// unperturbed platform held fixed and the signal-only scheduling
+/// contexts of both platforms; returns how many ran.
+fn for_each_perturbed_schedule_point(
+    perturbations: &[Perturbation],
+    check: impl Fn(&str, &TaskGraph, &SchedCtx<'_>, &SchedCtx<'_>),
+) -> usize {
+    let mut checked = 0;
+    for uc in argo_apps::all_use_cases(42) {
+        for base in seed_key_platforms() {
+            let result = Toolflow::borrowed(&uc.program, uc.entry)
+                .platform(&base)
+                .run()
+                .expect("pipeline");
+            let base_ctx = SchedCtx::with_comm(&base, CommModel::SignalOnly);
+            for (what, perturb) in perturbations {
+                let mut p = base.clone();
+                perturb(&mut p);
+                if p == base {
+                    continue;
+                }
+                let ctx = SchedCtx::with_comm(&p, CommModel::SignalOnly);
+                let case = format!("{} on {}: {what}", uc.name, base.name);
+                check(&case, &result.parallel.graph, &base_ctx, &ctx);
+                checked += 1;
+            }
+        }
+    }
+    checked
+}
+
+/// A signal-only scheduler reads the core count and each core's
+/// all-contender shared-access price, so an edit outside that view —
+/// any scratchpad capacity, a core's timing, scratchpad latency or
+/// cache, the name, the shared memory's size — leaves both the schedule
+/// every scheduler builds and its key unchanged.
+#[test]
+fn schedules_and_key_ignore_fields_outside_the_scheduling_view() {
+    let outside: [Perturbation; 9] = [
+        ("every core's spm_bytes = 0", |p| {
+            p.cores.iter_mut().for_each(|c| c.spm_bytes = 0)
+        }),
+        ("every core's spm_bytes = 1 MiB", |p| {
+            p.cores.iter_mut().for_each(|c| c.spm_bytes = 1 << 20)
+        }),
+        ("core 2's spm_bytes + 4096", |p| {
+            p.cores[2].spm_bytes += 4096
+        }),
+        ("core 0's timing", |p| p.cores[0].timing.float_mul += 3),
+        ("core 1's timing", |p| p.cores[1].timing.local_access += 1),
+        ("core 0's spm_latency", |p| p.cores[0].spm_latency += 5),
+        ("core 1's cache", |p| {
+            p.cores[1].cache = Some(CacheConfig::large())
+        }),
+        ("name", |p| p.name.push_str("-renamed")),
+        ("shared.size_bytes", |p| p.shared.size_bytes *= 2),
+    ];
+    let checked = for_each_perturbed_schedule_point(&outside, |case, graph, base, perturbed| {
+        for kind in SchedulerKind::ALL {
+            let case = format!("{case} ({})", kind.label());
+            assert_eq!(
+                schedule_fingerprint(graph, perturbed, kind),
+                schedule_fingerprint(graph, base, kind),
+                "{case}"
+            );
+            assert_eq!(
+                kind.schedule(graph, perturbed),
+                kind.schedule(graph, base),
+                "{case}"
+            );
+        }
+    });
+    // The cached bus has no scratchpad to empty.
+    assert_eq!(checked, 3 * (3 * outside.len() - 1));
+}
+
+/// An edit inside the scheduling view — the core count, the shared
+/// memory's latency, the arbitration weights, the NoC's router latency
+/// — moves the schedule key.
+#[test]
+fn schedule_key_moves_with_fields_inside_the_scheduling_view() {
+    let inside: [Perturbation; 4] = [
+        ("core count", |p| {
+            p.cores.pop();
+            if let Interconnect::Bus {
+                arbitration: Arbitration::Wrr { weights, .. },
+            } = &mut p.interconnect
+            {
+                weights.pop();
+            }
+        }),
+        ("shared.latency", |p| p.shared.latency += 1),
+        ("arbitration weights", |p| match &mut p.interconnect {
+            Interconnect::Bus {
+                arbitration: Arbitration::Wrr { weights, .. },
+            } => weights[1..].iter_mut().for_each(|w| *w += 2),
+            Interconnect::Noc { wrr_weight, .. } => *wrr_weight += 2,
+            Interconnect::Bus { .. } => {}
+        }),
+        ("router_latency", |p| {
+            if let Interconnect::Noc { router_latency, .. } = &mut p.interconnect {
+                *router_latency += 1;
+            }
+        }),
+    ];
+    let checked = for_each_perturbed_schedule_point(&inside, |case, graph, base, perturbed| {
+        for kind in SchedulerKind::ALL {
+            assert_ne!(
+                schedule_fingerprint(graph, perturbed, kind),
+                schedule_fingerprint(graph, base, kind),
+                "{case} ({})",
+                kind.label()
+            );
+        }
     });
     // The router latency exists on the NoC only.
     assert_eq!(checked, 3 * (3 * inside.len() - 2));

@@ -48,8 +48,6 @@ const MAP_REDUCE: &str = r#"
     }
 "#;
 
-const ALL_MODES: [MhpMode; 3] = [MhpMode::Naive, MhpMode::Static, MhpMode::Windows];
-
 fn compile(src: &str, platform: &Platform, cfg: ToolchainConfig) -> argo_core::BackendResult {
     let program = parse_program(src).expect("fixture parses");
     Toolflow::new(program, "main")
@@ -65,7 +63,7 @@ fn unmutated_pipeline_is_clean_and_seeded_reorder_bug_is_caught() {
     let result = compile(DECL_BEFORE_USE, &platform, ToolchainConfig::default());
 
     // Control: the real pipeline races nowhere, under any MHP notion.
-    for mode in ALL_MODES {
+    for mode in MhpMode::ALL {
         assert!(
             check_races(&result, mode).is_empty(),
             "false positive under {mode}"
@@ -204,7 +202,7 @@ proptest! {
             1 => SchedulerKind::BranchAndBound,
             _ => SchedulerKind::Anneal,
         };
-        let mhp = ALL_MODES[mhp_pick as usize];
+        let mhp = MhpMode::ALL[mhp_pick as usize];
         let cfg = ToolchainConfig { scheduler, mhp, ..Default::default() };
         let platform = Platform::xentium_manycore(cores);
         let result = compile(MAP_REDUCE, &platform, cfg);
